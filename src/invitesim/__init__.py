@@ -87,7 +87,6 @@ from .presets import (
     ExperimentConfig,
     config_from_json,
     get_preset,
-    presets,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctmc import RandomStream
-from .params import InviteSimError, ModelParams, drift_matrix, validate_params
+from .params import (InviteSimError, ModelParams, drift_matrix, spectral_decompose,
+                     validate_params)
+
+
+# grid points evaluated at once by moment_ode
+_CHUNK = 16384
 
 
 class DiffusionError(InviteSimError):
@@ -206,54 +211,54 @@ class MomentPath:
                          f"{self.V[i, 1, 1]:.12g}\n")
 
 
-def moment_ode(m0, V0, params: ModelParams, horizon: float,
-               dt: float = 1e-3) -> MomentPath:
-    """Fixed-step 4th-order integration of m' = mA and V' = VA + A^T V + S.
+def _moments_at(init: MomentState, params: ModelParams,
+                ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean (n, 2) and covariance (n, 2, 2) at times ts (Van Loan 1978).
 
-    The covariance is carried as its three distinct entries, which keeps it
-    symmetric by construction rather than by per-step cleanup.
+    With the eigen-rows v_i (v_i A = -nu_i v_i) stacked in W:
+    m(t) = sum_i alpha_i e^{-nu_i t} v_i with alpha = m0 W^{-1}, and
+    V(t) = V_inf + sum_ij C_ij e^{-(nu_i + nu_j) t} v_i^T v_j with
+    C = W^{-T} (V0 - V_inf) W^{-1}.  At t = 0 the result is (m0, V0) exactly.
     """
     validate_params(params, scheme="A")
+    spec = spectral_decompose(params)
+    w, w_inv = spec.basis, spec.basis_inv
+    nu = np.array([spec.nu1, spec.nu2])
+    v_inf = stationary_covariance(params)
+    # V0 is read through its upper triangle, so an asymmetry within
+    # MomentState's tolerance does not reach the path
+    v0 = np.array([[init.V[0, 0], init.V[0, 1]], [init.V[0, 1], init.V[1, 1]]])
+    decay = np.exp(-np.outer(ts, nu))                           # (n, 2)
+    m = (decay * (init.m @ w_inv)) @ w
+    c = w_inv.T @ (v0 - v_inf) @ w_inv
+    modes = (decay[:, :, None] * decay[:, None, :] * c).reshape(-1, 4)
+    # kron(W, W) maps each flattened C_ij e^{-(nu_i + nu_j) t} onto v_i^T v_j
+    V = v_inf + (modes @ np.kron(w, w)).reshape(-1, 2, 2)
+    V[:, 1, 0] = V[:, 0, 1]  # exact symmetry
+    at0 = ts == 0.0
+    m[at0], V[at0] = init.m, v0
+    return m, V
+
+
+def moment_ode(m0, V0, params: ModelParams, horizon: float,
+               dt: float = 1e-3) -> MomentPath:
+    """Mean and covariance of the Gaussian marginal on the grid 0, dt, 2 dt, ...
+
+    Solves m' = mA and V' = VA + A^T V + S exactly in the eigenbasis of A
+    (see _moments_at); dt is the output grid spacing only.  The covariance
+    is symmetric entry for entry.
+    """
     if dt <= 0.0 or horizon <= 0.0:
         raise DiffusionError("horizon and dt must be > 0")
     init = MomentState(m=np.asarray(m0, dtype=float),
                        V=np.asarray(V0, dtype=float))  # validates shape/symmetry
-    beta, gamma, eps = params.beta, params.gamma, params.epsilon
-    lam = params.lam
-    s11 = 2.0 * lam
-    s12 = -2.0 * lam * gamma
-    s22 = 2.0 * lam * gamma ** 2
-    gb = gamma * beta
-
-    def rhs(state):
-        m1, m2, v11, v12, v22 = state
-        return (beta * m2,
-                -eps * m1 - gb * m2,
-                2.0 * beta * v12 + s11,
-                -eps * v11 - gb * v12 + beta * v22 + s12,
-                -2.0 * eps * v12 - 2.0 * gb * v22 + s22)
-
     n = int(math.floor(horizon / dt * (1 + 1e-12))) + 1
     ts = np.arange(n) * dt
-    out = np.empty((n, 5))
-    state = (float(init.m[0]), float(init.m[1]), float(init.V[0, 0]),
-             float(init.V[0, 1]), float(init.V[1, 1]))
-    out[0] = state
-    h = dt
-    for i in range(1, n):
-        k1 = rhs(state)
-        k2 = rhs(tuple(s + h / 2 * k for s, k in zip(state, k1)))
-        k3 = rhs(tuple(s + h / 2 * k for s, k in zip(state, k2)))
-        k4 = rhs(tuple(s + h * k for s, k in zip(state, k3)))
-        state = tuple(s + h / 6 * (a + 2 * b + 2 * c + d)
-                      for s, a, b, c, d in zip(state, k1, k2, k3, k4))
-        out[i] = state
-    m = out[:, :2].copy()
+    m = np.empty((n, 2))
     V = np.empty((n, 2, 2))
-    V[:, 0, 0] = out[:, 2]
-    V[:, 0, 1] = out[:, 3]
-    V[:, 1, 0] = out[:, 3]
-    V[:, 1, 1] = out[:, 4]
+    # a chunk at a time, so the temporaries stay small next to the outputs
+    for a in range(0, n, _CHUNK):
+        m[a:a + _CHUNK], V[a:a + _CHUNK] = _moments_at(init, params, ts[a:a + _CHUNK])
     return MomentPath(t=ts, m=m, V=V, dt=dt, params=params)
 
 
@@ -263,5 +268,5 @@ def gaussian_transient(params: ModelParams, t: float, initial: MomentState) -> M
         raise DiffusionError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return initial
-    dt = min(1e-3, t / 16.0)
-    return moment_ode(initial.m, initial.V, params, horizon=t, dt=dt).final
+    m, V = _moments_at(initial, params, np.array([float(t)]))
+    return MomentState(m=m[0], V=V[0])

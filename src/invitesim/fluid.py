@@ -1,5 +1,5 @@
-"""Deterministic scaled limits: closed-form constant-rate solver and the
-time-varying integrator.
+"""Deterministic scaled limits in closed form, for constant and time-varying
+arrival rates.
 
 Constant rate: away from the floor x = -lam/beta the path is a sum of two
 decaying eigenmodes; on the floor it slides with y' = -lam until y reaches
@@ -7,8 +7,11 @@ gamma*lam/epsilon and lifts off.  A path enters the floor at most once, so a
 full solution is at most interior/boundary/interior.
 
 Time-varying rate: the uncentered pair (y, x) follows a piecewise-smooth field
-with the same floor structure at x = 0; integration is classical fixed-step
-4th order with the floor crossings located by bisection inside a step.
+with the same floor structure at x = 0.  Off the floor the path is a particular
+solution for the rate profile plus the same two eigenmodes; on the floor y
+falls by the cumulative arrival rate.  Both are evaluated exactly on the
+output grid, and floor entries and exits are located by bisection between
+grid points.
 """
 from __future__ import annotations
 
@@ -22,7 +25,10 @@ from .params import (
     ConstantArrival,
     InviteSimError,
     ModelParams,
+    PiecewiseConstantArrival,
+    SinusoidArrival,
     SpectralData,
+    drift_matrix,
     spectral_decompose,
     star_coords,
     validate_params,
@@ -166,12 +172,16 @@ def boundary_hit_time(initial, params: ModelParams,
         return level - a1 * math.exp(-nu1 * t) - a2 * math.exp(-nu2 * t)
 
     # starting on the floor with the flow still pushing in counts as an
-    # immediate hit; gap'(0) < 0 is exactly y0 > gamma*lam/epsilon.  The
-    # derivative threshold leaves exit-grazing restarts (gap'(0) ~ fp dust)
-    # to the scan below, which treats them as interior.
-    if (gap(0.0) <= 1e-12 * max(1.0, level)
-            and nu1 * a1 + nu2 * a2 < -1e-9 * max(1.0, abs(a1) + abs(a2))):
+    # immediate hit; gap'(0) < 0 is exactly y0 > gamma*lam/epsilon.
+    on_floor = gap(0.0) <= 1e-12 * max(1.0, level)
+    if on_floor and nu1 * a1 + nu2 * a2 < -1e-9 * max(1.0, abs(a1) + abs(a2)):
         return 0.0
+    # otherwise gap'(0) is at most rounding dust, as at the exit corner after a
+    # slide; with gap''(0) > 0 (epsilon*lam there) the path lifts off
+    # tangentially and a contact at t ~ 1e-16 is rounding.  The gap has at
+    # most one extremum, so no later contact exists either.
+    if on_floor and nu1 * nu1 * a1 + nu2 * nu2 * a2 < 0.0:
+        return None
 
     reach = abs(a1) + abs(a2)
     if reach <= level * (1.0 - 1e-15):
@@ -305,15 +315,98 @@ class TVFluidTrajectory:
                          f"{self.x[i] + 0.0:.12g},{kind}\n")
 
 
+# evaluate the output grid this many points at a time, so the temporaries of
+# the closed forms stay small next to the preallocated output arrays
+_CHUNK = 16384
+
+
+class _PieceFlow:
+    """Closed forms of the uncentered field while lam(t) = base + amp*sin(omega*t).
+
+    Off the floor u = (y, x) follows u' = u A + lam(t) B with B = (-1, gamma);
+    a particular path is p(t) = (0, base/beta) + Im(z e^{i omega t}) with
+    z (i omega I - A) = amp B, and u - p is a sum of the two eigenmodes.  On
+    the floor y' = -lam(t) integrates in closed form.
+    """
+
+    def __init__(self, params: ModelParams, spec: SpectralData,
+                 arrival: ArrivalRateFn, t0: float):
+        if isinstance(arrival, SinusoidArrival):
+            self.base, self.amp = arrival.base, arrival.amplitude
+            self.omega = 2.0 * math.pi / arrival.period
+        elif isinstance(arrival, (ConstantArrival, PiecewiseConstantArrival)):
+            # right-continuous, so the rate at t0 holds until the next jump
+            self.base, self.amp, self.omega = arrival(t0), 0.0, 0.0
+        else:
+            raise FluidSolverError(f"no closed form for the arrival profile {arrival!r}")
+        self.params, self.spec = params, spec
+        self.z = np.zeros(2, dtype=complex)
+        if self.amp:
+            a = drift_matrix(params)
+            self.z = np.linalg.solve((1j * self.omega * np.eye(2) - a).T,
+                                     self.amp * np.array([-1.0, params.gamma]))
+
+    def liftoff(self, t, y):
+        """gamma*lam(t) - epsilon*y: x' at x = 0, so the floor holds while <= 0."""
+        rate = self.base + self.amp * np.sin(self.omega * t)
+        return self.params.gamma * rate - self.params.epsilon * y
+
+    def _particular(self, t):
+        s, c = np.sin(self.omega * t), np.cos(self.omega * t)
+        return (self.z[0].real * s + self.z[0].imag * c,
+                self.base / self.params.beta + self.z[1].real * s + self.z[1].imag * c)
+
+    def interior(self, t_a: float, y_a: float, x_a: float):
+        """(y, x) at times ts of the path through (y_a, x_a) at t_a."""
+        spec = self.spec
+        py, px = self._particular(t_a)
+        a1, a2 = star_coords((y_a - py, x_a - px), spec)
+
+        def states(ts):
+            c1 = a1 * np.exp(-spec.nu1 * (ts - t_a))
+            c2 = a2 * np.exp(-spec.nu2 * (ts - t_a))
+            py, px = self._particular(ts)
+            return py + c1 * spec.a1 + c2 * spec.a2, px - (c1 + c2)
+        return states
+
+    def floor(self, t_a: float, y_a: float):
+        """(y, 0) at times ts of the slide through y_a at t_a."""
+        def states(ts):
+            fall = self.base * (ts - t_a)
+            if self.amp:
+                fall = fall - self.amp / self.omega * (np.cos(self.omega * ts)
+                                                       - math.cos(self.omega * t_a))
+            return y_a - fall, np.zeros_like(ts)
+        return states
+
+
+def _checkpoints(ts_out: np.ndarray, i: int, t_end: float):
+    """Chunks (first grid index, times, on grid) of the grid points from index
+    i up to t_end, closed by t_end itself when it is not a grid point."""
+    j_end = int(np.searchsorted(ts_out, t_end, side="right"))
+    while i < j_end:
+        j = min(i + _CHUNK, j_end)
+        yield i, ts_out[i:j], True
+        i = j
+    if j_end == 0 or ts_out[j_end - 1] < t_end:
+        yield j_end, np.array([t_end]), False
+
+
 def solve_fluid_tv(initial, arrival: ArrivalRateFn | None, params: ModelParams,
                    horizon: float, dt: float = 1e-3) -> TVFluidTrajectory:
-    """Fixed-step 4th-order integration of the uncentered pair (y, x).
+    """Exact uncentered pair (y, x) on the grid 0, dt, 2 dt, ... up to horizon.
 
     Off the floor: y' = beta*x - lam(t), x' = gamma*lam(t) - gamma*beta*x -
-    epsilon*y.  On the floor x = 0 (entered while gamma*lam(t) - epsilon*y <=
-    0): y' = -lam(t) and x stays 0 until the lift-off expression turns
-    positive.  Floor entries and exits are located by bisection inside the
-    step; integration restarts at jump times of lam(.).
+    epsilon*y, solved as a particular path for the rate profile plus two
+    decaying eigenmodes (constant rate: the fixed point (0, lam/beta);
+    sinusoid: that of the base rate plus a phase-shifted sinusoid).  On the
+    floor x = 0 (entered while gamma*lam(t) - epsilon*y <= 0): y' = -lam(t),
+    so y falls by the cumulative rate, and x stays 0 until the lift-off
+    expression turns positive.  Floor entry is detected at the first grid
+    point with x < 0 and lift-off at the first with a positive lift-off
+    expression, each then located by bisection on the closed form.  A
+    piecewise-constant profile restarts the closed form at its jump times,
+    which are checked like grid points.  dt is the output grid spacing only.
     """
     validate_params(params, scheme="A")
     if horizon <= 0.0 or dt <= 0.0:
@@ -325,105 +418,78 @@ def solve_fluid_tv(initial, arrival: ArrivalRateFn | None, params: ModelParams,
     if x0 < -1e-12:
         raise InvalidInitial(f"x={x0} negative")
     x0 = max(x0, 0.0)
-
-    beta, gamma, eps = params.beta, params.gamma, params.epsilon
-
-    def f_interior(lamf, t, y, x):
-        lt = lamf(t)
-        return beta * x - lt, gamma * lt - gamma * beta * x - eps * y
-
-    def rk4_interior(lamf, t, y, x, h):
-        k1y, k1x = f_interior(lamf, t, y, x)
-        k2y, k2x = f_interior(lamf, t + h / 2, y + h / 2 * k1y, x + h / 2 * k1x)
-        k3y, k3x = f_interior(lamf, t + h / 2, y + h / 2 * k2y, x + h / 2 * k2x)
-        k4y, k4x = f_interior(lamf, t + h, y + h * k3y, x + h * k3x)
-        return (y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y),
-                x + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x))
-
-    def rk4_floor(lamf, t, y, h):
-        # y' = -lam(t) with x pinned at 0
-        return y - h / 6 * (lamf(t) + 4 * lamf(t + h / 2) + lamf(t + h))
-
-    def liftoff(lamf, t, y):
-        return gamma * lamf(t) - eps * y
+    spec = spectral_decompose(params)
 
     n = int(math.floor(horizon / dt * (1 + 1e-12))) + 1
     ts_out = np.arange(n) * dt
     ys = np.empty(n)
     xs = np.empty(n)
     floors = np.zeros(n, dtype=bool)
-    y, x = y0, x0
-    on_floor = x <= 0.0 and liftoff(arrival, 0.0, y) <= 0.0
+    t, y, x = 0.0, y0, x0
+    i = 1  # next grid point to fill
+    on_floor = x <= 0.0 and params.gamma * arrival(0.0) - params.epsilon * y <= 0.0
     if on_floor:
         x = 0.0
     ys[0], xs[0], floors[0] = y, x, on_floor
 
-    for i in range(1, n):
-        t_lo, t_hi = ts_out[i - 1], ts_out[i]
-        pieces = [t_lo] + arrival.jump_times(t_lo, t_hi) + [t_hi]
-        t = t_lo
-        for pe in pieces[1:]:
-            # a rate jump may sit exactly at pe; stage evaluations hitting the
-            # piece end must see the left limit, not the post-jump value
-            left_rate = arrival(pe - 1e-9 * max(1.0, abs(pe)))
+    for t_end in [*arrival.jump_times(0.0, ts_out[-1]), ts_out[-1]]:
+        flow = _PieceFlow(params, spec, arrival, t)
+        stall = 0  # mode switches since the last checkpoint passed
+        while t < t_end:
+            if not on_floor and x <= 0.0:
+                x = 0.0
+                on_floor = flow.liftoff(t, y) <= 0.0
+            elif on_floor and flow.liftoff(t, y) > 0.0:
+                on_floor = False
+            if i < n and ts_out[i] <= t:  # a switch or step landed on this grid point
+                ys[i], xs[i], floors[i] = y, x, on_floor
+                i += 1
+            if stall >= 3:
+                # an exact tie keeps the two modes trading places without
+                # passing a checkpoint; one clamped interior step breaks it
+                tc = ts_out[i] if i < n and ts_out[i] <= t_end else t_end
+                y, x = flow.interior(t, y, x)(tc)
+                t, x = tc, max(x, 0.0)
+                on_floor = x == 0.0 and flow.liftoff(t, y) <= 0.0
+                stall = 0
+                continue
+            path = flow.floor(t, y) if on_floor else flow.interior(t, y, x)
 
-            def lamf(s, _pe=pe, _lr=left_rate):
-                return arrival(s) if s < _pe else _lr
+            def leaves(ts, py, px, _floor=on_floor):
+                return flow.liftoff(ts, py) > 0.0 if _floor else px < 0.0
 
-            stall = 0
-            while t < pe - 1e-15:
-                t_before = t
-                h = pe - t
-                if stall >= 3:
-                    # exact-tie deadlock between the two modes; one clamped
-                    # explicit step breaks it at O(dt) cost
-                    y, x1 = rk4_interior(lamf, t, y, x, h)
-                    x = max(x1, 0.0)
-                    t = pe
-                    on_floor = x == 0.0 and liftoff(lamf, t, y) <= 0.0
-                    break
-                if not on_floor and x <= 0.0:
-                    x = 0.0
-                    if liftoff(lamf, t, y) <= 0.0:
-                        on_floor = True
-                if on_floor:
-                    if liftoff(lamf, t, y) > 0.0:
-                        on_floor = False
-                    else:
-                        y1 = rk4_floor(lamf, t, y, h)
-                        if liftoff(lamf, t + h, y1) > 0.0:
-                            lo, hi = 0.0, h
-                            for _ in range(60):
-                                mid = 0.5 * (lo + hi)
-                                if liftoff(lamf, t + mid, rk4_floor(lamf, t, y, mid)) > 0.0:
-                                    hi = mid
-                                else:
-                                    lo = mid
-                            y = rk4_floor(lamf, t, y, hi)
-                            t += hi
-                            on_floor = False
+            lo = t
+            for g, times, on_grid in _checkpoints(ts_out, i, t_end):
+                cy, cx = path(times)
+                bad = np.flatnonzero(leaves(times, cy, cx))
+                k = int(bad[0]) if bad.size else len(times)
+                if on_grid:
+                    ys[g:g + k], xs[g:g + k], floors[g:g + k] = cy[:k], cx[:k], on_floor
+                    i = g + k
+                if k < len(times):
+                    stall = stall + 1 if k == 0 and lo == t else 1
+                    if k > 0:
+                        lo = float(times[k - 1])
+                    hi = float(times[k])
+                    for _ in range(60):
+                        mid = 0.5 * (lo + hi)
+                        my, mx = path(mid)
+                        if leaves(mid, my, mx):
+                            hi = mid
                         else:
-                            y = y1
-                            t = pe
-                else:
-                    y1, x1 = rk4_interior(lamf, t, y, x, h)
-                    if x1 < 0.0:
-                        lo, hi = 0.0, h
-                        for _ in range(60):
-                            mid = 0.5 * (lo + hi)
-                            if rk4_interior(lamf, t, y, x, mid)[1] < 0.0:
-                                hi = mid
-                            else:
-                                lo = mid
-                        y, _ = rk4_interior(lamf, t, y, x, lo)
-                        x = 0.0
-                        t += lo
-                        on_floor = liftoff(lamf, t, y) <= 0.0
-                    else:
-                        y, x = y1, x1
-                        t = pe
-                stall = stall + 1 if t == t_before else 0
-        ys[i], xs[i], floors[i] = y, x, on_floor
+                            lo = mid
+                    # land on the last point with x >= 0 at a floor entry, or
+                    # the first with a positive lift-off expression at a lift-off
+                    t = hi if on_floor else lo
+                    y, x = path(t)[0], 0.0
+                    on_floor = flow.liftoff(t, y) <= 0.0
+                    break
+                lo = float(times[-1])
+            else:
+                t, y, x = t_end, cy[-1], cx[-1]
+                stall = 0
+    if i < n:  # the last switch or step landed on the last grid point
+        ys[i:], xs[i:], floors[i:] = y, x, on_floor
     return TVFluidTrajectory(params=params, arrival=arrival, t=ts_out, y=ys,
                              x=xs, on_floor=floors, dt=dt, horizon=horizon)
 

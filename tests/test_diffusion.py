@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from invitesim.ctmc import RandomStream
 from invitesim.diffusion import (
@@ -18,7 +19,7 @@ from invitesim.diffusion import (
     stationary_covariance,
 )
 from invitesim.fluid import FluidState, interior_solution
-from invitesim.params import ModelParams, spectral_decompose, star_norm
+from invitesim.params import ModelParams, drift_matrix, spectral_decompose, star_norm
 
 BASE = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
 SPEC = spectral_decompose(BASE)
@@ -109,6 +110,63 @@ def test_moment_ode_preserves_psd():
         for i in range(0, len(path.t), 50):
             assert np.linalg.eigvalsh(path.V[i]).min() >= -1e-10
         assert np.abs(path.V[:, 0, 1] - path.V[:, 1, 0]).max() == 0.0
+
+
+def _rk4_moments(m0, V0, params, horizon, dt):
+    """Fixed-step 4th-order integration of m' = mA and V' = VA + A^T V + S,
+    carrying the three distinct covariance entries."""
+    beta, gamma, eps, lam = params.beta, params.gamma, params.epsilon, params.lam
+    gb = gamma * beta
+
+    def rhs(s):
+        m1, m2, v11, v12, v22 = s
+        return (beta * m2,
+                -eps * m1 - gb * m2,
+                2.0 * beta * v12 + 2.0 * lam,
+                -eps * v11 - gb * v12 + beta * v22 - 2.0 * lam * gamma,
+                -2.0 * eps * v12 - 2.0 * gb * v22 + 2.0 * lam * gamma ** 2)
+
+    n = int(math.floor(horizon / dt * (1 + 1e-12))) + 1
+    out = np.empty((n, 5))
+    state = (m0[0], m0[1], V0[0, 0], V0[0, 1], V0[1, 1])
+    out[0] = state
+    h = dt
+    for i in range(1, n):
+        k1 = rhs(state)
+        k2 = rhs(tuple(s + h / 2 * k for s, k in zip(state, k1)))
+        k3 = rhs(tuple(s + h / 2 * k for s, k in zip(state, k2)))
+        k4 = rhs(tuple(s + h * k for s, k in zip(state, k3)))
+        state = tuple(s + h / 6 * (a + 2 * b + 2 * c + d)
+                      for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+        out[i] = state
+    return out
+
+
+def test_moment_ode_closed_form_matches_rk4():
+    # two independent witnesses of the eigenbasis closed form: the former
+    # RK4 integrator and scipy's expm with V(t) = V_inf + e^{A't}(V0 - V_inf)e^{At}
+    # dt = 5e-4 keeps RK4's own truncation error below 1e-10 for covariance
+    # modes decaying at up to 2*nu2 ~ 20
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        p = _random_params(rng)
+        M = rng.normal(size=(2, 2))
+        V0 = M.T @ M
+        m0 = rng.normal(size=2)
+        path = moment_ode(m0, V0, p, horizon=2.0, dt=5e-4)
+        rk4 = _rk4_moments(m0, V0, p, horizon=2.0, dt=5e-4)
+        got = np.column_stack([path.m, path.V[:, 0, 0], path.V[:, 0, 1], path.V[:, 1, 1]])
+        assert np.abs(got - rk4).max() <= 1e-9
+        A = drift_matrix(p)
+        v_inf = stationary_covariance(p)
+        init = MomentState(m=m0, V=V0)
+        for k in (500, 2000, 4000):
+            E = expm(A * path.t[k])
+            assert np.abs(path.m[k] - m0 @ E).max() <= 1e-9
+            assert np.abs(path.V[k] - (v_inf + E.T @ (V0 - v_inf) @ E)).max() <= 1e-9
+            direct = gaussian_transient(p, path.t[k], init)
+            assert np.abs(direct.m - path.m[k]).max() <= 1e-12
+            assert np.abs(direct.V - path.V[k]).max() <= 1e-12
 
 
 def test_sde_drift_only_matches_linear_ode():

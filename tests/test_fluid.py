@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from invitesim import fluid
 from invitesim.fluid import (
     BoundarySegment,
     DriftReport,
@@ -219,8 +220,14 @@ def test_hit_time_is_first_floor_crossing(params, y0, xoff):
         assert at.y >= params.boundary_exit_y - 1e-6
 
 
+# tangential lift-off at the exit corner after a slide from the floor
+LIFTOFF = ModelParams(lam=2.5625, scale_r=100.0, beta=2.4453125, gamma=2.0,
+                      epsilon=0.534912109375)
+
+
 @settings(max_examples=25, deadline=None)
 @given(params=stable_params(), y0=st.floats(-20.0, 40.0), xoff=st.floats(0.0, 10.0))
+@example(params=LIFTOFF, y0=10.0, xoff=0.0)
 def test_solver_path_respects_floor_and_is_continuous(params, y0, xoff):
     floor = -params.lam / params.beta
     traj = solve_fluid((y0, floor + xoff), params, horizon=30.0)
@@ -234,7 +241,64 @@ def test_solver_path_respects_floor_and_is_continuous(params, y0, xoff):
     assert steps.max() <= speed * (ts[1] - ts[0]) * 5 + 1e-9
 
 
-# --- time-varying integrator ------------------------------------------------
+def test_tangential_liftoff_after_slide():
+    floor = -LIFTOFF.lam / LIFTOFF.beta
+    exit_y = LIFTOFF.boundary_exit_y
+    # from the exit corner x' = 0 and x'' = epsilon*lam > 0: no contact
+    assert boundary_hit_time(FluidState(exit_y, floor), LIFTOFF) is None
+    traj = solve_fluid((10.0, floor), LIFTOFF, horizon=30.0)
+    assert [s.kind for s in traj.segments] == ["boundary", "interior"]
+    t_exit = (10.0 - exit_y) / LIFTOFF.lam
+    assert traj.segments[0].duration == pytest.approx(t_exit, abs=1e-12)
+    tail = _reference_ivp((exit_y, floor), 30.0 - t_exit, LIFTOFF)
+    for dt_after in (0.01, 1.0, 10.0):
+        assert np.allclose(traj.state(t_exit + dt_after), tail.sol(dt_after), atol=1e-9)
+
+
+# --- time-varying rates -----------------------------------------------------
+
+def _tv_hybrid_reference(initial, arrival, params, horizon, grid):
+    """solve_ivp with terminal floor and lift-off events, restarted at every
+    switch and at the jumps of a piecewise profile.  Independent of
+    solve_fluid_tv."""
+    beta, gamma, eps = params.beta, params.gamma, params.epsilon
+    grid = np.asarray(grid, dtype=float)
+    out = np.full((grid.size, 2), np.nan)
+    t, (y, x) = 0.0, initial
+    on_floor = x <= 0.0 and gamma * arrival(0.0) - eps * y <= 0.0
+    for stop in [*arrival.jump_times(0.0, horizon), horizon]:
+        # a rate jump at the end of the piece must not leak into its last step
+        lam = arrival if isinstance(arrival, SinusoidArrival) else (
+            lambda s, v=arrival(t): v)
+
+        def interior(s, u):
+            return [beta * u[1] - lam(s), gamma * lam(s) - gamma * beta * u[1] - eps * u[0]]
+
+        def slide(s, u):
+            return [-lam(s), 0.0]
+
+        def hit(s, u):
+            return u[1]
+
+        def lift(s, u):
+            return gamma * lam(s) - eps * u[0]
+
+        hit.terminal, hit.direction = True, -1.0
+        lift.terminal, lift.direction = True, 1.0
+        if on_floor and lift(t, (y, x)) > 0.0:
+            on_floor = False
+        while t < stop - 1e-12:
+            sol = solve_ivp(slide if on_floor else interior, (t, stop), [y, x],
+                            method="DOP853", events=lift if on_floor else hit,
+                            dense_output=True, rtol=1e-12, atol=1e-13)
+            seg = (grid >= t - 1e-12) & (grid <= sol.t[-1] + 1e-12)
+            out[seg] = sol.sol(grid[seg]).T
+            t, y, x = float(sol.t[-1]), float(sol.y[0, -1]), float(sol.y[1, -1])
+            if sol.t_events[0].size:
+                x, on_floor = 0.0, not on_floor
+    assert not np.isnan(out).any()
+    return out
+
 
 def test_tv_constant_rate_matches_closed_form():
     # uncentered coordinates shift the floor to 0
@@ -314,3 +378,60 @@ def test_tv_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,y,x,segment_kind"
     assert lines[1].endswith("boundary")
+
+
+def test_tv_sinusoid_slide_then_liftoff_matches_hybrid_reference():
+    arr = SinusoidArrival(base=1.0, amplitude=0.5, period=7.0)
+    tv = solve_fluid_tv((30.0, 0.0), arr, BASE, horizon=40.0, dt=1e-3)
+    assert tv.on_floor[0] and not tv.on_floor[-1]
+    ts = np.linspace(0.0, 40.0, 801)
+    ref = _tv_hybrid_reference((30.0, 0.0), arr, BASE, 40.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
+
+
+def test_tv_piecewise_jump_on_the_floor_matches_hybrid_reference():
+    # on the floor at t = 4 with y = 21; the faster slide at rate 2 still
+    # holds the floor (gamma*2 < epsilon*21) and lifts off at y = 20, t = 4.5
+    arr = PiecewiseConstantArrival(breakpoints=(4.0, 9.0), values=(1.0, 2.0, 0.5))
+    tv = solve_fluid_tv((25.0, 0.0), arr, BASE, horizon=20.0, dt=1e-3)
+    assert tv.state(4.0)[0] == pytest.approx(21.0, abs=1e-9)
+    assert tv.state(4.25)[0] == pytest.approx(20.5, abs=1e-9)
+    assert tv.on_floor[4400] and not tv.on_floor[4600]
+    ts = np.linspace(0.0, 20.0, 801)
+    ref = _tv_hybrid_reference((25.0, 0.0), arr, BASE, 20.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
+
+
+def test_tv_exact_tie_start_returns():
+    # x = 0 and gamma*lam(0) = epsilon*y0: the floor and the interior tie
+    y0 = BASE.gamma * 1.0 / BASE.epsilon
+    tv = solve_fluid_tv((y0, 0.0), ConstantArrival(1.0), BASE, horizon=10.0, dt=1e-3)
+    shift = BASE.lam / BASE.beta
+    want = solve_fluid((y0, -shift), BASE, horizon=10.0).states(tv.t)
+    want[:, 1] += shift
+    assert np.max(np.abs(np.column_stack([tv.y, tv.x]) - want)) < 1e-9
+    assert not tv.on_floor[1:].any()
+
+
+def test_tv_mode_ping_pong_falls_back_to_clamped_steps(monkeypatch):
+    # an interior form that drops below the floor right after any start makes
+    # every floor entry land where it started; the solver must still reach
+    # the horizon, one clamped interior step per grid interval
+    exact = fluid._PieceFlow.interior
+    starts = []
+
+    def dipping(self, t_a, y_a, x_a):
+        starts.append(t_a)
+        if len(starts) > 200:
+            raise RuntimeError("mode switches do not advance")
+        states = exact(self, t_a, y_a, x_a)
+
+        def shifted(ts):
+            y, x = states(ts)
+            return y, np.where(np.asarray(ts) > t_a, x - 10.0, x)
+        return shifted
+
+    monkeypatch.setattr(fluid._PieceFlow, "interior", dipping)
+    tv = solve_fluid_tv((0.0, 1.0), ConstantArrival(1.0), BASE, horizon=0.1, dt=1e-2)
+    assert len(tv.t) == 11
+    assert np.all(tv.x[1:] == 0.0) and not tv.on_floor.any()
