@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -378,8 +379,8 @@ def main(argv=None) -> int:
     except InviteSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - last-resort guard
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception:  # last-resort guard: a bug, so keep its traceback
+        traceback.print_exc()
         return 1
 
 

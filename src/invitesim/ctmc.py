@@ -12,13 +12,25 @@ scheme A   a real-valued target is updated at queue changes and X is topped
 Holding times use competing exponential clocks; time-varying arrival rates are
 handled by thinning against the profile's declared bound.  Per event the
 uniform stream is consumed in a fixed order (hold, pick, thin-if-candidate,
-round-if-enabled), which keeps seeded runs reproducible bit for bit.
+round-if-enabled), which keeps seeded runs reproducible bit for bit.  The
+simulators read it one value at a time from blocks of _BUF draws.
+
+Event logs are rebuilt after the run from the post-event states: dy and dx
+are their differences, and the kind follows from them (scheme B: dy = -1
+arrival, +1 accept, else dx = +1 feedback up and any other move feedback
+down; scheme A: dy = -1, +1, 0 for arrival, accept, reject).
+
+drift_replicates_b restarts from one state many times over a short window,
+where most replicates see no event.  Whether a replicate sees one depends
+only on its first uniform, so each block of uniforms is screened with numpy
+and the event loop runs only from the busy starts; the quiet ones consume
+their one uniform and stay (0, 0), exactly as the loop would leave them.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +65,6 @@ K_ACCEPT = 1
 K_FEEDBACK_UP = 2    # Y < 0: one extra invitation
 K_FEEDBACK_DOWN = 3  # Y > 0: one invitation withdrawn (no-op at X = 0)
 K_REJECT = 4         # scheme A only
-
-KIND_NAMES = ("arrival", "accept", "feedback_up", "feedback_down", "reject")
 
 _BUF = 1 << 16
 
@@ -111,16 +121,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def to_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for i in range(len(self.t)):
-                fh.write(json.dumps({
-                    "t": float(self.t[i]),
-                    "kind": KIND_NAMES[int(self.kind[i])],
-                    "dy": int(self.dy[i]),
-                    "dx": int(self.dx[i]),
-                }) + "\n")
 
 
 @dataclass(frozen=True)
@@ -212,6 +212,30 @@ def _grid_size(horizon: float, dt: float) -> int:
     return int(math.floor(horizon / dt * (1.0 + 1e-12))) + 1
 
 
+def _uniform_feed(gen: np.random.Generator):
+    """A function returning `gen`'s next uniform; draws _BUF more when a block runs out."""
+    return chain.from_iterable(iter(lambda: gen.random(_BUF).tolist(), None)).__next__
+
+
+def _state_log(t: list, y: list, x: list, y0: int, x0: int, kind_rule,
+               truncated: bool) -> EventLog:
+    """Event log from the post-event states; increments are differences from (y0, x0)."""
+    dy = np.diff(np.array(y, dtype=np.int64), prepend=y0)
+    dx = np.diff(np.array(x, dtype=np.int64), prepend=x0)
+    return EventLog(t=np.array(t, dtype=float), kind=kind_rule(dy, dx).astype(np.int8),
+                    dy=dy.astype(np.int8), dx=dx.astype(np.int32), truncated=truncated)
+
+
+def _kinds_b(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    # every dy = 0 move other than +1 is a withdrawal, the null jump at X = 0 included
+    return np.select([dy == -1, dy == 1, dx == 1], [K_ARRIVAL, K_ACCEPT, K_FEEDBACK_UP],
+                     K_FEEDBACK_DOWN)
+
+
+def _kinds_a(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    return np.select([dy == -1, dy == 1], [K_ARRIVAL, K_ACCEPT], K_REJECT)
+
+
 def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
                horizon: float, stream: RandomStream,
                arrival: ArrivalRateFn | None = None,
@@ -226,8 +250,8 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
     if isinstance(initial, tuple):
         initial = SystemState(y=initial[0], x=initial[1])
 
-    y = int(initial.y)
-    x = int(initial.x)
+    y = y0 = int(initial.y)
+    x = x0 = int(initial.x)
     beta = params.beta
     eps = params.epsilon
     r = params.scale_r
@@ -248,18 +272,17 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
     ys = np.empty(n_grid, dtype=np.int64)
     xs = np.empty(n_grid, dtype=np.int64)
     gi = 0
+    tg = 0.0  # gi * dtg, or inf once the grid is full
 
     logging = sampling.record_events
     budget = sampling.event_budget
     ev_t: list[float] = []
-    ev_k: list[int] = []
-    ev_dy: list[int] = []
-    ev_dx: list[int] = []
+    ev_y: list[int] = []
+    ev_x: list[int] = []
+    log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
     truncated = False
 
-    gen = stream.generator()
-    buf = gen.random(_BUF).tolist()
-    bi = 0
+    draw = _uniform_feed(stream.generator())
     log = math.log
     t = 0.0
     n_events = 0
@@ -271,87 +294,40 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
         total = bound_rate + acc + fb
         if total <= 0.0:
             break
-        if bi >= _BUF:
-            buf = gen.random(_BUF).tolist()
-            bi = 0
-        u = buf[bi]
-        bi += 1
-        tn = t + -log(1.0 - u) / total
-        while gi < n_grid and gi * dtg < tn:
+        tn = t + -log(1.0 - draw()) / total
+        while tg < tn:
             ys[gi] = y
             xs[gi] = x
             gi += 1
+            tg = gi * dtg if gi < n_grid else math.inf
         if gi >= n_grid or tn > horizon:
             break
         t = tn
-        if bi >= _BUF:
-            buf = gen.random(_BUF).tolist()
-            bi = 0
-        pick = buf[bi] * total
-        bi += 1
+        pick = draw() * total
         if pick < bound_rate:
             if thinning:
                 lam_t = lam_fn(t)
                 if lam_t > bound * (1.0 + 1e-9):
                     raise ThinningBoundViolated(
                         f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
-                if bi >= _BUF:
-                    buf = gen.random(_BUF).tolist()
-                    bi = 0
-                keep = buf[bi] * bound < lam_t
-                bi += 1
-                if not keep:
+                if not draw() * bound < lam_t:
                     continue
-            if rounding:
-                if bi >= _BUF:
-                    buf = gen.random(_BUF).tolist()
-                    bi = 0
-                step = g_lo + (1 if buf[bi] < g_frac else 0)
-                bi += 1
-            else:
-                step = gamma_int
             y -= 1
-            x += step
-            k = K_ARRIVAL
-            dy = -1
-            dx = step
+            x += g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
         elif pick < bound_rate + acc:
-            if rounding:
-                if bi >= _BUF:
-                    buf = gen.random(_BUF).tolist()
-                    bi = 0
-                step = g_lo + (1 if buf[bi] < g_frac else 0)
-                bi += 1
-            else:
-                step = gamma_int
-            dx = -(step if x >= step else x)
+            step = g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
             y += 1
-            x += dx
-            k = K_ACCEPT
-            dy = 1
-        else:
-            dy = 0
-            if x >= 1:
-                if y > 0:
-                    dx = -1
-                    k = K_FEEDBACK_DOWN
-                else:
-                    dx = 1
-                    k = K_FEEDBACK_UP
-            elif y < 0:
-                dx = 1
-                k = K_FEEDBACK_UP
-            else:
-                dx = 0
-                k = K_FEEDBACK_DOWN
-            x += dx
+            x -= step if x >= step else x
+        elif x >= 1:
+            x += -1 if y > 0 else 1
+        elif y < 0:
+            x += 1
         n_events += 1
         if logging:
-            if len(ev_t) < budget:
-                ev_t.append(t)
-                ev_k.append(k)
-                ev_dy.append(dy)
-                ev_dx.append(dx)
+            if n_events <= budget:
+                log_t(t)
+                log_y(y)
+                log_x(x)
             else:
                 truncated = True
                 logging = False
@@ -363,17 +339,26 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
 
     events = None
     if sampling.record_events:
-        events = EventLog(
-            t=np.array(ev_t, dtype=float),
-            kind=np.array(ev_k, dtype=np.int8),
-            dy=np.array(ev_dy, dtype=np.int8),
-            dx=np.array(ev_dx, dtype=np.int32),
-            truncated=truncated,
-        )
+        events = _state_log(ev_t, ev_y, ev_x, y0, x0, _kinds_b, truncated)
     return Trajectory(scheme="B", t=ts, y=ys, x=xs, x_target=None,
                       params=params, arrival=arrival, stream=stream,
                       grid_dt=dtg, horizon=horizon, n_events=n_events,
                       events=events)
+
+
+def _busy_flags(block: np.ndarray, total0: float, dt: float) -> list[bool]:
+    """For each uniform in `block`: does a replicate whose first draw it is see an event?
+
+    It does when its holding time -log(1 - u)/total0 is at most dt.  numpy
+    screens the block; values within a relative 1e-9 of the cutoff are decided
+    again with the event loop's own scalar expression, since np.log and
+    math.log may differ in the last place.
+    """
+    hold = -np.log(1.0 - block) / total0
+    busy = hold <= dt
+    for i in np.flatnonzero(np.abs(hold - dt) <= 1e-9 * dt).tolist():
+        busy[i] = -math.log(1.0 - float(block[i])) / total0 <= dt
+    return busy.tolist()
 
 
 def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelParams,
@@ -382,8 +367,12 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
     """(dY, dX) totals over [0, dt] for n_replicates independent restarts.
 
     Shares the scheme-B transition logic and uniform-consumption order of
-    simulate_b; one generator serves all replicates.  Used by the generator
-    drift check.
+    simulate_b; one generator serves all replicates, each starting at the
+    uniform after the previous replicate's last.  A quiet replicate, whose
+    first holding time already exceeds dt, consumes that one uniform and
+    leaves its row at (0, 0).  Each block of uniforms is screened for quiet
+    starts at once (_busy_flags), and the event loop runs only from the busy
+    ones.  Used by the generator drift check.
     """
     if dt <= 0.0:
         raise HorizonZero(f"dt must be > 0, got {dt}")
@@ -399,14 +388,37 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
     bound_rate = (params.lam if arrival is None else arrival.bound()) * r
     bound = bound_rate / r if r else 0.0
     gamma_int = int(params.gamma)
+    out = np.zeros((n_replicates, 2), dtype=np.int64)
+    total0 = bound_rate + beta * x0 + eps * abs(y0)
+    if total0 <= 0.0:
+        return out  # no event can happen, so no uniform is drawn
+
     gen = stream.generator()
-    buf = gen.random(_BUF).tolist()
+
+    def next_block():
+        block = gen.random(_BUF)
+        busy = _busy_flags(block, total0, dt)
+        busy.append(True)  # sentinel: the block's end
+        return block.tolist(), busy
+
+    buf, busy = next_block()
     bi = 0
     log = math.log
     lam_fn = arrival
-    out = np.empty((n_replicates, 2), dtype=np.int64)
-
-    for rep in range(n_replicates):
+    rows: list[int] = []
+    d_y: list[int] = []
+    d_x: list[int] = []
+    rep = 0  # the replicate whose first uniform is buf[bi]
+    while True:
+        start = busy.index(True, bi)
+        rep += start - bi
+        if rep >= n_replicates:
+            break
+        if start == _BUF:
+            buf, busy = next_block()
+            bi = 0
+            continue
+        bi = start
         y = y0
         x = x0
         t = 0.0
@@ -417,7 +429,7 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
             if total <= 0.0:
                 break
             if bi >= _BUF:
-                buf = gen.random(_BUF).tolist()
+                buf, busy = next_block()
                 bi = 0
             u = buf[bi]
             bi += 1
@@ -425,7 +437,7 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
             if t > dt:
                 break
             if bi >= _BUF:
-                buf = gen.random(_BUF).tolist()
+                buf, busy = next_block()
                 bi = 0
             pick = buf[bi] * total
             bi += 1
@@ -436,7 +448,7 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
                         raise ThinningBoundViolated(
                             f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
                     if bi >= _BUF:
-                        buf = gen.random(_BUF).tolist()
+                        buf, busy = next_block()
                         bi = 0
                     keep = buf[bi] * bound < lam_t
                     bi += 1
@@ -447,13 +459,16 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
             elif pick < bound_rate + acc:
                 y += 1
                 x -= gamma_int if x >= gamma_int else x
-            else:
-                if x >= 1:
-                    x += -1 if y > 0 else 1
-                elif y < 0:
-                    x += 1
-        out[rep, 0] = y - y0
-        out[rep, 1] = x - x0
+            elif x >= 1:
+                x += -1 if y > 0 else 1
+            elif y < 0:
+                x += 1
+        rows.append(rep)
+        d_y.append(y - y0)
+        d_x.append(x - x0)
+        rep += 1
+    out[rows, 0] = d_y
+    out[rows, 1] = d_x
     return out
 
 
@@ -476,8 +491,8 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
     if initial.x_target is None:
         raise SimulationError("scheme A needs an initial x_target")
 
-    y = int(initial.y)
-    x = int(initial.x)
+    y = y0 = int(initial.y)
+    x = x0 = int(initial.x)
     target = float(initial.x_target)
     last_change = 0.0
     beta = params.beta
@@ -497,18 +512,17 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
     xs = np.empty(n_grid, dtype=np.int64)
     tgts = np.empty(n_grid, dtype=float)
     gi = 0
+    tg = 0.0  # gi * dtg, or inf once the grid is full
 
     logging = sampling.record_events
     budget = sampling.event_budget
     ev_t: list[float] = []
-    ev_k: list[int] = []
-    ev_dy: list[int] = []
-    ev_dx: list[int] = []
+    ev_y: list[int] = []
+    ev_x: list[int] = []
+    log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
     truncated = False
 
-    gen = stream.generator()
-    buf = gen.random(_BUF).tolist()
-    bi = 0
+    draw = _uniform_feed(stream.generator())
     log = math.log
     ceil = math.ceil
     t = 0.0
@@ -520,46 +534,30 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
         total = bound_rate + acc + rej
         if total <= 0.0:
             break
-        if bi >= _BUF:
-            buf = gen.random(_BUF).tolist()
-            bi = 0
-        u = buf[bi]
-        bi += 1
-        tn = t + -log(1.0 - u) / total
-        while gi < n_grid and gi * dtg < tn:
+        tn = t + -log(1.0 - draw()) / total
+        while tg < tn:
             ys[gi] = y
             xs[gi] = x
             tgts[gi] = target
             gi += 1
+            tg = gi * dtg if gi < n_grid else math.inf
         if gi >= n_grid or tn > horizon:
             break
         t = tn
-        if bi >= _BUF:
-            buf = gen.random(_BUF).tolist()
-            bi = 0
-        pick = buf[bi] * total
-        bi += 1
-        x_before = x
+        pick = draw() * total
         if pick < bound_rate:
             if thinning:
                 lam_t = lam_fn(t)
                 if lam_t > bound * (1.0 + 1e-9):
                     raise ThinningBoundViolated(
                         f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
-                if bi >= _BUF:
-                    buf = gen.random(_BUF).tolist()
-                    bi = 0
-                keep = buf[bi] * bound < lam_t
-                bi += 1
-                if not keep:
+                if not draw() * bound < lam_t:
                     continue
             elapsed = t - last_change
             y_pre = y
             y -= 1
             target = max(0.0, target + gamma - eps * y_pre * elapsed)
             last_change = t
-            k = K_ARRIVAL
-            dy = -1
         elif pick < bound_rate + acc:
             elapsed = t - last_change
             y_pre = y
@@ -567,21 +565,16 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
             x -= 1
             target = max(0.0, target - gamma - eps * y_pre * elapsed)
             last_change = t
-            k = K_ACCEPT
-            dy = 1
         else:
             x -= 1
-            k = K_REJECT
-            dy = 0
         if x < target:
             x = ceil(target)
         n_events += 1
         if logging:
-            if len(ev_t) < budget:
-                ev_t.append(t)
-                ev_k.append(k)
-                ev_dy.append(dy)
-                ev_dx.append(x - x_before)
+            if n_events <= budget:
+                log_t(t)
+                log_y(y)
+                log_x(x)
             else:
                 truncated = True
                 logging = False
@@ -594,13 +587,7 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
 
     events = None
     if sampling.record_events:
-        events = EventLog(
-            t=np.array(ev_t, dtype=float),
-            kind=np.array(ev_k, dtype=np.int8),
-            dy=np.array(ev_dy, dtype=np.int8),
-            dx=np.array(ev_dx, dtype=np.int32),
-            truncated=truncated,
-        )
+        events = _state_log(ev_t, ev_y, ev_x, y0, x0, _kinds_a, truncated)
     return Trajectory(scheme="A", t=ts, y=ys, x=xs, x_target=tgts,
                       params=params, arrival=arrival, stream=stream,
                       grid_dt=dtg, horizon=horizon, n_events=n_events,

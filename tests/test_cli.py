@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from invitesim import cli
 from invitesim.cli import (
     OutputDirUnwritable,
     emit_plot_data,
@@ -224,6 +225,15 @@ def test_main_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"name\": 3}")
     assert main(["simulate", "--config", str(bad)]) == 1
+
+
+def test_main_unexpected_error_keeps_traceback(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "run", broken)
+    assert main(["preset", "fig2a"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "boom" in err
 
 
 def test_main_acceptance_pass_and_fail_codes(tmp_path, capsys):

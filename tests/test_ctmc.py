@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from invitesim.acceptance import GENERATOR_STATES
 from invitesim.ctmc import (
+    _BUF,
     DriverMismatch,
     EventLog,
     GridSpec,
@@ -17,6 +19,7 @@ from invitesim.ctmc import (
     SystemState,
     ThinningBoundViolated,
     Trajectory,
+    _busy_flags,
     diffusion_scale,
     drift_replicates_b,
     fluid_scale,
@@ -25,7 +28,12 @@ from invitesim.ctmc import (
     simulate_b,
     transition_rates_b,
 )
-from invitesim.params import ModelParams, SinusoidArrival, ConstantArrival
+from invitesim.params import (
+    ConstantArrival,
+    ModelParams,
+    PiecewiseConstantArrival,
+    SinusoidArrival,
+)
 
 BASE = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
 
@@ -63,7 +71,10 @@ def test_rates_truncated_acceptance_and_null_feedback():
 # ---------------------------------------------------------------------------
 
 def _reference_run_b(y, x, params, horizon, stream, arrival=None):
-    """Slow mirror of simulate_b's documented draw order (hold, pick, thin)."""
+    """Slow mirror of simulate_b's documented draw order (hold, pick, thin).
+
+    Returns the path [(t, y, x), ...] and the kind of each event.
+    """
     gen = stream.generator()
     gamma = int(params.gamma)
     thinning = arrival is not None and not arrival.is_constant
@@ -71,6 +82,7 @@ def _reference_run_b(y, x, params, horizon, stream, arrival=None):
     bound_rate = bound * params.scale_r
     t = 0.0
     path = [(t, y, x)]
+    kinds = []
     while True:
         acc = params.beta * x
         fb = params.epsilon * abs(y)
@@ -86,15 +98,20 @@ def _reference_run_b(y, x, params, horizon, stream, arrival=None):
                 if gen.random() * bound >= arrival(t):
                     continue
             y, x = y - 1, x + gamma
+            kinds.append(K_ARRIVAL)
         elif pick < bound_rate + acc:
             y, x = y + 1, x - min(gamma, x)
-        else:
-            if x >= 1:
-                x += -1 if y > 0 else 1
-            elif y < 0:
-                x += 1
+            kinds.append(K_ACCEPT)
+        elif x >= 1 and y > 0:
+            x -= 1
+            kinds.append(K_FEEDBACK_DOWN)
+        elif x >= 1 or y < 0:
+            x += 1
+            kinds.append(K_FEEDBACK_UP)
+        else:  # X = 0, Y >= 0: the feedback tick withdraws nothing
+            kinds.append(K_FEEDBACK_DOWN)
         path.append((t, y, x))
-    return path
+    return path, kinds
 
 
 def _grid_from_path(path, horizon, dt):
@@ -116,12 +133,18 @@ def test_simulate_b_matches_reference_stepper(arrival):
     stream = RandomStream(421, (3,))
     params = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=2.0, epsilon=0.2)
     traj = simulate_b((4, 7), params, horizon=5.0, stream=stream, arrival=arrival,
-                      sampling=GridSpec(dt=0.01))
-    ref = _reference_run_b(4, 7, params, 5.0, stream, arrival)
+                      sampling=GridSpec(dt=0.01, record_events=True))
+    ref, kinds = _reference_run_b(4, 7, params, 5.0, stream, arrival)
     grid = _grid_from_path(ref, 5.0, 0.01)
     assert np.array_equal(traj.y, grid[:, 0])
     assert np.array_equal(traj.x, grid[:, 1])
     assert traj.n_events == len(ref) - 1
+    steps = np.diff(np.array([(y, x) for _, y, x in ref]), axis=0)
+    ev = traj.events
+    assert np.array_equal(ev.t, [s[0] for s in ref[1:]])
+    assert np.array_equal(ev.kind, kinds)
+    assert np.array_equal(ev.dy, steps[:, 0])
+    assert np.array_equal(ev.dx, steps[:, 1])
 
 
 def test_simulate_b_deterministic_given_stream():
@@ -169,6 +192,106 @@ def test_drift_replicates_match_single_runs():
         assert deltas[0, 1] == traj.x[-1] - 5
 
 
+def _reference_drift_b(initial, params, dt, n_replicates, stream, arrival=None):
+    """drift_replicates_b as one plain event loop per replicate, no skipping."""
+    y0, x0 = initial
+    bound_rate = (params.lam if arrival is None else arrival.bound()) * params.scale_r
+    bound = bound_rate / params.scale_r
+    thinning = arrival is not None and not arrival.is_constant
+    gamma = int(params.gamma)
+    gen = stream.generator()
+    buf = gen.random(_BUF).tolist()
+    bi = 0
+
+    def draw():
+        nonlocal buf, bi
+        if bi >= _BUF:
+            buf = gen.random(_BUF).tolist()
+            bi = 0
+        bi += 1
+        return buf[bi - 1]
+
+    out = np.empty((n_replicates, 2), dtype=np.int64)
+    for rep in range(n_replicates):
+        y, x, t = y0, x0, 0.0
+        while True:
+            acc = params.beta * x
+            total = bound_rate + acc + params.epsilon * abs(y)
+            if total <= 0.0:
+                break
+            t += -math.log(1.0 - draw()) / total
+            if t > dt:
+                break
+            pick = draw() * total
+            if pick < bound_rate:
+                if thinning and not draw() * bound < arrival(t):
+                    continue
+                y, x = y - 1, x + gamma
+            elif pick < bound_rate + acc:
+                y, x = y + 1, x - min(gamma, x)
+            elif x >= 1:
+                x += -1 if y > 0 else 1
+            elif y < 0:
+                x += 1
+        out[rep] = (y - y0, x - x0)
+    return out
+
+
+@pytest.mark.parametrize("dt", [1e-4, 5e-3])
+def test_drift_replicates_match_reference_on_generator_states(dt):
+    # dt = 1e-4 leaves ~90% of the replicates quiet; 5e-3 gives ~5 events each
+    for k, state in enumerate(GENERATOR_STATES):
+        stream = RandomStream(71, (k,))
+        got = drift_replicates_b(state, BASE, dt, 2000, stream)
+        assert np.array_equal(got, _reference_drift_b(state, BASE, dt, 2000, stream))
+
+
+@pytest.mark.parametrize("arrival", [
+    None,
+    SinusoidArrival(1.0, 0.4, 4e-3),
+    PiecewiseConstantArrival((3e-4, 7e-4), (1.0, 1.4, 0.3)),
+])
+def test_drift_replicates_match_reference_across_blocks(arrival):
+    # more replicates than uniforms in a block, with multi-event windows, so
+    # refills fall inside busy replicates as well as between them
+    n = 70_000
+    stream = RandomStream(72)
+    got = drift_replicates_b((2, 5), BASE, 1e-3, n, stream, arrival=arrival)
+    assert np.array_equal(got, _reference_drift_b((2, 5), BASE, 1e-3, n, stream, arrival))
+
+
+def test_drift_replicates_with_no_enabled_event():
+    got = drift_replicates_b((0, 0), BASE, 0.5, 100, RandomStream(73),
+                             arrival=ConstantArrival(0.0))
+    assert got.shape == (100, 2) and not got.any()
+
+
+@pytest.mark.parametrize("total0, dt", [(1005.0, 1e-4), (3.0, 0.25), (1e-3, 1e-7)])
+def test_busy_flags_decide_at_the_cutoff(total0, dt):
+    """The quiet/busy screen agrees with the event loop's scalar test.
+
+    Candidates sit at nextafter steps either side of the cutoff, both in u and
+    in 1 - u (for a cutoff u near 1e-10 only steps in 1 - u change the holding
+    time), plus uniforms with dt set exactly at their own holding time and one
+    step below it, where np.log and math.log disagree for some of them.
+    """
+    u_lo = u_hi = -math.expm1(-total0 * dt)  # the holding time of this u is dt
+    w_lo = w_hi = 1.0 - u_lo
+    near = {u_lo}
+    for _ in range(20):
+        u_lo, u_hi = math.nextafter(u_lo, 0.0), math.nextafter(u_hi, 1.0)
+        w_lo, w_hi = math.nextafter(w_lo, 0.0), math.nextafter(w_hi, 1.0)
+        near |= {u_lo, u_hi, 1.0 - w_lo, 1.0 - w_hi}
+    block = np.array(sorted(near))
+    want = [-math.log(1.0 - u) / total0 <= dt for u in block.tolist()]
+    assert _busy_flags(block, total0, dt) == want
+    assert True in want and False in want
+    for u in np.random.default_rng(7).random(500).tolist():
+        hold = -math.log(1.0 - u) / total0
+        assert _busy_flags(np.array([u]), total0, hold) == [True]
+        assert _busy_flags(np.array([u]), total0, math.nextafter(hold, 0.0)) == [False]
+
+
 def test_thinning_bound_violation_detected():
     class LyingSinusoid(SinusoidArrival):
         def bound(self):
@@ -177,6 +300,9 @@ def test_thinning_bound_violation_detected():
     arrival = LyingSinusoid(1.0, 0.2, 10.0)
     with pytest.raises(ThinningBoundViolated):
         simulate_b((0, 0), BASE, 10.0, RandomStream(3), arrival=arrival)
+    # in the drift audit the check sits on the busy replicates' event loop
+    with pytest.raises(ThinningBoundViolated):
+        drift_replicates_b((0, 0), BASE, 1e-4, 1000, RandomStream(3), arrival=arrival)
 
 
 def test_randomized_rounding_keeps_integer_pool():
