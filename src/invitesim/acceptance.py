@@ -33,7 +33,7 @@ from .diffusion import (
 )
 from .fluid import FluidState, drift_check, solve_fluid, solve_fluid_tv
 from .params import ModelParams, SinusoidArrival, spectral_decompose, star_norm
-from .stats import batch_means, stationary_moments, sup_deviation
+from .stats import batch_means, scale_sweep, stationary_moments, sup_deviation
 
 P6 = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
 SINE = SinusoidArrival(base=1.0, amplitude=0.2, period=120.0)
@@ -136,48 +136,28 @@ SCALED_INITIALS = ((0.0, -1.0), (1.0, -1.0), (0.0, 1.0), (-1.0, 1.0))
 FLUID_DEV_THRESHOLDS = {100: 0.08, 1000: 0.03}
 
 
-def _unscaled_initial(scaled, r: float, params: ModelParams) -> SystemState:
-    y = int(round(scaled[0] * r))
-    x = int(round((scaled[1] + params.lam / params.beta) * r))
-    return SystemState(y=y, x=x)
-
-
-def _fluid_dev(scaled_initial, r: float, stream: RandomStream,
-               horizon: float = 50.0, grid_dt: float = 0.05) -> float:
-    p = replace(P6, scale_r=float(r))
-    init = _unscaled_initial(scaled_initial, r, p)
-    traj = simulate_b(init, p, horizon=horizon, stream=stream,
-                      sampling=GridSpec(dt=grid_dt))
-    ref = solve_fluid(scaled_initial, p, horizon=horizon)
-    grid = np.arange(0.0, horizon * (1 + 1e-12), grid_dt)
-    return sup_deviation(fluid_scale(traj, p), ref, grid).sup
-
-
 def criterion_fluid_convergence(replications: int = 20) -> CriterionResult:
     t0 = time.perf_counter()
     stream = RandomStream(seed=SEEDS["fluid-convergence"])
+    x_center = P6.lam / P6.beta
     cells = {}
     ok = True
-    for i, scaled in enumerate(SCALED_INITIALS):
-        means = {}
-        for ri, r in enumerate((100, 1000)):
-            devs = [
-                _fluid_dev(scaled, r, stream.child(i).child(ri).child(j))
-                for j in range(replications)
-            ]
+    for i, (y0, x0) in enumerate(SCALED_INITIALS):
+        table = scale_sweep(
+            (100, 1000), lambda r: (round(y0 * r), round((x0 + x_center) * r)),
+            P6, horizon=50.0, replications=replications, stream=stream.child(i))
+        for row in table.rows:
+            r = int(row.r)
             thr = FLUID_DEV_THRESHOLDS[r]
-            hits = sum(d <= thr for d in devs)
-            means[r] = float(np.mean(devs))
+            hits = sum(d <= thr for d in row.devs)
             cells[f"init{i}_r{r}"] = {
-                "mean_dev": means[r], "max_dev": float(np.max(devs)),
-                "min_dev": float(np.min(devs)),
+                "mean_dev": row.mean_dev, "max_dev": max(row.devs),
+                "min_dev": min(row.devs),
                 "within_threshold": hits, "threshold": thr,
             }
-            if hits < 18:
-                ok = False
-        if not means[1000] < means[100]:
-            ok = False
-        cells[f"init{i}_mean_decreasing"] = bool(means[1000] < means[100])
+            ok = ok and hits >= 18
+        cells[f"init{i}_mean_decreasing"] = table.monotone_decreasing
+        ok = ok and table.monotone_decreasing
     return _finish(
         "fluid-convergence", ok, cells,
         {"per_cell_hits": "≥18/20", "dev_r100": 0.08, "dev_r1000": 0.03,

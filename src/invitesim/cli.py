@@ -141,29 +141,39 @@ def _fluid_reference(config: ExperimentConfig):
     return solve_fluid((y0, x0), p, horizon=config.horizon)
 
 
-def _run_acceptance(config: ExperimentConfig, out: Path, manifest: RunManifest,
-                    echo=print) -> list[Path]:
-    suite = config.name.removeprefix("acceptance-")
+def _write_manifest(manifest: RunManifest, written: list[Path], out: Path,
+                    t_start: float) -> RunManifest:
+    manifest.files = [{"path": f.name, "sha256": _sha256(f),
+                       "bytes": f.stat().st_size} for f in written]
+    manifest.wall_clock_s = round(time.perf_counter() - t_start, 3)
+    _write_json(out / "manifest.json", manifest.to_json_dict())
+    return manifest
+
+
+def run_acceptance(suite: str, out_dir) -> RunManifest:
+    """Run one acceptance suite, or "all"; writes acceptance.json and a manifest."""
+    t_start = time.perf_counter()
     names = list(ALL_CRITERIA) if suite == "all" else [suite]
     if any(n not in ALL_CRITERIA for n in names):
         raise ConfigInvalid(f"unknown acceptance suite {suite!r}; known: "
                             + ", ".join([*ALL_CRITERIA, "all"]))
+    out = _ensure_outdir(out_dir)
     results = run_suites(names)
     for res in results:
-        echo(res.line() + f"  [{res.wall_clock_s:.1f}s]")
-    manifest.acceptance_failures = sum(not r.passed for r in results)
-    payload = {"results": []}
-    for res in results:
-        entry = res.to_json_dict()
+        print(res.line() + f"  [{res.wall_clock_s:.1f}s]")
+    failures = sum(not r.passed for r in results)
+    entries = [res.to_json_dict() for res in results]
+    for entry in entries:
         entry.pop("wall_clock_s")  # keep data files seed-deterministic
-        payload["results"].append(entry)
-    payload["failures"] = manifest.acceptance_failures
     target = out / "acceptance.json"
-    _write_json(target, payload)
-    return [target]
+    _write_json(target, {"results": entries, "failures": failures})
+    manifest = RunManifest(name=f"acceptance-{suite}", config={"acceptance": suite},
+                           version=__version__, wall_clock_s=0.0,
+                           acceptance_failures=failures)
+    return _write_manifest(manifest, [target], out, t_start)
 
 
-def run(config: ExperimentConfig, out_dir, workers: int = 1, echo=print) -> RunManifest:
+def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
     """Execute a config's pipeline; returns the manifest (also written)."""
     t_start = time.perf_counter()
     out = _ensure_outdir(out_dir)
@@ -173,101 +183,94 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1, echo=print) -> RunM
     if workers < 1:
         raise ConfigInvalid("workers must be >= 1")
 
-    if "acceptance" in config.outputs:
-        written += _run_acceptance(config, out, manifest, echo)
-    else:
-        p = config.params
-        stream = RandomStream(seed=config.seed)
-        grid = GridSpec(dt=config.grid_dt)
-        traj = None
-        if {"trajectory", "deviation", "stationary"} & set(config.outputs):
-            if config.scheme == "A":
-                init = SystemState(config.initial[0], config.initial[1],
-                                   x_target=float(config.initial[2]))
-                traj = simulate_a(init, p, horizon=config.horizon,
-                                  stream=stream, sampling=grid)
-            else:
-                init = SystemState(config.initial[0], config.initial[1])
-                traj = simulate_b(init, p, horizon=config.horizon,
-                                  stream=stream, arrival=config.arrival,
-                                  sampling=grid)
-        fluid = None
-        if {"fluid", "deviation"} & set(config.outputs):
-            fluid = _fluid_reference(config)
+    p = config.params
+    stream = RandomStream(seed=config.seed)
+    grid = GridSpec(dt=config.grid_dt)
+    traj = None
+    if {"trajectory", "deviation", "stationary"} & set(config.outputs):
+        if config.scheme == "A":
+            init = SystemState(config.initial[0], config.initial[1],
+                               x_target=float(config.initial[2]))
+            traj = simulate_a(init, p, horizon=config.horizon,
+                              stream=stream, sampling=grid)
+        else:
+            init = SystemState(config.initial[0], config.initial[1])
+            traj = simulate_b(init, p, horizon=config.horizon,
+                              stream=stream, arrival=config.arrival,
+                              sampling=grid)
+    fluid = None
+    if {"fluid", "deviation"} & set(config.outputs):
+        fluid = _fluid_reference(config)
 
-        if "trajectory" in config.outputs:
-            target = out / "trajectory.csv"
-            traj.to_csv(target)
+    if "trajectory" in config.outputs:
+        target = out / "trajectory.csv"
+        traj.to_csv(target)
+        written.append(target)
+        if config.scheme == "A":
+            target = out / "target_gap.csv"
+            with open(target, "w") as fh:
+                fh.write("t,scaled_gap\n")
+                gap = np.abs(traj.x - traj.x_target) / p.scale_r
+                for tv, gv in zip(traj.t, gap):
+                    fh.write(f"{tv:.10g},{gv:.10g}\n")
             written.append(target)
-            if config.scheme == "A":
-                target = out / "target_gap.csv"
-                with open(target, "w") as fh:
-                    fh.write("t,scaled_gap\n")
-                    gap = np.abs(traj.x - traj.x_target) / p.scale_r
-                    for tv, gv in zip(traj.t, gap):
-                        fh.write(f"{tv:.10g},{gv:.10g}\n")
-                written.append(target)
-        if "fluid" in config.outputs:
-            target = out / "fluid.csv"
-            if hasattr(fluid, "segments"):
-                fluid.to_csv(target, dt=config.grid_dt)
-            else:
-                every = max(1, round(config.grid_dt / fluid.dt))
-                fluid.to_csv(target, every=every)
-            written.append(target)
-        if "deviation" in config.outputs:
-            scaled = fluid_scale(traj, p)
-            target = out / "overlay.csv"
-            manifest.warnings += emit_plot_data(target, scaled, fluid)
-            written.append(target)
-            grid_t = np.arange(0.0, config.horizon * (1 + 1e-12), config.grid_dt)
-            rep = sup_deviation(scaled, fluid, grid_t,
-                                context={"name": config.name, "seed": config.seed})
-            target = out / "deviation.json"
-            _write_json(target, rep.to_json_dict())
-            written.append(target)
-        if "stationary" in config.outputs:
-            burn = 100.0 if config.horizon > 300.0 else 0.2 * config.horizon
-            est = stationary_moments(traj, p, burn_in=burn)
-            target = out / "stationary.json"
-            _write_json(target, est.to_json_dict())
-            written.append(target)
-            target = out / "gaussian.json"
-            _write_json(target, gaussian_check(est, p).to_json_dict())
-            written.append(target)
-        if "moments" in config.outputs:
-            path = moment_ode(np.zeros(2), np.zeros((2, 2)), p,
-                              horizon=config.horizon, dt=1e-3)
-            target = out / "moments.csv"
-            every = max(1, round(config.grid_dt / path.dt))
-            path.to_csv(target, every=every)
-            written.append(target)
-        if "sweep" in config.outputs:
-            y0, x0 = config.initial[0] / p.scale_r, config.initial[1] / p.scale_r
-            map_fn = None
-            pool = None
-            if workers > 1:
-                pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-                map_fn = pool.map
-            try:
-                table = scale_sweep(
-                    SWEEP_SCALES,
-                    lambda r: (int(round(y0 * r)), int(round(x0 * r))),
-                    p, horizon=config.horizon,
-                    replications=SWEEP_REPLICATIONS, stream=stream,
-                    grid_dt=config.grid_dt, map_fn=map_fn)
-            finally:
-                if pool is not None:
-                    pool.shutdown()
-            target = out / "sweep.csv"
-            table.to_csv(target)
-            written.append(target)
+    if "fluid" in config.outputs:
+        target = out / "fluid.csv"
+        if hasattr(fluid, "segments"):
+            fluid.to_csv(target, dt=config.grid_dt)
+        else:
+            every = max(1, round(config.grid_dt / fluid.dt))
+            fluid.to_csv(target, every=every)
+        written.append(target)
+    if "deviation" in config.outputs:
+        scaled = fluid_scale(traj, p)
+        target = out / "overlay.csv"
+        manifest.warnings += emit_plot_data(target, scaled, fluid)
+        written.append(target)
+        grid_t = np.arange(0.0, config.horizon * (1 + 1e-12), config.grid_dt)
+        rep = sup_deviation(scaled, fluid, grid_t,
+                            context={"name": config.name, "seed": config.seed})
+        target = out / "deviation.json"
+        _write_json(target, rep.to_json_dict())
+        written.append(target)
+    if "stationary" in config.outputs:
+        burn = 100.0 if config.horizon > 300.0 else 0.2 * config.horizon
+        est = stationary_moments(traj, p, burn_in=burn)
+        target = out / "stationary.json"
+        _write_json(target, est.to_json_dict())
+        written.append(target)
+        target = out / "gaussian.json"
+        _write_json(target, gaussian_check(est, p).to_json_dict())
+        written.append(target)
+    if "moments" in config.outputs:
+        path = moment_ode(np.zeros(2), np.zeros((2, 2)), p,
+                          horizon=config.horizon, dt=1e-3)
+        target = out / "moments.csv"
+        every = max(1, round(config.grid_dt / path.dt))
+        path.to_csv(target, every=every)
+        written.append(target)
+    if "sweep" in config.outputs:
+        y0, x0 = config.initial[0] / p.scale_r, config.initial[1] / p.scale_r
+        map_fn = None
+        pool = None
+        if workers > 1:
+            pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+            map_fn = pool.map
+        try:
+            table = scale_sweep(
+                SWEEP_SCALES,
+                lambda r: (int(round(y0 * r)), int(round(x0 * r))),
+                p, horizon=config.horizon,
+                replications=SWEEP_REPLICATIONS, stream=stream,
+                grid_dt=config.grid_dt, map_fn=map_fn)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        target = out / "sweep.csv"
+        table.to_csv(target)
+        written.append(target)
 
-    manifest.files = [{"path": f.name, "sha256": _sha256(f),
-                       "bytes": f.stat().st_size} for f in written]
-    manifest.wall_clock_s = round(time.perf_counter() - t_start, 3)
-    _write_json(out / "manifest.json", manifest.to_json_dict())
-    return manifest
+    return _write_manifest(manifest, written, out, t_start)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +287,6 @@ def _add_common(sub):
     sub.add_argument("--preset", help="name of a built-in preset")
     sub.add_argument("--seed", type=int, help="override the config's seed")
     sub.add_argument("--out", help="output directory (default runs/<name>)")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker pool size for replicated work")
 
 
 def _load_config(args, forced_outputs=None) -> ExperimentConfig:
@@ -333,15 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "sup-deviation decay across system scales"),
     ):
         _add_common(subs.add_parser(name, help=blurb))
+    subs.choices["sweep"].add_argument(
+        "--workers", type=int, default=1,
+        help="thread pool size for the sweep's replications")
     pre = subs.add_parser("preset", help="run a named preset (no name: list)")
     pre.add_argument("name", nargs="?", help="preset to run")
     pre.add_argument("--seed", type=int, help="override the preset's seed")
     pre.add_argument("--out", help="output directory (default runs/<name>)")
-    pre.add_argument("--workers", type=int, default=1)
     acc = subs.add_parser("acceptance", help="run pinned-seed acceptance suites")
     acc.add_argument("suite", help="suite name or 'all'")
-    acc.add_argument("--out", help="optional directory for acceptance.json")
-    acc.add_argument("--workers", type=int, default=1)
+    acc.add_argument("--out", help="output directory "
+                                   "(default runs/acceptance-<suite>)")
     return parser
 
 
@@ -349,6 +352,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "acceptance":
+            out_dir = args.out or Path("runs") / f"acceptance-{args.suite}"
+            failures = run_acceptance(args.suite, out_dir).acceptance_failures
+            if failures:
+                print(f"{failures} acceptance criteria failed", file=sys.stderr)
+                return 2
+            return 0
         if args.command == "preset":
             if args.name is None:
                 for name in sorted(presets()):
@@ -357,24 +367,10 @@ def main(argv=None) -> int:
             config = get_preset(args.name)
             if args.seed is not None:
                 config = replace(config, seed=args.seed)
-        elif args.command == "acceptance":
-            config = get_preset(f"acceptance-{args.suite}") \
-                if f"acceptance-{args.suite}" in presets() else None
-            if config is None:
-                if args.suite != "all" and args.suite not in ALL_CRITERIA:
-                    raise ConfigInvalid(
-                        f"unknown acceptance suite {args.suite!r}; known: "
-                        + ", ".join([*ALL_CRITERIA, "all"]))
-                config = replace(get_preset("acceptance-generator"),
-                                 name=f"acceptance-{args.suite}")
         else:
             config = _load_config(args, SUBCOMMAND_OUTPUTS[args.command])
-        out_dir = getattr(args, "out", None) or Path("runs") / config.name
-        manifest = run(config, out_dir, workers=getattr(args, "workers", 1))
-        if manifest.acceptance_failures:
-            print(f"{manifest.acceptance_failures} acceptance criteria failed",
-                  file=sys.stderr)
-            return 2
+        run(config, args.out or Path("runs") / config.name,
+            workers=getattr(args, "workers", 1))
         return 0
     except InviteSimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -300,7 +300,7 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
             xs[gi] = x
             gi += 1
             tg = gi * dtg if gi < n_grid else math.inf
-        if gi >= n_grid or tn > horizon:
+        if tn > horizon:
             break
         t = tn
         pick = draw() * total
@@ -541,7 +541,7 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
             tgts[gi] = target
             gi += 1
             tg = gi * dtg if gi < n_grid else math.inf
-        if gi >= n_grid or tn > horizon:
+        if tn > horizon:
             break
         t = tn
         pick = draw() * total

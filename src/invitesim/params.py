@@ -66,17 +66,9 @@ class ModelParams:
         return self.lam * self.scale_r / self.beta
 
     @property
-    def fluid_floor_x(self) -> float:
-        # centered fluid paths cannot go below x = -lam/beta
-        return -self.lam / self.beta
-
-    @property
     def boundary_exit_y(self) -> float:
         # on the floor, the fluid path lifts off once y drops to this level
         return self.gamma * self.lam / self.epsilon
-
-    def stability_margin(self) -> float:
-        return self.gamma ** 2 * self.beta / 4.0 - self.epsilon
 
 
 def validate_params(params: ModelParams, scheme: str = "B",

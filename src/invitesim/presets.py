@@ -2,9 +2,7 @@
 
 The fig2* family runs the instant-adjustment scheme at scale 1000 from four
 corners of the state space; fig3 runs the replenishment scheme with its pool
-target; fig4* drives the system with a sinusoidal arrival rate.  Acceptance
-suites are exposed as presets too so the runner can enumerate everything it
-knows how to execute.
+target; fig4* drives the system with a sinusoidal arrival rate.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ class ConfigInvalid(InviteSimError):
 
 
 KNOWN_OUTPUTS = ("trajectory", "fluid", "deviation", "stationary", "moments",
-                 "sweep", "acceptance")
+                 "sweep")
 
 
 @dataclass(frozen=True)
@@ -50,18 +48,17 @@ class ExperimentConfig:
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if self.scheme not in ("A", "B"):
             raise ConfigInvalid(f"scheme must be 'A' or 'B', got {self.scheme!r}")
-        if self.outputs != ("acceptance",):
-            try:
-                validate_params(self.params, scheme=self.scheme)
-            except InviteSimError as exc:
-                raise ConfigInvalid(str(exc)) from exc
-            want = 3 if self.scheme == "A" else 2
-            if len(self.initial) != want:
-                raise ConfigInvalid(
-                    f"scheme {self.scheme} initial needs {want} entries, "
-                    f"got {self.initial!r}")
-            if self.horizon <= 0.0 or self.grid_dt <= 0.0:
-                raise ConfigInvalid("horizon and grid_dt must be > 0")
+        try:
+            validate_params(self.params, scheme=self.scheme)
+        except InviteSimError as exc:
+            raise ConfigInvalid(str(exc)) from exc
+        want = 3 if self.scheme == "A" else 2
+        if len(self.initial) != want:
+            raise ConfigInvalid(
+                f"scheme {self.scheme} initial needs {want} entries, "
+                f"got {self.initial!r}")
+        if self.horizon <= 0.0 or self.grid_dt <= 0.0:
+            raise ConfigInvalid("horizon and grid_dt must be > 0")
         unknown = set(self.outputs) - set(KNOWN_OUTPUTS)
         if unknown:
             raise ConfigInvalid(f"unknown outputs {sorted(unknown)}")
@@ -120,12 +117,6 @@ _FIG2_INITIALS = {
     "fig2d": (-1000, 2000),
 }
 
-ACCEPTANCE_SUITES = (
-    "generator", "fluid-convergence", "fluid-model", "stationary-mean",
-    "diffusion-stationary", "closed-form", "sde-ode", "scheme-a",
-    "time-varying", "reflection",
-)
-
 
 def presets() -> dict[str, ExperimentConfig]:
     out: dict[str, ExperimentConfig] = {}
@@ -146,11 +137,6 @@ def presets() -> dict[str, ExperimentConfig]:
             horizon=500.0, seed=1020 + j,
             outputs=("trajectory", "fluid", "deviation"),
             notes="sinusoidal arrival rate, uncentered scaling")
-    for suite in ACCEPTANCE_SUITES:
-        out[f"acceptance-{suite}"] = ExperimentConfig(
-            name=f"acceptance-{suite}", scheme="B", params=_BASE, initial=(0, 0),
-            horizon=1.0, seed=0, outputs=("acceptance",),
-            notes=f"runs the {suite} acceptance suite")
     return out
 
 

@@ -326,6 +326,7 @@ class SweepRow:
     mean_dev: float
     std_dev: float
     n: int
+    devs: tuple[float, ...]  # per-replicate sup deviations, in replicate order
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,7 @@ def scale_sweep(r_list, initial_family, params: ModelParams, horizon: float,
         rows.append(SweepRow(
             r=float(r), mean_dev=float(devs.mean()),
             std_dev=float(devs.std(ddof=1)) if replications >= 2 else float("nan"),
-            n=replications))
+            n=replications, devs=tuple(devs.tolist())))
     mono = all(b.mean_dev < a.mean_dev for a, b in zip(rows, rows[1:]))
     return SweepTable(rows=tuple(rows), monotone_decreasing=mono,
                       context={"seed": stream.seed, "stream_path": list(stream.path),

@@ -1,4 +1,5 @@
 """Experiment runner: presets, config round-trips, manifests, exit codes."""
+import hashlib
 import json
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from invitesim.presets import (
     presets,
 )
 
+PRESET_NAMES = ["fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4a", "fig4b"]
 SMALL = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=2.0, epsilon=0.2)
 
 
@@ -38,9 +40,7 @@ def small_config(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_preset_catalog_contents():
-    names = presets()
-    for required in ("fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4a", "fig4b"):
-        assert required in names
+    assert sorted(presets()) == PRESET_NAMES
     assert get_preset("fig2d").initial == (-1000, 2000)
     assert get_preset("fig2b").initial == (1000, 0)
     fig3 = get_preset("fig3")
@@ -76,6 +76,11 @@ def test_config_rejects_bad_fields():
         small_config(scheme="A", initial=(0, 0))  # needs a target entry
     with pytest.raises(ConfigInvalid):
         config_from_json("{not json")
+
+
+def test_acceptance_is_not_a_config_output():
+    with pytest.raises(ConfigInvalid, match="unknown outputs"):
+        small_config(outputs=("acceptance",))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +194,7 @@ def test_emit_plot_data_resamples_off_grid_reference(tmp_path):
 
 def test_main_preset_listing(capsys):
     assert main(["preset"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert "fig2a" in out and "fig4b" in out
+    assert capsys.readouterr().out.splitlines() == PRESET_NAMES
 
 
 def test_main_runs_config_file(tmp_path, capsys):
@@ -227,6 +231,18 @@ def test_main_error_paths(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "fig2a"], ["fluid", "--preset", "fig2a"],
+    ["diffusion", "--preset", "fig2a"], ["stationary", "--preset", "fig2a"],
+    ["compare", "--preset", "fig2a"], ["preset", "fig2a"],
+    ["acceptance", "closed-form"],
+])
+def test_workers_only_on_sweep(argv, tmp_path, capsys):
+    assert main([*argv, "--workers", "2", "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_main_unexpected_error_keeps_traceback(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
@@ -243,6 +259,14 @@ def test_main_acceptance_pass_and_fail_codes(tmp_path, capsys):
     payload = json.loads((tmp_path / "ok" / "acceptance.json").read_text())
     assert payload["failures"] == 0
     assert "wall_clock_s" not in payload["results"][0]
+    manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    assert manifest["config"] == {"acceptance": "closed-form"}
+    assert manifest["acceptance_failures"] == 0
+    assert manifest["files"] == [{
+        "path": "acceptance.json",
+        "sha256": hashlib.sha256((tmp_path / "ok" / "acceptance.json").read_bytes()).hexdigest(),
+        "bytes": (tmp_path / "ok" / "acceptance.json").stat().st_size,
+    }]
 
 
 def test_main_sweep_workers_reproducible(tmp_path):

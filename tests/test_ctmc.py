@@ -401,6 +401,30 @@ def test_event_budget_truncates_log():
     assert traj.n_events > 100
 
 
+
+@pytest.mark.parametrize("scheme", ["B", "A"])
+def test_run_reaches_horizon_when_grid_stops_short(scheme):
+    # horizon 1.0 with dt 0.3 puts the last grid point at 0.9; the events in
+    # (0.9, 1.0] still happen, so the log matches a fine grid's
+    p = ModelParams(lam=1.0, scale_r=100.0, beta=1.0, gamma=2.0, epsilon=0.2,
+                    beta_tilde=1.0 if scheme == "A" else 0.0)
+
+    def events(dt):
+        sampling = GridSpec(dt=dt, record_events=True)
+        if scheme == "A":
+            traj = simulate_a(SystemState(0, 100, x_target=100.0), p, 1.0,
+                              RandomStream(3), sampling=sampling)
+        else:
+            traj = simulate_b((0, 100), p, 1.0, RandomStream(3), sampling=sampling)
+        return traj.n_events, traj.events
+
+    (n_coarse, coarse), (n_fine, fine) = events(0.3), events(0.01)
+    assert n_coarse == n_fine == {"B": 193, "A": 279}[scheme]
+    assert coarse.t[-1] > 0.99
+    for field in ("t", "kind", "dy", "dx"):
+        np.testing.assert_array_equal(getattr(coarse, field), getattr(fine, field))
+
+
 # ---------------------------------------------------------------------------
 # scheme A
 # ---------------------------------------------------------------------------

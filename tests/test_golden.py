@@ -71,7 +71,7 @@ def test_preset_trajectory_pinned(name, tmp_path, monkeypatch):
             return runs[-1]
         monkeypatch.setattr(cli, fn, keep)
     config = replace(get_preset(name), horizon=PRESET_HORIZON[name])
-    manifest = cli.run(config, tmp_path, echo=lambda *a, **k: None)
+    manifest = cli.run(config, tmp_path)
     sha = {f["path"]: f["sha256"] for f in manifest.files}["trajectory.csv"]
     assert (sha, runs[0].n_events) == PRESET_PINS[name]
 

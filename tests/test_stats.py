@@ -207,6 +207,30 @@ def test_scale_sweep_single_replication_has_no_std(tmp_path):
     assert row[2] == ""
 
 
+def test_scale_sweep_devs_match_independent_runs():
+    # each replicate is its own simulate_b run against the fluid path from
+    # the same scaled initial state (0, 1), on stream child(i).child(j)
+    stream = RandomStream(seed=8)
+    table = scale_sweep((20, 50), lambda r: (0, 2 * r), BASE, horizon=5.0,
+                        replications=3, stream=stream)
+    grid = np.arange(0.0, 5.0 * (1 + 1e-12), 0.05)
+    for i, (r, row) in enumerate(zip((20, 50), table.rows)):
+        p = ModelParams(lam=1.0, scale_r=float(r), beta=1.0, gamma=2.0, epsilon=0.2)
+        ref = solve_fluid((0.0, 1.0), p, horizon=5.0)
+        devs = [
+            sup_deviation(
+                fluid_scale(simulate_b(SystemState(0, 2 * r), p, horizon=5.0,
+                                       stream=stream.child(i).child(j),
+                                       sampling=GridSpec(dt=0.05)), p),
+                ref, grid).sup
+            for j in range(3)
+        ]
+        assert row.devs == tuple(devs)
+        assert row.n == len(row.devs) == 3
+        assert row.mean_dev == float(np.mean(devs))
+        assert row.std_dev == float(np.std(devs, ddof=1))
+
+
 def test_scale_sweep_validation():
     with pytest.raises(StatsError):
         scale_sweep([100, 100], lambda r: (0, 0), BASE, horizon=5.0,
