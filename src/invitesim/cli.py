@@ -176,12 +176,12 @@ def run_acceptance(suite: str, out_dir) -> RunManifest:
 def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
     """Execute a config's pipeline; returns the manifest (also written)."""
     t_start = time.perf_counter()
+    if workers < 1:
+        raise ConfigInvalid("workers must be >= 1")
     out = _ensure_outdir(out_dir)
     manifest = RunManifest(name=config.name, config=config.to_json_dict(),
                            version=__version__, wall_clock_s=0.0)
     written: list[Path] = []
-    if workers < 1:
-        raise ConfigInvalid("workers must be >= 1")
 
     p = config.params
     stream = RandomStream(seed=config.seed)

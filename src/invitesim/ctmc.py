@@ -20,6 +20,15 @@ are their differences, and the kind follows from them (scheme B: dy = -1
 arrival, +1 accept, else dx = +1 feedback up and any other move feedback
 down; scheme A: dy = -1, +1, 0 for arrival, accept, reject).
 
+simulate_b and simulate_a run their loop in C (_kernel.c, built on the
+first call and loaded through ctypes by _native) when the library builds, and
+the Python loop below otherwise.  The C loops are the Python ones statement
+for statement: same uniforms in the same order, same double expressions, so
+the two backends give the same grids, event logs and event counts, bit for
+bit.  The C code evaluates the rates of SinusoidArrival and
+PiecewiseConstantArrival itself; a profile class that overrides __call__
+runs the Python loop.  A compiled call releases the GIL.
+
 drift_replicates_b restarts from one state many times over a short window,
 where most replicates see no event.  Whether a replicate sees one depends
 only on its first uniform, so each block of uniforms is screened with numpy
@@ -35,10 +44,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .params import (
     ArrivalRateFn,
     InviteSimError,
     ModelParams,
+    PiecewiseConstantArrival,
+    SinusoidArrival,
     validate_params,
 )
 
@@ -67,6 +79,7 @@ K_FEEDBACK_DOWN = 3  # Y > 0: one invitation withdrawn (no-op at X = 0)
 K_REJECT = 4         # scheme A only
 
 _BUF = 1 << 16
+_LOG_CHUNK = 1 << 16  # event-log entries per buffer of a compiled run
 
 
 @dataclass(frozen=True)
@@ -217,12 +230,12 @@ def _uniform_feed(gen: np.random.Generator):
     return chain.from_iterable(iter(lambda: gen.random(_BUF).tolist(), None)).__next__
 
 
-def _state_log(t: list, y: list, x: list, y0: int, x0: int, kind_rule,
-               truncated: bool) -> EventLog:
-    """Event log from the post-event states; increments are differences from (y0, x0)."""
-    dy = np.diff(np.array(y, dtype=np.int64), prepend=y0)
-    dx = np.diff(np.array(x, dtype=np.int64), prepend=x0)
-    return EventLog(t=np.array(t, dtype=float), kind=kind_rule(dy, dx).astype(np.int8),
+def _state_log(t, y, x, y0: int, x0: int, kind_rule, truncated: bool) -> EventLog:
+    """Event log from the post-event states (lists or arrays); increments are
+    differences from (y0, x0)."""
+    dy = np.diff(np.asarray(y, dtype=np.int64), prepend=y0)
+    dx = np.diff(np.asarray(x, dtype=np.int64), prepend=x0)
+    return EventLog(t=np.asarray(t, dtype=float), kind=kind_rule(dy, dx).astype(np.int8),
                     dy=dy.astype(np.int8), dx=dx.astype(np.int32), truncated=truncated)
 
 
@@ -234,6 +247,67 @@ def _kinds_b(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
 
 def _kinds_a(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return np.select([dy == -1, dy == 1], [K_ARRIVAL, K_ACCEPT], K_REJECT)
+
+
+def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
+                  stream: RandomStream, **fields):
+    """Run the compiled kernel `name`; (n_events, truncated, logged (t, y, x)).
+
+    Returns None, to run the Python loop, when the library cannot be built or
+    when a thinned profile computes its rate by a method _kernel.c does not
+    mirror (a subclass overriding __call__).  `fields` are KernelState fields.
+    Uniforms come in the blocks of _BUF the Python loop draws: when the kernel
+    asks for more, the unread tail is put in front of the next block, so the
+    stream it reads is unchanged.  The log fills buffers of _LOG_CHUNK entries.
+    """
+    lib = _native.library()
+    if lib is None:
+        return None
+    ks = _native.KernelState(**fields)
+    if thinning:
+        call = type(arrival).__call__
+        if call is SinusoidArrival.__call__:
+            ks.arrival = _native.ARR_SINUSOID
+            ks.a_base, ks.a_amp, ks.a_period = arrival.base, arrival.amplitude, arrival.period
+        elif call is PiecewiseConstantArrival.__call__:
+            ks.arrival = _native.ARR_PIECEWISE
+            steps = (np.array(arrival.breakpoints, dtype=float),
+                     np.array(arrival.values, dtype=float))
+            ks.bp, ks.bv = (a.ctypes.data for a in steps)
+            ks.n_bp = len(arrival.breakpoints)
+        else:
+            return None
+    kernel = getattr(lib, name)
+    gen = stream.generator()
+    u = gen.random(_BUF)
+    ks.u, ks.n_u = u.ctypes.data, len(u)
+    chunks = []
+
+    def new_chunk():
+        chunks.append((np.empty(_LOG_CHUNK), np.empty(_LOG_CHUNK, dtype=np.int64),
+                       np.empty(_LOG_CHUNK, dtype=np.int64)))
+        ks.log_t, ks.log_y, ks.log_x = (a.ctypes.data for a in chunks[-1])
+        ks.log_cap, ks.log_n = _LOG_CHUNK, 0
+
+    if ks.logging:
+        new_chunk()
+    while True:
+        code = kernel(ks)
+        if code == _native.K_DONE:
+            break
+        if code == _native.K_NEED_U:
+            u = np.concatenate((u[ks.ui:], gen.random(_BUF)))
+            ks.u, ks.n_u, ks.ui = u.ctypes.data, len(u), 0
+        elif code == _native.K_LOG_FULL:
+            new_chunk()
+        else:
+            raise ThinningBoundViolated(
+                f"arrival rate {ks.err_lam} exceeds declared bound {ks.bound} at t={ks.t}")
+    logged = ((), (), ())
+    if chunks:
+        logged = tuple(np.concatenate([c[k] for c in chunks[:-1]] + [chunks[-1][k][:ks.log_n]])
+                       for k in range(3))
+    return ks.n_events, bool(ks.truncated), logged
 
 
 def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
@@ -271,75 +345,85 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
     ts = np.arange(n_grid) * dtg
     ys = np.empty(n_grid, dtype=np.int64)
     xs = np.empty(n_grid, dtype=np.int64)
-    gi = 0
-    tg = 0.0  # gi * dtg, or inf once the grid is full
 
     logging = sampling.record_events
     budget = sampling.event_budget
-    ev_t: list[float] = []
-    ev_y: list[int] = []
-    ev_x: list[int] = []
-    log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
-    truncated = False
+    compiled = _run_compiled("run_b", arrival, thinning, stream, beta=beta, eps=eps,
+                             bound_rate=bound_rate, bound=bound, g_frac=g_frac, g_lo=g_lo,
+                             gamma_int=gamma_int, rounding=rounding, horizon=horizon,
+                             dtg=dtg, n_grid=n_grid, ys=ys.ctypes.data,
+                             xs=xs.ctypes.data, budget=budget, logging=logging,
+                             y=y0, x=x0)
+    if compiled is not None:
+        n_events, truncated, logged = compiled
+    else:
+        ev_t: list[float] = []
+        ev_y: list[int] = []
+        ev_x: list[int] = []
+        log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
+        logged = (ev_t, ev_y, ev_x)
+        truncated = False
+        gi = 0
+        tg = 0.0  # gi * dtg, or inf once the grid is full
 
-    draw = _uniform_feed(stream.generator())
-    log = math.log
-    t = 0.0
-    n_events = 0
-    lam_fn = arrival
+        draw = _uniform_feed(stream.generator())
+        log = math.log
+        t = 0.0
+        n_events = 0
+        lam_fn = arrival
 
-    while True:
-        acc = beta * x
-        fb = eps * (y if y > 0 else -y)
-        total = bound_rate + acc + fb
-        if total <= 0.0:
-            break
-        tn = t + -log(1.0 - draw()) / total
-        while tg < tn:
+        while True:
+            acc = beta * x
+            fb = eps * (y if y > 0 else -y)
+            total = bound_rate + acc + fb
+            if total <= 0.0:
+                break
+            tn = t + -log(1.0 - draw()) / total
+            while tg < tn:
+                ys[gi] = y
+                xs[gi] = x
+                gi += 1
+                tg = gi * dtg if gi < n_grid else math.inf
+            if tn > horizon:
+                break
+            t = tn
+            pick = draw() * total
+            if pick < bound_rate:
+                if thinning:
+                    lam_t = lam_fn(t)
+                    if lam_t > bound * (1.0 + 1e-9):
+                        raise ThinningBoundViolated(
+                            f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
+                    if not draw() * bound < lam_t:
+                        continue
+                y -= 1
+                x += g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
+            elif pick < bound_rate + acc:
+                step = g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
+                y += 1
+                x -= step if x >= step else x
+            elif x >= 1:
+                x += -1 if y > 0 else 1
+            elif y < 0:
+                x += 1
+            n_events += 1
+            if logging:
+                if n_events <= budget:
+                    log_t(t)
+                    log_y(y)
+                    log_x(x)
+                else:
+                    truncated = True
+                    logging = False
+
+        while gi < n_grid:
             ys[gi] = y
             xs[gi] = x
             gi += 1
-            tg = gi * dtg if gi < n_grid else math.inf
-        if tn > horizon:
-            break
-        t = tn
-        pick = draw() * total
-        if pick < bound_rate:
-            if thinning:
-                lam_t = lam_fn(t)
-                if lam_t > bound * (1.0 + 1e-9):
-                    raise ThinningBoundViolated(
-                        f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
-                if not draw() * bound < lam_t:
-                    continue
-            y -= 1
-            x += g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
-        elif pick < bound_rate + acc:
-            step = g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
-            y += 1
-            x -= step if x >= step else x
-        elif x >= 1:
-            x += -1 if y > 0 else 1
-        elif y < 0:
-            x += 1
-        n_events += 1
-        if logging:
-            if n_events <= budget:
-                log_t(t)
-                log_y(y)
-                log_x(x)
-            else:
-                truncated = True
-                logging = False
-
-    while gi < n_grid:
-        ys[gi] = y
-        xs[gi] = x
-        gi += 1
 
     events = None
     if sampling.record_events:
-        events = _state_log(ev_t, ev_y, ev_x, y0, x0, _kinds_b, truncated)
+        events = _state_log(*logged, y0, x0, _kinds_b, truncated)
     return Trajectory(scheme="B", t=ts, y=ys, x=xs, x_target=None,
                       params=params, arrival=arrival, stream=stream,
                       grid_dt=dtg, horizon=horizon, n_events=n_events,
@@ -511,83 +595,92 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
     ys = np.empty(n_grid, dtype=np.int64)
     xs = np.empty(n_grid, dtype=np.int64)
     tgts = np.empty(n_grid, dtype=float)
-    gi = 0
-    tg = 0.0  # gi * dtg, or inf once the grid is full
 
     logging = sampling.record_events
     budget = sampling.event_budget
-    ev_t: list[float] = []
-    ev_y: list[int] = []
-    ev_x: list[int] = []
-    log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
-    truncated = False
+    compiled = _run_compiled("run_a", arrival, thinning, stream, beta=beta, eps=eps,
+                             beta_t=beta_t, gamma=gamma, bound_rate=bound_rate, bound=bound,
+                             horizon=horizon, dtg=dtg, n_grid=n_grid, ys=ys.ctypes.data,
+                             xs=xs.ctypes.data, tgts=tgts.ctypes.data, budget=budget,
+                             logging=logging, target=target, y=y0, x=x0)
+    if compiled is not None:
+        n_events, truncated, logged = compiled
+    else:
+        ev_t: list[float] = []
+        ev_y: list[int] = []
+        ev_x: list[int] = []
+        log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
+        logged = (ev_t, ev_y, ev_x)
+        truncated = False
+        gi = 0
+        tg = 0.0  # gi * dtg, or inf once the grid is full
 
-    draw = _uniform_feed(stream.generator())
-    log = math.log
-    ceil = math.ceil
-    t = 0.0
-    n_events = 0
+        draw = _uniform_feed(stream.generator())
+        log = math.log
+        ceil = math.ceil
+        t = 0.0
+        n_events = 0
 
-    while True:
-        acc = beta * x
-        rej = beta_t * x
-        total = bound_rate + acc + rej
-        if total <= 0.0:
-            break
-        tn = t + -log(1.0 - draw()) / total
-        while tg < tn:
+        while True:
+            acc = beta * x
+            rej = beta_t * x
+            total = bound_rate + acc + rej
+            if total <= 0.0:
+                break
+            tn = t + -log(1.0 - draw()) / total
+            while tg < tn:
+                ys[gi] = y
+                xs[gi] = x
+                tgts[gi] = target
+                gi += 1
+                tg = gi * dtg if gi < n_grid else math.inf
+            if tn > horizon:
+                break
+            t = tn
+            pick = draw() * total
+            if pick < bound_rate:
+                if thinning:
+                    lam_t = lam_fn(t)
+                    if lam_t > bound * (1.0 + 1e-9):
+                        raise ThinningBoundViolated(
+                            f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
+                    if not draw() * bound < lam_t:
+                        continue
+                elapsed = t - last_change
+                y_pre = y
+                y -= 1
+                target = max(0.0, target + gamma - eps * y_pre * elapsed)
+                last_change = t
+            elif pick < bound_rate + acc:
+                elapsed = t - last_change
+                y_pre = y
+                y += 1
+                x -= 1
+                target = max(0.0, target - gamma - eps * y_pre * elapsed)
+                last_change = t
+            else:
+                x -= 1
+            if x < target:
+                x = ceil(target)
+            n_events += 1
+            if logging:
+                if n_events <= budget:
+                    log_t(t)
+                    log_y(y)
+                    log_x(x)
+                else:
+                    truncated = True
+                    logging = False
+
+        while gi < n_grid:
             ys[gi] = y
             xs[gi] = x
             tgts[gi] = target
             gi += 1
-            tg = gi * dtg if gi < n_grid else math.inf
-        if tn > horizon:
-            break
-        t = tn
-        pick = draw() * total
-        if pick < bound_rate:
-            if thinning:
-                lam_t = lam_fn(t)
-                if lam_t > bound * (1.0 + 1e-9):
-                    raise ThinningBoundViolated(
-                        f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
-                if not draw() * bound < lam_t:
-                    continue
-            elapsed = t - last_change
-            y_pre = y
-            y -= 1
-            target = max(0.0, target + gamma - eps * y_pre * elapsed)
-            last_change = t
-        elif pick < bound_rate + acc:
-            elapsed = t - last_change
-            y_pre = y
-            y += 1
-            x -= 1
-            target = max(0.0, target - gamma - eps * y_pre * elapsed)
-            last_change = t
-        else:
-            x -= 1
-        if x < target:
-            x = ceil(target)
-        n_events += 1
-        if logging:
-            if n_events <= budget:
-                log_t(t)
-                log_y(y)
-                log_x(x)
-            else:
-                truncated = True
-                logging = False
-
-    while gi < n_grid:
-        ys[gi] = y
-        xs[gi] = x
-        tgts[gi] = target
-        gi += 1
 
     events = None
     if sampling.record_events:
-        events = _state_log(ev_t, ev_y, ev_x, y0, x0, _kinds_a, truncated)
+        events = _state_log(*logged, y0, x0, _kinds_a, truncated)
     return Trajectory(scheme="A", t=ts, y=ys, x=xs, x_target=tgts,
                       params=params, arrival=arrival, stream=stream,
                       grid_dt=dtg, horizon=horizon, n_events=n_events,

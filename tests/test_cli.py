@@ -243,6 +243,13 @@ def test_workers_only_on_sweep(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_zero_workers_leaves_no_output_dir(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert main(["sweep", "--preset", "fig2a", "--workers", "0", "--out", str(out)]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_unexpected_error_keeps_traceback(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

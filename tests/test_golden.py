@@ -7,14 +7,19 @@ in which a kernel consumes uniforms (hold, pick, thin, round) or to a
 transition changes a digest here.  Only integer arrays and `trajectory.csv`
 (integers plus `.10g` times and pure-Python targets) are hashed, so the pins
 do not depend on the numpy build.
+
+The preset and kernel pins hold on both backends of simulate_b and
+simulate_a: the compiled kernel (the default; ids without a suffix) and the
+Python loop (ids ending in -python).
 """
 import hashlib
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from invitesim import cli
+from invitesim import _native, cli
 from invitesim.ctmc import (
     GridSpec,
     RandomStream,
@@ -25,6 +30,20 @@ from invitesim.ctmc import (
 )
 from invitesim.params import ModelParams, PiecewiseConstantArrival, SinusoidArrival
 from invitesim.presets import get_preset
+
+
+def _over_backends(names):
+    return [pytest.param(name, backend, id=name if backend == "c" else f"{name}-python")
+            for name in names for backend in ("c", "python")]
+
+
+def _use_backend(backend, monkeypatch):
+    if backend == "python":
+        monkeypatch.setattr(_native, "_lib", None)
+    elif shutil.which(_native._CC) is None:
+        pytest.skip("no C compiler")
+    else:
+        assert _native.library() is not None
 
 
 def _digest(*arrays) -> str:
@@ -60,8 +79,9 @@ PRESET_PINS = {  # sha256 of trajectory.csv, n_events
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_HORIZON))
-def test_preset_trajectory_pinned(name, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, backend", _over_backends(sorted(PRESET_HORIZON)))
+def test_preset_trajectory_pinned(name, backend, tmp_path, monkeypatch):
+    _use_backend(backend, monkeypatch)
     runs = []
     for fn in ("simulate_a", "simulate_b"):
         inner = getattr(cli, fn)
@@ -118,14 +138,36 @@ KERNEL_PINS = {  # n_events, logged, truncated, log digest, grid digest
 }
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_RUNS))
-def test_kernel_run_pinned(name):
+@pytest.mark.parametrize("name, backend", _over_backends(sorted(KERNEL_RUNS)))
+def test_kernel_run_pinned(name, backend, monkeypatch):
+    _use_backend(backend, monkeypatch)
+    _check_kernel_pin(name)
+
+
+def _check_kernel_pin(name):
     traj = KERNEL_RUNS[name]()
     ev = traj.events
     assert [ev.kind.dtype, ev.dy.dtype, ev.dx.dtype] == [np.int8, np.int8, np.int32]
     got = (traj.n_events, len(ev), ev.truncated,
            _digest(ev.kind, ev.dy, ev.dx), _digest(traj.y, traj.x))
     assert got == KERNEL_PINS[name]
+
+
+@pytest.mark.parametrize("failure", ["missing", "failing", "unwritable"])
+def test_kernel_pinned_when_the_build_fails(failure, tmp_path, monkeypatch):
+    # a source in a fresh place, so that no library is cached for it
+    shutil.copy(_native._SOURCE, tmp_path / "_kernel.c")
+    monkeypatch.setattr(_native, "_SOURCE", tmp_path / "_kernel.c")
+    monkeypatch.setattr(_native, "_lib", _native._UNTRIED)
+    if failure == "missing":
+        monkeypatch.setattr(_native, "_CC", str(tmp_path / "no-such-cc"))
+    elif failure == "failing":
+        monkeypatch.setattr(_native, "_CC", "false")
+    else:
+        (tmp_path / "__pycache__").write_text("")  # a file where the cache directory goes
+    _check_kernel_pin("budget")
+    assert _native._lib is None
+    assert list(tmp_path.glob("**/*.so")) == []
 
 
 DRIFT_RUNS = {  # state, params, window, arrival, replicates, stream path

@@ -1,0 +1,206 @@
+"""The compiled kernels against the Python loops they mirror.
+
+simulate_b and simulate_a run _kernel.c when it builds and their Python loops
+otherwise; both must give the same bits.  Setting `_native._lib` to None
+forces the Python loop, the oracle here.
+"""
+import concurrent.futures
+import shutil
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from invitesim import _native, ctmc
+from invitesim.ctmc import (
+    GridSpec,
+    RandomStream,
+    SystemState,
+    ThinningBoundViolated,
+    simulate_a,
+    simulate_b,
+)
+from invitesim.params import (
+    ConstantArrival,
+    ModelParams,
+    PiecewiseConstantArrival,
+    SinusoidArrival,
+)
+from invitesim.stats import scale_sweep
+
+needs_cc = pytest.mark.skipif(shutil.which(_native._CC) is None,
+                              reason="no C compiler")
+
+ARRIVALS = {
+    "none": None,
+    "constant": ConstantArrival(1.3),
+    "sinusoid": SinusoidArrival(1.0, 0.6, 2.5),
+    "piecewise": PiecewiseConstantArrival((0.7, 1.9, 3.1), (1.0, 1.8, 0.3, 1.2)),
+}
+
+
+def _random_case(k: int):
+    """Seeded run description k: scheme, params, start, horizon, arrival, sampling."""
+    rng = np.random.default_rng([2024, k])
+    scheme = "AB"[k % 2]
+    arrival = list(ARRIVALS)[(k // 2) % 4]
+    gamma = (1.0, 2.0, 0.5, 1.5, 2.25, 3.0)[k % 6]
+    beta = float(rng.uniform(0.5, 2.0))
+    params = ModelParams(lam=1.0, scale_r=float(rng.choice([5.0, 40.0, 200.0])), beta=beta,
+                         gamma=gamma,
+                         epsilon=float(rng.uniform(0.05, 0.9)) * gamma ** 2 * beta / 4.0,
+                         beta_tilde=float(rng.choice([0.0, 0.5, 3.0])))
+    x0 = int(rng.integers(0, 3 * params.scale_r))
+    start = SystemState(int(rng.integers(-20, 21)), x0,
+                        x_target=max(0.0, x0 + float(rng.uniform(-3.0, 3.0))))
+    sampling = GridSpec(dt=float(rng.choice([0.01, 0.07, 0.3, 1.0])),
+                        record_events=bool(k % 3),
+                        event_budget=int(rng.choice([10, 100, 5_000_000])))
+    return scheme, params, start, float(rng.uniform(0.5, 5.0)), ARRIVALS[arrival], sampling
+
+
+def _simulate(scheme, params, start, horizon, arrival, sampling, stream):
+    if scheme == "A":
+        return simulate_a(start, params, horizon, stream, arrival=arrival, sampling=sampling)
+    return simulate_b(start, params, horizon, stream, arrival=arrival, sampling=sampling,
+                      randomized_rounding=not float(params.gamma).is_integer())
+
+
+def _fingerprint(traj):
+    out = [traj.n_events, traj.t.tobytes(), traj.y.tobytes(), traj.x.tobytes(),
+           None if traj.x_target is None else traj.x_target.tobytes()]
+    ev = traj.events
+    if ev is not None:
+        out += [ev.truncated, len(ev)] + [(a.dtype.str, a.tobytes())
+                                          for a in (ev.t, ev.kind, ev.dy, ev.dx)]
+    return out
+
+
+def _spy_compiled(monkeypatch) -> list:
+    """Record, per simulate_* call, whether the compiled kernel ran it."""
+    ran = []
+    inner = ctmc._run_compiled
+
+    def spy(*args, **kwargs):
+        try:
+            out = inner(*args, **kwargs)
+        except ThinningBoundViolated:  # raised by the compiled run
+            ran.append(True)
+            raise
+        ran.append(out is not None)
+        return out
+    monkeypatch.setattr(ctmc, "_run_compiled", spy)
+    return ran
+
+
+def _both_backends(monkeypatch, run):
+    """run() on the compiled kernel (which must be used) and on the Python loop."""
+    ran = _spy_compiled(monkeypatch)
+    native = run()
+    with monkeypatch.context() as m:
+        m.setattr(_native, "_lib", None)
+        oracle = run()
+    assert ran == [True, False]
+    return native, oracle
+
+
+@needs_cc
+@pytest.mark.parametrize("k", range(56))
+def test_compiled_matches_python_loop(k, monkeypatch):
+    case = _random_case(k)
+    native, oracle = _both_backends(
+        monkeypatch, lambda: _simulate(*case, RandomStream(900 + k)))
+    assert _fingerprint(native) == _fingerprint(oracle)
+
+
+LONG_B = (ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2),
+          SystemState(0, 1000), 40.0)
+
+
+@needs_cc
+@pytest.mark.parametrize("budget", [65_536, 65_537, 5_000_000])
+def test_compiled_log_crosses_chunks_and_blocks(budget, monkeypatch):
+    # about 80 000 events and 160 000 uniforms: the log fills a whole chunk
+    # and the uniforms span three blocks; budgets end the log at the chunk's
+    # last entry and one past it
+    params, start, horizon = LONG_B
+    sampling = GridSpec(dt=0.05, record_events=True, event_budget=budget)
+    native, oracle = _both_backends(monkeypatch, lambda: simulate_b(
+        start, params, horizon, RandomStream(41), sampling=sampling))
+    assert native.n_events > 65_537
+    assert len(native.events) == min(budget, native.n_events)
+    assert _fingerprint(native) == _fingerprint(oracle)
+
+
+@needs_cc
+@pytest.mark.parametrize("scheme", "AB")
+def test_compiled_resumes_at_every_draw(scheme, monkeypatch):
+    # three-uniform blocks and seven-entry log chunks make every event's
+    # draws (hold, pick, thin, round) run past a block end and every few
+    # events fill a chunk; the stream, and so the run, must not change
+    monkeypatch.setattr(ctmc, "_BUF", 3)
+    monkeypatch.setattr(ctmc, "_LOG_CHUNK", 7)
+    params = ModelParams(lam=1.0, scale_r=30.0, beta=1.0, gamma=1.5, epsilon=0.2,
+                         beta_tilde=1.0)
+    case = (scheme, params, SystemState(2, 30, x_target=30.5), 3.0,
+            ARRIVALS["sinusoid"], GridSpec(dt=0.1, record_events=True))
+    native, oracle = _both_backends(monkeypatch, lambda: _simulate(*case, RandomStream(5)))
+    monkeypatch.undo()
+    assert _fingerprint(native) == _fingerprint(oracle) \
+        == _fingerprint(_simulate(*case, RandomStream(5)))
+
+
+@needs_cc
+@pytest.mark.parametrize("scheme", "AB")
+def test_compiled_thinning_violation_same_message(scheme, monkeypatch):
+    class LyingSinusoid(SinusoidArrival):
+        def bound(self):
+            return self.base  # declares less than the true peak
+
+    case = (scheme, LONG_B[0], SystemState(0, 0, x_target=0.0), 10.0,
+            LyingSinusoid(1.0, 0.2, 10.0), GridSpec())
+
+    def message():
+        with pytest.raises(ThinningBoundViolated) as info:
+            _simulate(*case, RandomStream(3))
+        return str(info.value)
+
+    native, oracle = _both_backends(monkeypatch, message)
+    assert native == oracle
+
+
+def test_overridden_rate_runs_the_python_loop(monkeypatch):
+    # _kernel.c mirrors only the library's own rate functions
+    class Shifted(SinusoidArrival):
+        def __call__(self, t):
+            return super().__call__(t + 0.25)
+
+    ran = _spy_compiled(monkeypatch)
+    traj = simulate_b((0, 10), replace(LONG_B[0], scale_r=10.0), 2.0, RandomStream(1),
+                      arrival=Shifted(1.0, 0.5, 1.0))
+    assert ran == [False] and traj.n_events > 0
+
+
+@needs_cc
+def test_pooled_sweep_equals_serial_while_threads_race_the_build(tmp_path, monkeypatch):
+    # four threads race the first load of a library that is not built yet
+    # (a fresh source location), then run their kernels without the GIL
+    shutil.copy(_native._SOURCE, tmp_path / "_kernel.c")
+    monkeypatch.setattr(_native, "_SOURCE", tmp_path / "_kernel.c")
+    monkeypatch.setattr(_native, "_lib", _native._UNTRIED)
+    params = ModelParams(lam=1.0, scale_r=1.0, beta=1.0, gamma=2.0, epsilon=0.2)
+    args = ((50, 200), lambda r: (0, 2 * int(r)), params, 5.0, 8, RandomStream(77))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            pooled = scale_sweep(*args, map_fn=lambda fn, it: pool.map(fn, it, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert _native._lib is not None
+    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [
+        next((tmp_path / "__pycache__").glob("_kernel-*.so")).name]
+    assert pooled == scale_sweep(*args)
+    monkeypatch.setattr(_native, "_lib", None)
+    assert pooled == scale_sweep(*args)

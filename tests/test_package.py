@@ -1,4 +1,6 @@
 """Package-level contracts: public module names and import-time cost."""
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,30 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_import_compiles_nothing(tmp_path):
+    # the event kernels are compiled on the first kernel call, never at import;
+    # the first call shows that the audit hook and the glob would see a build
+    pkg = tmp_path / "invitesim"
+    shutil.copytree(Path(invitesim.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    code = f"""
+import json, sys
+from pathlib import Path
+spawned = []
+sys.addaudithook(lambda event, args: event in (
+    "subprocess.Popen", "os.system", "os.posix_spawn", "os.fork", "os.exec")
+    and spawned.append(event))
+sys.path.insert(0, {str(tmp_path)!r})
+libs = lambda: [p.name for p in Path({str(pkg)!r}).glob("**/*.so")]
+import invitesim
+seen = [list(spawned), libs()]
+invitesim.simulate_b((0, 5), invitesim.ModelParams(1.0, 5.0, 1.0, 2.0, 0.2), 1.0,
+                     invitesim.RandomStream(1))
+print(json.dumps(seen + [bool(spawned), len(libs())]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    built = shutil.which(invitesim._native._CC) is not None
+    assert json.loads(proc.stdout) == [[], [], built, int(built)]
