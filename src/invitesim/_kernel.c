@@ -1,5 +1,6 @@
-/* Compiled event kernels for invitesim.ctmc: the simulate_b and simulate_a
- * loops, statement for statement.
+/* Compiled event kernels for invitesim.ctmc: the scheme-B loop behind
+ * simulate_b and drift_replicates_b, and the simulate_a loop, statement for
+ * statement.
  *
  * Each kernel reads the same uniforms in the same order as the Python loop
  * (hold, pick, thin if the pick is an arrival candidate, round if enabled)
@@ -16,6 +17,9 @@
  *   K_LOG_FULL  the log chunk holds log_cap entries; the event is complete;
  *   K_THIN_ERR  the arrival rate err_lam at time t exceeds the declared bound.
  * The caller refills u or swaps the chunk and calls again with the same state.
+ * run_b with n_reps > 0 runs n_reps windows [0, horizon] from (y0, x0), each
+ * reading on from where the last one stopped, and writes each window's
+ * (y - y0, x - x0) to out; a resumed window rolls back like any other event.
  * No global state: concurrent calls on separate states are safe.
  */
 #include <math.h>
@@ -50,6 +54,9 @@ typedef struct {
     /* run state */
     double t, tg, target, last_change, err_lam;
     int64_t y, x, gi, n_events;
+    /* drift windows of run_b; n_reps = 0 is one plain run */
+    int64_t n_reps, rep, y0, x0;
+    int64_t *out;                 /* n_reps rows of (dy, dx) */
 } kstate;
 
 /* lets the loader check that its mirror of kstate has the same size */
@@ -123,6 +130,22 @@ static void fill_grid(kstate *s, double tn)
         (keep) = v_ * s->bound < lam_t_;                                 \
     } while (0)
 
+/* end of a run_b window: record its (dy, dx) and restart from (y0, x0) at
+ * t = 0; 1 when no window is left, always so for n_reps = 0 */
+static int end_window(kstate *s)
+{
+    if (s->rep == s->n_reps)
+        return 1;
+    s->out[2 * s->rep] = s->y - s->y0;
+    s->out[2 * s->rep + 1] = s->x - s->x0;
+    if (++s->rep == s->n_reps)
+        return 1;
+    s->y = s->y0;
+    s->x = s->x0;
+    s->t = 0.0;
+    return 0;
+}
+
 int run_b(kstate *s)
 {
     for (;;) {
@@ -131,13 +154,19 @@ int run_b(kstate *s)
         double acc = s->beta * (double)x;
         double fb = s->eps * (double)(y > 0 ? y : -y);
         double total = s->bound_rate + acc + fb;
-        if (total <= 0.0)
-            break;
+        if (total <= 0.0) {
+            if (end_window(s))
+                break;
+            continue;
+        }
         DRAW(u);
         tn = s->t + -log(1.0 - u) / total;
         fill_grid(s, tn);
-        if (tn > s->horizon)
-            break;
+        if (tn > s->horizon) {
+            if (end_window(s))
+                break;
+            continue;
+        }
         DRAW(u);
         s->t = tn;
         pick = u * total;

@@ -50,7 +50,8 @@ class KernelState(ctypes.Structure):
         ("budget", _i), ("logging", _i), ("truncated", _i),
         ("log_t", _p), ("log_y", _p), ("log_x", _p), ("log_cap", _i), ("log_n", _i),
         *((n, _d) for n in ("t", "tg", "target", "last_change", "err_lam")),
-        *((n, _i) for n in ("y", "x", "gi", "n_events")),
+        *((n, _i) for n in ("y", "x", "gi", "n_events", "n_reps", "rep", "y0", "x0")),
+        ("out", _p),
     ]
 
 

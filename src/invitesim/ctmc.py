@@ -20,26 +20,26 @@ are their differences, and the kind follows from them (scheme B: dy = -1
 arrival, +1 accept, else dx = +1 feedback up and any other move feedback
 down; scheme A: dy = -1, +1, 0 for arrival, accept, reject).
 
-simulate_b and simulate_a run their loop in C (_kernel.c, built on the
-first call and loaded through ctypes by _native) when the library builds, and
-the Python loop below otherwise.  The C loops are the Python ones statement
-for statement: same uniforms in the same order, same double expressions, so
-the two backends give the same grids, event logs and event counts, bit for
-bit.  The C code evaluates the rates of SinusoidArrival and
-PiecewiseConstantArrival itself; a profile class that overrides __call__
-runs the Python loop.  A compiled call releases the GIL.
+The scheme-B transitions live in one loop: run_b in C, _loop_b in Python.
+simulate_b runs it once over [0, horizon] on a grid; drift_replicates_b runs
+it as n restarted windows [0, dt] from one state, with no grid, each window
+reading on from where the last one stopped.  simulate_a has its own loop,
+since its rates, transitions and top-up all differ.
 
-drift_replicates_b restarts from one state many times over a short window,
-where most replicates see no event.  Whether a replicate sees one depends
-only on its first uniform, so each block of uniforms is screened with numpy
-and the event loop runs only from the busy starts; the quiet ones consume
-their one uniform and stay (0, 0), exactly as the loop would leave them.
+Both loops run in C (_kernel.c, built on the first call and loaded through
+ctypes by _native) when the library builds, and in Python otherwise.  The C
+loops are the Python ones statement for statement: same uniforms in the same
+order, same double expressions, so the two backends give the same grids,
+event logs, event counts and drift replicates, bit for bit.  The C code
+evaluates the rates of SinusoidArrival and PiecewiseConstantArrival itself;
+a profile class that overrides __call__ runs the Python loop.  A compiled
+call releases the GIL.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 from typing import Sequence
 
 import numpy as np
@@ -158,16 +158,15 @@ class Trajectory:
         return self.arrival is not None and not self.arrival.is_constant
 
     def to_csv(self, path) -> None:
+        cols = [self.t.tolist(), self.y.tolist(), self.x.tolist()]
+        if self.x_target is None:
+            head, row = "t,y,x\n", "{:.10g},{},{}\n"
+        else:
+            cols.append(self.x_target.tolist())
+            head, row = "t,y,x,x_target\n", "{:.10g},{},{},{:.10g}\n"
         with open(path, "w") as fh:
-            if self.x_target is None:
-                fh.write("t,y,x\n")
-                for i in range(len(self.t)):
-                    fh.write(f"{self.t[i]:.10g},{self.y[i]},{self.x[i]}\n")
-            else:
-                fh.write("t,y,x,x_target\n")
-                for i in range(len(self.t)):
-                    fh.write(f"{self.t[i]:.10g},{self.y[i]},{self.x[i]},"
-                             f"{self.x_target[i]:.10g}\n")
+            fh.write(head)
+            fh.writelines(starmap(row.format, zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,8 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
 
     Returns None, to run the Python loop, when the library cannot be built or
     when a thinned profile computes its rate by a method _kernel.c does not
-    mirror (a subclass overriding __call__).  `fields` are KernelState fields.
+    mirror (a subclass overriding __call__).  `fields` are KernelState fields,
+    arrays among them passed by address; run_b's windows restart from (y, x).
     Uniforms come in the blocks of _BUF the Python loop draws: when the kernel
     asks for more, the unread tail is put in front of the next block, so the
     stream it reads is unchanged.  The log fills buffers of _LOG_CHUNK entries.
@@ -263,7 +263,9 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
     lib = _native.library()
     if lib is None:
         return None
-    ks = _native.KernelState(**fields)
+    ks = _native.KernelState(**{k: v.ctypes.data if isinstance(v, np.ndarray) else v
+                                for k, v in fields.items()})
+    ks.y0, ks.x0 = ks.y, ks.x
     if thinning:
         call = type(arrival).__call__
         if call is SinusoidArrival.__call__:
@@ -310,68 +312,35 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
     return ks.n_events, bool(ks.truncated), logged
 
 
-def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
-               horizon: float, stream: RandomStream,
-               arrival: ArrivalRateFn | None = None,
-               sampling: GridSpec | None = None,
-               randomized_rounding: bool = False) -> Trajectory:
-    """Run scheme B exactly over [0, horizon], sampling on a uniform grid."""
-    if horizon <= 0.0:
-        raise HorizonZero(f"horizon must be > 0, got {horizon}")
-    validate_params(params, scheme="B", randomized_rounding=randomized_rounding)
-    if sampling is None:
-        sampling = GridSpec()
-    if isinstance(initial, tuple):
-        initial = SystemState(y=initial[0], x=initial[1])
+def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream, *,
+            beta: float, eps: float, bound_rate: float, bound: float, gamma_int: int,
+            horizon: float, y: int, x: int, g_frac: float = 0.0, g_lo: int = 0,
+            rounding: bool = False, dtg: float = 0.0, n_grid: int = 0,
+            ys: np.ndarray | None = None, xs: np.ndarray | None = None, tg: float = 0.0,
+            budget: int = 0, logging: bool = False, n_reps: int = 0,
+            out: np.ndarray | None = None):
+    """run_b of _kernel.c in Python: the scheme-B event loop, same arguments and result.
 
-    y = y0 = int(initial.y)
-    x = x0 = int(initial.x)
-    beta = params.beta
-    eps = params.epsilon
-    r = params.scale_r
-    thinning = arrival is not None and not arrival.is_constant
-    if arrival is None:
-        bound_rate = params.lam * r
-    else:
-        bound_rate = arrival.bound() * r
-    bound = bound_rate / r if r else 0.0
-    gamma_int = int(params.gamma) if float(params.gamma).is_integer() else 0
-    rounding = randomized_rounding and not float(params.gamma).is_integer()
-    g_lo = int(math.floor(params.gamma))
-    g_frac = params.gamma - g_lo
+    Runs [0, horizon] from (y, x), filling the grid from tg on and logging up
+    to `budget` post-event states.  With n_reps > 0 it runs n_reps such
+    windows, each from (y, x) at t = 0 and reading on from where the last
+    one stopped, and writes window i's (dY, dX) to out[i].
+    """
+    y0, x0 = y, x
+    ev_t: list[float] = []
+    ev_y: list[int] = []
+    ev_x: list[int] = []
+    log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
+    truncated = False
+    gi = 0
 
-    dtg = sampling.dt
-    n_grid = _grid_size(horizon, dtg)
-    ts = np.arange(n_grid) * dtg
-    ys = np.empty(n_grid, dtype=np.int64)
-    xs = np.empty(n_grid, dtype=np.int64)
+    draw = _uniform_feed(stream.generator())
+    log = math.log
+    n_events = 0
+    lam_fn = arrival
 
-    logging = sampling.record_events
-    budget = sampling.event_budget
-    compiled = _run_compiled("run_b", arrival, thinning, stream, beta=beta, eps=eps,
-                             bound_rate=bound_rate, bound=bound, g_frac=g_frac, g_lo=g_lo,
-                             gamma_int=gamma_int, rounding=rounding, horizon=horizon,
-                             dtg=dtg, n_grid=n_grid, ys=ys.ctypes.data,
-                             xs=xs.ctypes.data, budget=budget, logging=logging,
-                             y=y0, x=x0)
-    if compiled is not None:
-        n_events, truncated, logged = compiled
-    else:
-        ev_t: list[float] = []
-        ev_y: list[int] = []
-        ev_x: list[int] = []
-        log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
-        logged = (ev_t, ev_y, ev_x)
-        truncated = False
-        gi = 0
-        tg = 0.0  # gi * dtg, or inf once the grid is full
-
-        draw = _uniform_feed(stream.generator())
-        log = math.log
-        t = 0.0
-        n_events = 0
-        lam_fn = arrival
-
+    for rep in range(n_reps or 1):
+        y, x, t = y0, x0, 0.0
         while True:
             acc = beta * x
             fb = eps * (y if y > 0 else -y)
@@ -415,11 +384,62 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
                 else:
                     truncated = True
                     logging = False
+        if n_reps:
+            out[rep] = y - y0, x - x0
 
-        while gi < n_grid:
-            ys[gi] = y
-            xs[gi] = x
-            gi += 1
+    while gi < n_grid:
+        ys[gi] = y
+        xs[gi] = x
+        gi += 1
+    return n_events, truncated, (ev_t, ev_y, ev_x)
+
+
+def _run_b(params: ModelParams, arrival: ArrivalRateFn | None, stream: RandomStream,
+           **fields):
+    """A scheme-B run of run_b in C, or of _loop_b where that cannot run.
+
+    `fields` are the run's KernelState fields other than the model's rates,
+    which come from `params` and `arrival`.
+    """
+    r = params.scale_r
+    thinning = arrival is not None and not arrival.is_constant
+    bound_rate = (params.lam if arrival is None else arrival.bound()) * r
+    fields.update(beta=params.beta, eps=params.epsilon, bound_rate=bound_rate,
+                  bound=bound_rate / r if r else 0.0,
+                  gamma_int=int(params.gamma) if float(params.gamma).is_integer() else 0)
+    result = _run_compiled("run_b", arrival, thinning, stream, **fields)
+    return _loop_b(arrival, thinning, stream, **fields) if result is None else result
+
+
+def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
+               horizon: float, stream: RandomStream,
+               arrival: ArrivalRateFn | None = None,
+               sampling: GridSpec | None = None,
+               randomized_rounding: bool = False) -> Trajectory:
+    """Run scheme B exactly over [0, horizon], sampling on a uniform grid."""
+    if horizon <= 0.0:
+        raise HorizonZero(f"horizon must be > 0, got {horizon}")
+    validate_params(params, scheme="B", randomized_rounding=randomized_rounding)
+    if sampling is None:
+        sampling = GridSpec()
+    if isinstance(initial, tuple):
+        initial = SystemState(y=initial[0], x=initial[1])
+
+    y0 = int(initial.y)
+    x0 = int(initial.x)
+    g_lo = int(math.floor(params.gamma))
+
+    dtg = sampling.dt
+    n_grid = _grid_size(horizon, dtg)
+    ts = np.arange(n_grid) * dtg
+    ys = np.empty(n_grid, dtype=np.int64)
+    xs = np.empty(n_grid, dtype=np.int64)
+
+    n_events, truncated, logged = _run_b(
+        params, arrival, stream, g_frac=params.gamma - g_lo, g_lo=g_lo,
+        rounding=randomized_rounding and not float(params.gamma).is_integer(),
+        horizon=horizon, dtg=dtg, n_grid=n_grid, ys=ys, xs=xs,
+        budget=sampling.event_budget, logging=sampling.record_events, y=y0, x=x0)
 
     events = None
     if sampling.record_events:
@@ -430,129 +450,25 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
                       events=events)
 
 
-def _busy_flags(block: np.ndarray, total0: float, dt: float) -> list[bool]:
-    """For each uniform in `block`: does a replicate whose first draw it is see an event?
-
-    It does when its holding time -log(1 - u)/total0 is at most dt.  numpy
-    screens the block; values within a relative 1e-9 of the cutoff are decided
-    again with the event loop's own scalar expression, since np.log and
-    math.log may differ in the last place.
-    """
-    hold = -np.log(1.0 - block) / total0
-    busy = hold <= dt
-    for i in np.flatnonzero(np.abs(hold - dt) <= 1e-9 * dt).tolist():
-        busy[i] = -math.log(1.0 - float(block[i])) / total0 <= dt
-    return busy.tolist()
-
-
 def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelParams,
                        dt: float, n_replicates: int, stream: RandomStream,
                        arrival: ArrivalRateFn | None = None) -> np.ndarray:
     """(dY, dX) totals over [0, dt] for n_replicates independent restarts.
 
-    Shares the scheme-B transition logic and uniform-consumption order of
-    simulate_b; one generator serves all replicates, each starting at the
-    uniform after the previous replicate's last.  A quiet replicate, whose
-    first holding time already exceeds dt, consumes that one uniform and
-    leaves its row at (0, 0).  Each block of uniforms is screened for quiet
-    starts at once (_busy_flags), and the event loop runs only from the busy
-    ones.  Used by the generator drift check.
+    Each replicate is a window of the scheme-B loop: a run over [0, dt] from
+    `initial` without a grid.  One generator serves all of them, each
+    starting at the uniform after the previous replicate's last.  A quiet
+    replicate, whose first holding time already exceeds dt, consumes that one
+    uniform and leaves its row at (0, 0).  Used by the generator drift check.
     """
     if dt <= 0.0:
         raise HorizonZero(f"dt must be > 0, got {dt}")
     validate_params(params, scheme="B")
     if isinstance(initial, tuple):
         initial = SystemState(y=initial[0], x=initial[1])
-    y0 = int(initial.y)
-    x0 = int(initial.x)
-    beta = params.beta
-    eps = params.epsilon
-    r = params.scale_r
-    thinning = arrival is not None and not arrival.is_constant
-    bound_rate = (params.lam if arrival is None else arrival.bound()) * r
-    bound = bound_rate / r if r else 0.0
-    gamma_int = int(params.gamma)
     out = np.zeros((n_replicates, 2), dtype=np.int64)
-    total0 = bound_rate + beta * x0 + eps * abs(y0)
-    if total0 <= 0.0:
-        return out  # no event can happen, so no uniform is drawn
-
-    gen = stream.generator()
-
-    def next_block():
-        block = gen.random(_BUF)
-        busy = _busy_flags(block, total0, dt)
-        busy.append(True)  # sentinel: the block's end
-        return block.tolist(), busy
-
-    buf, busy = next_block()
-    bi = 0
-    log = math.log
-    lam_fn = arrival
-    rows: list[int] = []
-    d_y: list[int] = []
-    d_x: list[int] = []
-    rep = 0  # the replicate whose first uniform is buf[bi]
-    while True:
-        start = busy.index(True, bi)
-        rep += start - bi
-        if rep >= n_replicates:
-            break
-        if start == _BUF:
-            buf, busy = next_block()
-            bi = 0
-            continue
-        bi = start
-        y = y0
-        x = x0
-        t = 0.0
-        while True:
-            acc = beta * x
-            fb = eps * (y if y > 0 else -y)
-            total = bound_rate + acc + fb
-            if total <= 0.0:
-                break
-            if bi >= _BUF:
-                buf, busy = next_block()
-                bi = 0
-            u = buf[bi]
-            bi += 1
-            t += -log(1.0 - u) / total
-            if t > dt:
-                break
-            if bi >= _BUF:
-                buf, busy = next_block()
-                bi = 0
-            pick = buf[bi] * total
-            bi += 1
-            if pick < bound_rate:
-                if thinning:
-                    lam_t = lam_fn(t)
-                    if lam_t > bound * (1.0 + 1e-9):
-                        raise ThinningBoundViolated(
-                            f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
-                    if bi >= _BUF:
-                        buf, busy = next_block()
-                        bi = 0
-                    keep = buf[bi] * bound < lam_t
-                    bi += 1
-                    if not keep:
-                        continue
-                y -= 1
-                x += gamma_int
-            elif pick < bound_rate + acc:
-                y += 1
-                x -= gamma_int if x >= gamma_int else x
-            elif x >= 1:
-                x += -1 if y > 0 else 1
-            elif y < 0:
-                x += 1
-        rows.append(rep)
-        d_y.append(y - y0)
-        d_x.append(x - x0)
-        rep += 1
-    out[rows, 0] = d_y
-    out[rows, 1] = d_x
+    _run_b(params, arrival, stream, horizon=dt, tg=math.inf, y=int(initial.y),
+           x=int(initial.x), n_reps=n_replicates, out=out)
     return out
 
 
@@ -600,8 +516,8 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
     budget = sampling.event_budget
     compiled = _run_compiled("run_a", arrival, thinning, stream, beta=beta, eps=eps,
                              beta_t=beta_t, gamma=gamma, bound_rate=bound_rate, bound=bound,
-                             horizon=horizon, dtg=dtg, n_grid=n_grid, ys=ys.ctypes.data,
-                             xs=xs.ctypes.data, tgts=tgts.ctypes.data, budget=budget,
+                             horizon=horizon, dtg=dtg, n_grid=n_grid, ys=ys, xs=xs,
+                             tgts=tgts, budget=budget,
                              logging=logging, target=target, y=y0, x=x0)
     if compiled is not None:
         n_events, truncated, logged = compiled

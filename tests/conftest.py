@@ -1,0 +1,29 @@
+"""The backend fixture: run a test on the compiled kernels or on the Python loops."""
+import shutil
+
+import pytest
+
+from invitesim import _native
+
+
+def over_backends(values, ids=None):
+    """(value, backend) params for parametrize(..., indirect=["backend"]).
+
+    Each value runs on the compiled kernels under its own id (given, or its
+    str) and on the Python loops under that id plus "-python".
+    """
+    ids = [str(v) for v in values] if ids is None else ids
+    return [pytest.param(v, b, id=i if b == "c" else f"{i}-python")
+            for v, i in zip(values, ids) for b in ("c", "python")]
+
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """"c": the compiled kernels, which must build; "python": the Python loops."""
+    if request.param == "python":
+        monkeypatch.setattr(_native, "_lib", None)
+    elif shutil.which(_native._CC) is None:
+        pytest.skip("no C compiler")
+    else:
+        assert _native.library() is not None
+    return request.param

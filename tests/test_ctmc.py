@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import over_backends
 from invitesim.acceptance import GENERATOR_STATES
 from invitesim.ctmc import (
     _BUF,
@@ -19,7 +20,6 @@ from invitesim.ctmc import (
     SystemState,
     ThinningBoundViolated,
     Trajectory,
-    _busy_flags,
     diffusion_scale,
     drift_replicates_b,
     fluid_scale,
@@ -193,7 +193,7 @@ def test_drift_replicates_match_single_runs():
 
 
 def _reference_drift_b(initial, params, dt, n_replicates, stream, arrival=None):
-    """drift_replicates_b as one plain event loop per replicate, no skipping."""
+    """drift_replicates_b as one plain event loop per replicate."""
     y0, x0 = initial
     bound_rate = (params.lam if arrival is None else arrival.bound()) * params.scale_r
     bound = bound_rate / params.scale_r
@@ -237,8 +237,8 @@ def _reference_drift_b(initial, params, dt, n_replicates, stream, arrival=None):
     return out
 
 
-@pytest.mark.parametrize("dt", [1e-4, 5e-3])
-def test_drift_replicates_match_reference_on_generator_states(dt):
+@pytest.mark.parametrize("dt, backend", over_backends([1e-4, 5e-3]), indirect=["backend"])
+def test_drift_replicates_match_reference_on_generator_states(dt, backend):
     # dt = 1e-4 leaves ~90% of the replicates quiet; 5e-3 gives ~5 events each
     for k, state in enumerate(GENERATOR_STATES):
         stream = RandomStream(71, (k,))
@@ -246,50 +246,36 @@ def test_drift_replicates_match_reference_on_generator_states(dt):
         assert np.array_equal(got, _reference_drift_b(state, BASE, dt, 2000, stream))
 
 
-@pytest.mark.parametrize("arrival", [
+@pytest.mark.parametrize("arrival, backend", over_backends([
     None,
     SinusoidArrival(1.0, 0.4, 4e-3),
     PiecewiseConstantArrival((3e-4, 7e-4), (1.0, 1.4, 0.3)),
-])
-def test_drift_replicates_match_reference_across_blocks(arrival):
+], ids=["None", "arrival1", "arrival2"]), indirect=["backend"])
+def test_drift_replicates_match_reference_across_blocks(arrival, backend):
     # more replicates than uniforms in a block, with multi-event windows, so
-    # refills fall inside busy replicates as well as between them
+    # refills fall inside windows as well as between them
     n = 70_000
     stream = RandomStream(72)
     got = drift_replicates_b((2, 5), BASE, 1e-3, n, stream, arrival=arrival)
     assert np.array_equal(got, _reference_drift_b((2, 5), BASE, 1e-3, n, stream, arrival))
 
 
+@pytest.mark.parametrize("backend", ["c", "python"], indirect=True)
+def test_drift_window_ends_where_no_event_is_enabled(backend):
+    # with no arrivals, an acceptance from (-1, 1) reaches (0, 0), where every
+    # rate is zero: that window ends there, mid-window, and the next one
+    # starts from (-1, 1) at the following uniform
+    arrival = ConstantArrival(0.0)
+    got = drift_replicates_b((-1, 1), BASE, 2.0, 2000, RandomStream(74), arrival=arrival)
+    assert np.array_equal(got, _reference_drift_b((-1, 1), BASE, 2.0, 2000,
+                                                  RandomStream(74), arrival))
+    assert (got == (1, -1)).all(axis=1).sum() > 100
+
+
 def test_drift_replicates_with_no_enabled_event():
     got = drift_replicates_b((0, 0), BASE, 0.5, 100, RandomStream(73),
                              arrival=ConstantArrival(0.0))
     assert got.shape == (100, 2) and not got.any()
-
-
-@pytest.mark.parametrize("total0, dt", [(1005.0, 1e-4), (3.0, 0.25), (1e-3, 1e-7)])
-def test_busy_flags_decide_at_the_cutoff(total0, dt):
-    """The quiet/busy screen agrees with the event loop's scalar test.
-
-    Candidates sit at nextafter steps either side of the cutoff, both in u and
-    in 1 - u (for a cutoff u near 1e-10 only steps in 1 - u change the holding
-    time), plus uniforms with dt set exactly at their own holding time and one
-    step below it, where np.log and math.log disagree for some of them.
-    """
-    u_lo = u_hi = -math.expm1(-total0 * dt)  # the holding time of this u is dt
-    w_lo = w_hi = 1.0 - u_lo
-    near = {u_lo}
-    for _ in range(20):
-        u_lo, u_hi = math.nextafter(u_lo, 0.0), math.nextafter(u_hi, 1.0)
-        w_lo, w_hi = math.nextafter(w_lo, 0.0), math.nextafter(w_hi, 1.0)
-        near |= {u_lo, u_hi, 1.0 - w_lo, 1.0 - w_hi}
-    block = np.array(sorted(near))
-    want = [-math.log(1.0 - u) / total0 <= dt for u in block.tolist()]
-    assert _busy_flags(block, total0, dt) == want
-    assert True in want and False in want
-    for u in np.random.default_rng(7).random(500).tolist():
-        hold = -math.log(1.0 - u) / total0
-        assert _busy_flags(np.array([u]), total0, hold) == [True]
-        assert _busy_flags(np.array([u]), total0, math.nextafter(hold, 0.0)) == [False]
 
 
 def test_thinning_bound_violation_detected():
@@ -300,7 +286,7 @@ def test_thinning_bound_violation_detected():
     arrival = LyingSinusoid(1.0, 0.2, 10.0)
     with pytest.raises(ThinningBoundViolated):
         simulate_b((0, 0), BASE, 10.0, RandomStream(3), arrival=arrival)
-    # in the drift audit the check sits on the busy replicates' event loop
+    # a drift window runs the same event loop, check included
     with pytest.raises(ThinningBoundViolated):
         drift_replicates_b((0, 0), BASE, 1e-4, 1000, RandomStream(3), arrival=arrival)
 

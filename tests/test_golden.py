@@ -8,7 +8,7 @@ transition changes a digest here.  Only integer arrays and `trajectory.csv`
 (integers plus `.10g` times and pure-Python targets) are hashed, so the pins
 do not depend on the numpy build.
 
-The preset and kernel pins hold on both backends of simulate_b and
+Every pin holds on both backends of simulate_b, drift_replicates_b and
 simulate_a: the compiled kernel (the default; ids without a suffix) and the
 Python loop (ids ending in -python).
 """
@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import over_backends
 from invitesim import _native, cli
 from invitesim.ctmc import (
     GridSpec,
@@ -30,20 +31,6 @@ from invitesim.ctmc import (
 )
 from invitesim.params import ModelParams, PiecewiseConstantArrival, SinusoidArrival
 from invitesim.presets import get_preset
-
-
-def _over_backends(names):
-    return [pytest.param(name, backend, id=name if backend == "c" else f"{name}-python")
-            for name in names for backend in ("c", "python")]
-
-
-def _use_backend(backend, monkeypatch):
-    if backend == "python":
-        monkeypatch.setattr(_native, "_lib", None)
-    elif shutil.which(_native._CC) is None:
-        pytest.skip("no C compiler")
-    else:
-        assert _native.library() is not None
 
 
 def _digest(*arrays) -> str:
@@ -79,9 +66,9 @@ PRESET_PINS = {  # sha256 of trajectory.csv, n_events
 }
 
 
-@pytest.mark.parametrize("name, backend", _over_backends(sorted(PRESET_HORIZON)))
+@pytest.mark.parametrize("name, backend", over_backends(sorted(PRESET_HORIZON)),
+                         indirect=["backend"])
 def test_preset_trajectory_pinned(name, backend, tmp_path, monkeypatch):
-    _use_backend(backend, monkeypatch)
     runs = []
     for fn in ("simulate_a", "simulate_b"):
         inner = getattr(cli, fn)
@@ -138,9 +125,9 @@ KERNEL_PINS = {  # n_events, logged, truncated, log digest, grid digest
 }
 
 
-@pytest.mark.parametrize("name, backend", _over_backends(sorted(KERNEL_RUNS)))
-def test_kernel_run_pinned(name, backend, monkeypatch):
-    _use_backend(backend, monkeypatch)
+@pytest.mark.parametrize("name, backend", over_backends(sorted(KERNEL_RUNS)),
+                         indirect=["backend"])
+def test_kernel_run_pinned(name, backend):
     _check_kernel_pin(name)
 
 
@@ -189,8 +176,9 @@ DRIFT_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DRIFT_RUNS))
-def test_drift_replicates_pinned(name):
+@pytest.mark.parametrize("name, backend", over_backends(sorted(DRIFT_RUNS)),
+                         indirect=["backend"])
+def test_drift_replicates_pinned(name, backend):
     state, params, dt, arrival, n, path = DRIFT_RUNS[name]
     out = drift_replicates_b(state, params, dt, n, RandomStream(61, (path,)),
                              arrival=arrival)

@@ -1,7 +1,7 @@
 """The compiled kernels against the Python loops they mirror.
 
-simulate_b and simulate_a run _kernel.c when it builds and their Python loops
-otherwise; both must give the same bits.  Setting `_native._lib` to None
+simulate_b, drift_replicates_b and simulate_a run _kernel.c when it builds
+and their Python loops otherwise; both must give the same bits.  Setting `_native._lib` to None
 forces the Python loop, the oracle here.
 """
 import concurrent.futures
@@ -18,6 +18,7 @@ from invitesim.ctmc import (
     RandomStream,
     SystemState,
     ThinningBoundViolated,
+    drift_replicates_b,
     simulate_a,
     simulate_b,
 )
@@ -78,7 +79,7 @@ def _fingerprint(traj):
 
 
 def _spy_compiled(monkeypatch) -> list:
-    """Record, per simulate_* call, whether the compiled kernel ran it."""
+    """Record, per kernel call, whether the compiled kernel ran it."""
     ran = []
     inner = ctmc._run_compiled
 
@@ -134,21 +135,31 @@ def test_compiled_log_crosses_chunks_and_blocks(budget, monkeypatch):
 
 
 @needs_cc
-@pytest.mark.parametrize("scheme", "AB")
-def test_compiled_resumes_at_every_draw(scheme, monkeypatch):
+@pytest.mark.parametrize("case", ["A", "B", "drift", "drift-thinned"])
+def test_compiled_resumes_at_every_draw(case, monkeypatch):
     # three-uniform blocks and seven-entry log chunks make every event's
     # draws (hold, pick, thin, round) run past a block end and every few
-    # events fill a chunk; the stream, and so the run, must not change
+    # events fill a chunk; in drift windows, the hold, pick and thin draws;
+    # the stream, and so the run, must not change
     monkeypatch.setattr(ctmc, "_BUF", 3)
     monkeypatch.setattr(ctmc, "_LOG_CHUNK", 7)
     params = ModelParams(lam=1.0, scale_r=30.0, beta=1.0, gamma=1.5, epsilon=0.2,
                          beta_tilde=1.0)
-    case = (scheme, params, SystemState(2, 30, x_target=30.5), 3.0,
-            ARRIVALS["sinusoid"], GridSpec(dt=0.1, record_events=True))
-    native, oracle = _both_backends(monkeypatch, lambda: _simulate(*case, RandomStream(5)))
+    if case in ("A", "B"):
+        sim = (case, params, SystemState(2, 30, x_target=30.5), 3.0,
+               ARRIVALS["sinusoid"], GridSpec(dt=0.1, record_events=True))
+
+        def run():
+            return _fingerprint(_simulate(*sim, RandomStream(5)))
+    else:
+        arrival = ARRIVALS["sinusoid"] if case == "drift-thinned" else None
+
+        def run():
+            return drift_replicates_b((2, 30), replace(params, gamma=2.0), 0.1, 300,
+                                      RandomStream(5), arrival=arrival).tolist()
+    native, oracle = _both_backends(monkeypatch, run)
     monkeypatch.undo()
-    assert _fingerprint(native) == _fingerprint(oracle) \
-        == _fingerprint(_simulate(*case, RandomStream(5)))
+    assert native == oracle == run()
 
 
 @needs_cc
