@@ -2,6 +2,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -186,6 +187,61 @@ def test_emit_plot_data_resamples_off_grid_reference(tmp_path):
     target = tmp_path / "tv.csv"
     warnings = emit_plot_data(target, scaled, ref)
     assert any("interpolation" in w for w in warnings)
+
+
+def _row_loop_overlay(path, sim, fluid=None, grid=None):
+    """The row-at-a-time overlay writer, kept as the byte reference."""
+    t = np.asarray(sim.t if grid is None else grid, dtype=float)
+    sim_vals = np.column_stack([sim.y, sim.x]) if grid is None else sim.eval_on(t)
+    if fluid is None:
+        header = "t,sim_y,sim_x"
+        cols = [t, sim_vals[:, 0], sim_vals[:, 1]]
+    else:
+        keep = t <= fluid.horizon * (1 + 1e-12)
+        t, sim_vals = t[keep], sim_vals[keep]
+        fluid_vals = fluid.eval_on(t)
+        header = "t,sim_y,sim_x,fluid_y,fluid_x"
+        cols = [t, sim_vals[:, 0], sim_vals[:, 1], fluid_vals[:, 0], fluid_vals[:, 1]]
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        for row in zip(*cols):
+            out.write(",".join(format(v + 0.0, ".10g") for v in row) + "\n")
+
+
+def _overlay_cases():
+    traj = _short_run()
+    scaled = fluid_scale(traj, SMALL)
+    arrival = SinusoidArrival(base=1.0, amplitude=0.2, period=7.0)
+    tv_traj = _short_run(horizon=6.0, dt=0.0375, arrival=arrival)
+    # integer columns, negative zeros, and values that .10g must round
+    t = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1e-11])
+    odd = SimpleNamespace(t=t, y=np.array([-0.0, 1.0, -2.5, 123456789012.5, 1 / 3]),
+                          x=np.array([3, -0, 12345678901, -7, 0]))
+    odd_fluid = SimpleNamespace(horizon=0.25, eval_on=lambda g: np.column_stack(
+        [-0.0 * g, np.pi * g - 0.0]))
+    return {
+        "raw-int": (traj, None, None),
+        "scaled": (scaled, None, None),
+        "aligned": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0), None),
+        "past-horizon": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=5.0), None),
+        "off-grid-tv": (fluid_scale(tv_traj, SMALL),
+                        solve_fluid_tv((0.0, 1.0), arrival, SMALL, horizon=6.0, dt=1e-2),
+                        None),
+        "grid": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0),
+                 np.linspace(0.0, 7.5, 41)),
+        "odd": (odd, None, None),
+        "odd-fluid": (odd, odd_fluid, None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_overlay_cases()))
+def test_emit_plot_data_bytes_match_row_loop(tmp_path, case):
+    sim, fluid, grid = _overlay_cases()[case]
+    emit_plot_data(tmp_path / "new.csv", sim, fluid, grid)
+    _row_loop_overlay(tmp_path / "old.csv", sim, fluid, grid)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b"-0," not in new and not new.endswith(b"-0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -378,6 +379,59 @@ def test_tv_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,y,x,segment_kind"
     assert lines[1].endswith("boundary")
+
+
+def _row_loop_fluid_csv(path, traj, dt):
+    """The row-at-a-time FluidTrajectory writer, kept as the byte reference."""
+    n = int(math.floor(traj.horizon / dt * (1 + 1e-12))) + 1
+    ts = np.arange(n) * dt
+    vals = traj.states(ts) + 0.0
+    kinds = traj.segment_kinds(ts)
+    with open(path, "w") as fh:
+        fh.write("t,y,x,segment_kind\n")
+        for i in range(n):
+            fh.write(f"{ts[i]:.10g},{vals[i, 0]:.12g},{vals[i, 1]:.12g},{kinds[i]}\n")
+
+
+def _row_loop_tv_csv(path, tv, every):
+    """The row-at-a-time TVFluidTrajectory writer, kept as the byte reference."""
+    with open(path, "w") as fh:
+        fh.write("t,y,x,segment_kind\n")
+        for i in range(0, len(tv.t), every):
+            kind = "boundary" if tv.on_floor[i] else "interior"
+            fh.write(f"{tv.t[i]:.10g},{tv.y[i] + 0.0:.12g},"
+                     f"{tv.x[i] + 0.0:.12g},{kind}\n")
+
+
+@pytest.mark.parametrize("initial,horizon,dt", [
+    ((18.0, -0.9), 50.0, 0.5),     # interior, slide, interior
+    ((18.0, -0.9), 50.0, 0.05),
+    ((0.0, 0.0), 3.0, 0.3),        # rests at the origin: zeros of either sign
+    ((1.0, 2.0), 7.0, 0.07),
+])
+def test_fluid_csv_bytes_match_row_loop(tmp_path, initial, horizon, dt):
+    traj = solve_fluid(initial, BASE, horizon=horizon)
+    traj.to_csv(tmp_path / "new.csv", dt=dt)
+    _row_loop_fluid_csv(tmp_path / "old.csv", traj, dt)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b",-0," not in new
+
+
+@pytest.mark.parametrize("every", [1, 3, 10])
+def test_tv_csv_bytes_match_row_loop(tmp_path, every):
+    arr = SinusoidArrival(base=1.0, amplitude=0.5, period=7.0)
+    tv = solve_fluid_tv((30.0, 0.0), arr, BASE, horizon=40.0, dt=1e-2)
+    assert tv.on_floor.any() and not tv.on_floor.all()
+    # negative zeros and values that .12g must round
+    y, x = tv.y.copy(), tv.x.copy()
+    y[1], x[2], y[3], x[4] = -0.0, -0.0, 1 / 3, -123456789012.345
+    for case, path in (("solved", tv), ("odd", replace(tv, y=y, x=x))):
+        path.to_csv(tmp_path / f"new-{case}.csv", every=every)
+        _row_loop_tv_csv(tmp_path / f"old-{case}.csv", path, every)
+        new = (tmp_path / f"new-{case}.csv").read_bytes()
+        assert new == (tmp_path / f"old-{case}.csv").read_bytes(), case
+        assert b",-0," not in new
 
 
 def test_tv_sinusoid_slide_then_liftoff_matches_hybrid_reference():
