@@ -18,6 +18,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field, replace
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -119,10 +120,12 @@ def emit_plot_data(path, sim, fluid=None, grid=None) -> list[str]:
         header = "t,sim_y,sim_x,fluid_y,fluid_x"
         cols = [t, sim_vals[:, 0], sim_vals[:, 1],
                 fluid_vals[:, 0], fluid_vals[:, 1]]
+    # + 0.0 drops negative zeros
+    cols = [(np.asarray(c, dtype=float) + 0.0).tolist() for c in cols]
+    row = ",".join(["{:.10g}"] * len(cols)) + "\n"
     with open(path, "w") as out:
         out.write(header + "\n")
-        for row in zip(*cols):
-            out.write(",".join(format(v + 0.0, ".10g") for v in row) + "\n")
+        out.writelines(starmap(row.format, zip(*cols)))
     return warnings
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from .params import (
     star_coords,
     validate_params,
 )
+
+# one fluid.csv row: t, y, x, segment_kind
+_FLUID_ROW = "{:.10g},{:.12g},{:.12g},{}\n"
 
 
 class FluidSolverError(InviteSimError):
@@ -135,11 +139,10 @@ class FluidTrajectory:
         n = int(math.floor(self.horizon / dt * (1 + 1e-12))) + 1
         ts = np.arange(n) * dt
         vals = self.states(ts) + 0.0  # drop negative zeros
-        kinds = self.segment_kinds(ts)
+        cols = [ts.tolist(), vals[:, 0].tolist(), vals[:, 1].tolist(), self.segment_kinds(ts)]
         with open(path, "w") as fh:
             fh.write("t,y,x,segment_kind\n")
-            for i in range(n):
-                fh.write(f"{ts[i]:.10g},{vals[i, 0]:.12g},{vals[i, 1]:.12g},{kinds[i]}\n")
+            fh.writelines(starmap(_FLUID_ROW.format, zip(*cols)))
 
 
 def interior_solution(initial, dt: float, spec: SpectralData) -> FluidState:
@@ -307,12 +310,13 @@ class TVFluidTrajectory:
         return self.states(grid)
 
     def to_csv(self, path, every: int = 1) -> None:
+        rows = slice(None, None, every)
+        cols = [self.t[rows].tolist(), (self.y[rows] + 0.0).tolist(),
+                (self.x[rows] + 0.0).tolist(),
+                np.where(self.on_floor[rows], "boundary", "interior").tolist()]
         with open(path, "w") as fh:
             fh.write("t,y,x,segment_kind\n")
-            for i in range(0, len(self.t), every):
-                kind = "boundary" if self.on_floor[i] else "interior"
-                fh.write(f"{self.t[i]:.10g},{self.y[i] + 0.0:.12g},"
-                         f"{self.x[i] + 0.0:.12g},{kind}\n")
+            fh.writelines(starmap(_FLUID_ROW.format, zip(*cols)))
 
 
 # evaluate the output grid this many points at a time, so the temporaries of
