@@ -62,12 +62,10 @@ from .diffusion import (
     DiffusionState,
     MomentPath,
     MomentState,
-    SDEPath,
     gaussian_transient,
     lyapunov_residual,
     moment_ode,
     noise_vector,
-    simulate_sde,
     simulate_sde_ensemble,
     stationary_covariance,
 )

@@ -4,7 +4,12 @@ covariance.
 
 The pair (y_hat, x_hat) drifts by the same matrix as the fluid interior and
 is kicked by a single Brownian motion entering both components, so the noise
-parts of any increment satisfy dx_noise = -gamma * dy_noise exactly.
+parts of any increment satisfy dx_noise = -gamma * dy_noise exactly.  The
+SDE is an Ornstein-Uhlenbeck process: its transition over any interval is
+Gaussian with a closed-form mean and covariance, which moment_ode evaluates
+on a grid and simulate_sde_ensemble samples exactly between record times
+(Gillespie 1996).  No integrator runs here; the Euler ensemble that checks
+these closed forms lives with the sde-ode acceptance suite.
 """
 from __future__ import annotations
 
@@ -82,70 +87,40 @@ class MomentState:
             raise NonSymmetricV0(f"covariance not positive semidefinite: {V!r}")
 
 
-@dataclass(frozen=True)
-class SDEPath:
-    t: np.ndarray
-    y: np.ndarray
-    x: np.ndarray
-    dt: float
-    params: ModelParams
-    noise_scale: float
+def _transition(params: ModelParams, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact transition of the linear SDE over elapsed time s: from u the
+    state moves to u E + N(0, Sigma), with E = e^{As} and Sigma the
+    covariance reached from V0 = 0 (Van Loan 1978).
 
-    def eval_on(self, grid) -> np.ndarray:
-        grid = np.asarray(grid, dtype=float)
-        out = np.empty((grid.size, 2))
-        out[:, 0] = np.interp(grid, self.t, self.y)
-        out[:, 1] = np.interp(grid, self.t, self.x)
-        return out
-
-    def to_csv(self, path, every: int = 1) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,y_hat,x_hat\n")
-            for i in range(0, len(self.t), every):
-                fh.write(f"{self.t[i]:.10g},{self.y[i]:.12g},{self.x[i]:.12g}\n")
-
-
-def simulate_sde(initial, params: ModelParams, horizon: float, stream: RandomStream,
-                 dt: float = 1e-3, noise_scale: float = 1.0) -> SDEPath:
-    """Euler step for the linear pair; one Gaussian draw drives both
-    components, so the x noise is exactly -gamma times the y noise.
-
-    noise_scale rescales the diffusion coefficient only (0 gives the drift
-    ODE; used to test the integrator order separately from the noise).
+    With the eigen-rows v_i (v_i A = -nu_i v_i) stacked in W,
+    E = W^{-1} diag(e^{-nu s}) W and
+    Sigma = sum_ij C_ij (1 - e^{-(nu_i + nu_j) s}) v_i^T v_j with
+    C = W^{-T} V_inf W^{-1}, the form of _moments_at from V0 = 0.  expm1
+    keeps Sigma accurate for s small next to 1/nu_2, where
+    V_inf - E^T V_inf E would cancel to rounding noise.
     """
-    validate_params(params, scheme="A")
-    if dt <= 0.0 or horizon <= 0.0:
-        raise DiffusionError("horizon and dt must be > 0")
-    y0, x0 = (initial.y_hat, initial.x_hat) if isinstance(initial, DiffusionState) \
-        else (float(initial[0]), float(initial[1]))
-    beta, gamma, eps = params.beta, params.gamma, params.epsilon
-    s1 = -math.sqrt(2.0 * params.lam) * noise_scale
-    n = int(round(horizon / dt))
-    if abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise DiffusionError(f"horizon {horizon} is not a multiple of dt {dt}")
-    gen = stream.generator()
-    xi = gen.standard_normal(n) * math.sqrt(dt) if noise_scale != 0.0 else np.zeros(n)
-    ys = np.empty(n + 1)
-    xs = np.empty(n + 1)
-    ys[0], xs[0] = y0, x0
-    y, x = y0, x0
-    for k in range(n):
-        ny = s1 * xi[k]
-        nx = -gamma * ny
-        y, x = (y + beta * x * dt + ny,
-                x + (-eps * y - gamma * beta * x) * dt + nx)
-        ys[k + 1] = y
-        xs[k + 1] = x
-    return SDEPath(t=np.arange(n + 1) * dt, y=ys, x=xs, dt=dt, params=params,
-                   noise_scale=noise_scale)
+    spec = spectral_decompose(params)
+    w, w_inv = spec.basis, spec.basis_inv
+    nu = np.array([spec.nu1, spec.nu2])
+    c_inf = w_inv.T @ stationary_covariance(params) @ w_inv
+    E = (w_inv * np.exp(-nu * s)) @ w
+    sigma = w.T @ (c_inf * -np.expm1(-np.add.outer(nu, nu) * s)) @ w
+    sigma[1, 0] = sigma[0, 1]  # exact symmetry
+    return E, sigma
 
 
 def simulate_sde_ensemble(initial, params: ModelParams, horizon: float,
                           stream: RandomStream, n_paths: int, dt: float = 1e-3,
-                          record_times=None, noise_scale: float = 1.0) -> np.ndarray:
-    """Vectorized Euler ensemble; returns states of shape (len(record_times),
-    n_paths, 2).  Record times must sit on the step grid; default is the
-    horizon alone.
+                          record_times=None) -> np.ndarray:
+    """Independent paths of the linear SDE sampled exactly at the record
+    times; returns states of shape (len(record_times), n_paths, 2).
+
+    Between consecutive distinct record times the paths take the exact
+    Gaussian transition (see _transition): one (n_paths, 2) normal draw per
+    interval, with the square root of the covariance from eigh, clamped at
+    0 since the noise is rank 1 to first order in the interval.  dt only
+    defines the grid 0, dt, ..., horizon that the record times (default:
+    the horizon alone) must sit on.  Repeated record times get equal states.
     """
     validate_params(params, scheme="A")
     if dt <= 0.0 or horizon <= 0.0 or n_paths <= 0:
@@ -159,27 +134,22 @@ def simulate_sde_ensemble(initial, params: ModelParams, horizon: float,
         if abs(k * dt - rt) > 1e-9 * max(1.0, rt) or not 0 <= k <= n:
             raise DiffusionError(f"record time {rt} not on the step grid")
         record_steps.append(k)
+    steps, order = np.unique(record_steps, return_inverse=True)
     y0, x0 = (initial.y_hat, initial.x_hat) if isinstance(initial, DiffusionState) \
         else (float(initial[0]), float(initial[1]))
-    beta, gamma, eps = params.beta, params.gamma, params.epsilon
-    s1 = -math.sqrt(2.0 * params.lam) * noise_scale
     gen = stream.generator()
-    y = np.full(n_paths, y0)
-    x = np.full(n_paths, x0)
-    out = np.empty((len(record_steps), n_paths, 2))
-    rec = {k: i for i, k in enumerate(record_steps)}
-    if 0 in rec:
-        out[rec[0], :, 0] = y
-        out[rec[0], :, 1] = x
-    sq = math.sqrt(dt)
-    for k in range(n):
-        ny = (s1 * sq) * gen.standard_normal(n_paths)
-        y, x = (y + (beta * dt) * x + ny,
-                x - (eps * dt) * y - (gamma * beta * dt) * x - gamma * ny)
-        if k + 1 in rec:
-            out[rec[k + 1], :, 0] = y
-            out[rec[k + 1], :, 1] = x
-    return out
+    state = np.full((n_paths, 2), (y0, x0))
+    out = np.empty((len(steps), n_paths, 2))
+    prev = 0
+    for i, k in enumerate(steps):
+        if k > prev:
+            E, sigma = _transition(params, (k - prev) * dt)
+            ev, q = np.linalg.eigh(sigma)
+            root = q * np.sqrt(np.maximum(ev, 0.0))
+            state = state @ E + gen.standard_normal((n_paths, 2)) @ root.T
+            prev = k
+        out[i] = state
+    return out[order]
 
 
 @dataclass(frozen=True)

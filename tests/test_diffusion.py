@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from invitesim.acceptance import _euler_ensemble
 from invitesim.ctmc import RandomStream
 from invitesim.diffusion import (
     DiffusionError,
     DiffusionState,
     MomentState,
     NonSymmetricV0,
+    _transition,
     gaussian_transient,
     lyapunov_residual,
     moment_ode,
     noise_vector,
-    simulate_sde,
     simulate_sde_ensemble,
     stationary_covariance,
 )
@@ -169,14 +170,22 @@ def test_moment_ode_closed_form_matches_rk4():
             assert np.abs(direct.V - path.V[k]).max() <= 1e-12
 
 
+def _euler_path(initial, horizon, stream, dt, noise_scale=1.0):
+    """One Euler path of the sde-ode reference, recorded at every step."""
+    n = int(round(horizon / dt))
+    states = _euler_ensemble(initial, BASE, horizon=horizon, stream=stream, n_paths=1,
+                             dt=dt, record_times=np.arange(n + 1) * dt,
+                             noise_scale=noise_scale)
+    return states[:, 0, 0], states[:, 0, 1]
+
+
 def test_sde_drift_only_matches_linear_ode():
     stream = RandomStream(seed=5)
     truth = interior_solution(FluidState(0.0, 2.0), 5.0, SPEC)
 
     def terminal_error(dt):
-        p = simulate_sde(DiffusionState(0.0, 2.0), BASE, horizon=5.0,
-                         stream=stream, dt=dt, noise_scale=0.0)
-        return math.hypot(p.y[-1] - truth.y, p.x[-1] - truth.x)
+        y, x = _euler_path(DiffusionState(0.0, 2.0), 5.0, stream, dt, noise_scale=0.0)
+        return math.hypot(y[-1] - truth.y, x[-1] - truth.x)
 
     e_coarse = terminal_error(4e-3)
     e_fine = terminal_error(2e-3)
@@ -186,34 +195,92 @@ def test_sde_drift_only_matches_linear_ode():
 
 
 def test_sde_noise_parts_perfectly_correlated():
-    stream = RandomStream(seed=9)
-    p = simulate_sde(DiffusionState(0.3, -0.2), BASE, horizon=2.0, stream=stream,
-                     dt=1e-2)
-    dt = p.dt
-    ny = p.y[1:] - p.y[:-1] - BASE.beta * p.x[:-1] * dt
-    nx = p.x[1:] - p.x[:-1] + (BASE.epsilon * p.y[:-1]
-                               + BASE.gamma * BASE.beta * p.x[:-1]) * dt
+    dt = 1e-2
+    y, x = _euler_path(DiffusionState(0.3, -0.2), 2.0, RandomStream(seed=9), dt)
+    ny = y[1:] - y[:-1] - BASE.beta * x[:-1] * dt
+    nx = x[1:] - x[:-1] + (BASE.epsilon * y[:-1] + BASE.gamma * BASE.beta * x[:-1]) * dt
     assert np.abs(nx + BASE.gamma * ny).max() <= 1e-12
     assert np.abs(ny).max() > 0.0
 
 
 def test_sde_reproducible_and_stream_sensitive():
-    a = simulate_sde(DiffusionState(0.0, 0.0), BASE, 1.0, RandomStream(seed=3), dt=1e-2)
-    b = simulate_sde(DiffusionState(0.0, 0.0), BASE, 1.0, RandomStream(seed=3), dt=1e-2)
-    c = simulate_sde(DiffusionState(0.0, 0.0), BASE, 1.0, RandomStream(seed=3).child(1),
-                     dt=1e-2)
-    assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
-    assert not np.array_equal(a.y, c.y)
+    a = _euler_path(DiffusionState(0.0, 0.0), 1.0, RandomStream(seed=3), 1e-2)
+    b = _euler_path(DiffusionState(0.0, 0.0), 1.0, RandomStream(seed=3), 1e-2)
+    c = _euler_path(DiffusionState(0.0, 0.0), 1.0, RandomStream(seed=3).child(1), 1e-2)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_sde_rejects_off_grid_horizon():
     with pytest.raises(DiffusionError):
-        simulate_sde(DiffusionState(0.0, 0.0), BASE, horizon=1.0005,
-                     stream=RandomStream(seed=1), dt=1e-3)
+        _euler_ensemble(DiffusionState(0.0, 0.0), BASE, horizon=1.0005,
+                        stream=RandomStream(seed=1), n_paths=1, dt=1e-3)
     with pytest.raises(DiffusionError):
+        simulate_sde_ensemble(DiffusionState(0.0, 0.0), BASE, horizon=1.0005,
+                              stream=RandomStream(seed=1), n_paths=10, dt=1e-3)
+    with pytest.raises(DiffusionError, match="not on the step grid"):
         simulate_sde_ensemble(DiffusionState(0.0, 0.0), BASE, horizon=1.0,
                               stream=RandomStream(seed=1), n_paths=10,
                               record_times=[0.50049], dt=1e-3)
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _van_loan_covariance(params, s):
+    """Covariance reached from 0 over time s by the block exponential of
+    Van Loan (1978), in the column form du = A^T u dt + sigma^T dW."""
+    F = drift_matrix(params).T
+    sig = noise_vector(params)
+    block = expm(np.block([[-F, np.outer(sig, sig)], [np.zeros((2, 2)), F.T]]) * s)
+    return block[2:, 2:].T @ block[:2, 2:]
+
+
+def test_transition_mean_map_matches_expm():
+    rng = np.random.default_rng(41)
+    for p in [BASE] + [_random_params(rng) for _ in range(5)]:
+        A = drift_matrix(p)
+        for s in (1e-6, 0.5, 5.0):
+            E, _ = _transition(p, s)
+            assert _rel(E, expm(A * s)) <= 1e-12, (p, s)
+
+
+def test_transition_covariance_matches_van_loan():
+    # the block exponential holds e^{+nu s} next to e^{-nu s} and loses
+    # digits as s grows, so past s = 1 the reference is the stationary form
+    # V_inf - E^T V_inf E, which is accurate once s is not small
+    rng = np.random.default_rng(43)
+    for p in [BASE] + [_random_params(rng) for _ in range(5)]:
+        for s in (1e-6, 1e-3, 0.5, 1.0):
+            _, sigma = _transition(p, s)
+            assert _rel(sigma, _van_loan_covariance(p, s)) <= 1e-10, (p, s)
+        v_inf = stationary_covariance(p)
+        for s in (2.0, 5.0):
+            _, sigma = _transition(p, s)
+            E = expm(drift_matrix(p) * s)
+            assert _rel(sigma, v_inf - E.T @ v_inf @ E) <= 1e-10, (p, s)
+
+
+def test_transition_covariance_over_a_short_interval():
+    # the noise is rank 1, so Sigma(s) ~ s sigma^T sigma is singular to
+    # first order; its clamped eigenvalues stay PSD
+    s = 1e-6
+    _, sigma = _transition(BASE, s)
+    assert sigma[0, 1] == sigma[1, 0]
+    ev = np.linalg.eigvalsh(sigma)
+    assert ev.min() >= -1e-12 * ev.max()
+    sig = noise_vector(BASE)
+    assert _rel(sigma / s, np.outer(sig, sig)) <= 1e-5
+
+
+def test_transition_chapman_kolmogorov():
+    V0 = np.array([[0.7, -0.2], [-0.2, 1.3]])
+    path = moment_ode(np.array([0.3, -0.1]), V0, BASE, horizon=5.0, dt=1e-3)
+    E, sigma = _transition(BASE, 4.0)
+    V1, V5 = path.at(1.0).V, path.at(5.0).V
+    assert np.abs(E.T @ V1 @ E + sigma - V5).max() <= 1e-12
+    assert np.abs(path.at(1.0).m @ E - path.at(5.0).m).max() <= 1e-12
 
 
 def test_ensemble_moments_match_moment_ode():
@@ -243,6 +310,23 @@ def test_ensemble_reproducible():
     b = simulate_sde_ensemble(stream=RandomStream(seed=8), **kw)
     assert np.array_equal(a, b)
     assert np.all(a[0] == 0.0)
+
+
+def test_ensemble_repeated_record_times_share_one_state():
+    states = simulate_sde_ensemble(DiffusionState(0.5, -0.25), BASE, horizon=1.0,
+                                   stream=RandomStream(seed=8), n_paths=256,
+                                   record_times=[0.5, 0.5, 1.0])
+    assert np.isfinite(states).all()
+    assert np.array_equal(states[0], states[1])
+    assert not np.array_equal(states[1], states[2])
+
+
+def test_ensemble_record_order_only_permutes():
+    kw = dict(initial=DiffusionState(0.5, -0.25), params=BASE, horizon=2.0,
+              n_paths=256, dt=1e-3)
+    fwd = simulate_sde_ensemble(stream=RandomStream(seed=8), record_times=[0.5, 2.0], **kw)
+    rev = simulate_sde_ensemble(stream=RandomStream(seed=8), record_times=[2.0, 0.5], **kw)
+    assert np.array_equal(rev, fwd[::-1])
 
 
 def test_moment_path_interp_and_csv(tmp_path):
