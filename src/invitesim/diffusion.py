@@ -139,17 +139,18 @@ def simulate_sde_ensemble(initial, params: ModelParams, horizon: float,
         else (float(initial[0]), float(initial[1]))
     gen = stream.generator()
     state = np.full((n_paths, 2), (y0, x0))
-    out = np.empty((len(steps), n_paths, 2))
+    out = np.empty((len(record_steps), n_paths, 2))
     prev = 0
     for i, k in enumerate(steps):
         if k > prev:
             E, sigma = _transition(params, (k - prev) * dt)
             ev, q = np.linalg.eigh(sigma)
             root = q * np.sqrt(np.maximum(ev, 0.0))
-            state = state @ E + gen.standard_normal((n_paths, 2)) @ root.T
+            state = state @ E
+            state += gen.standard_normal((n_paths, 2)) @ root.T
             prev = k
-        out[i] = state
-    return out[order]
+        out[order == i] = state
+    return out
 
 
 @dataclass(frozen=True)

@@ -313,7 +313,7 @@ class TVFluidTrajectory:
         rows = slice(None, None, every)
         cols = [self.t[rows].tolist(), (self.y[rows] + 0.0).tolist(),
                 (self.x[rows] + 0.0).tolist(),
-                np.where(self.on_floor[rows], "boundary", "interior").tolist()]
+                ["boundary" if f else "interior" for f in self.on_floor[rows].tolist()]]
         with open(path, "w") as fh:
             fh.write("t,y,x,segment_kind\n")
             fh.writelines(starmap(_FLUID_ROW.format, zip(*cols)))
