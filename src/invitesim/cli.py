@@ -27,7 +27,7 @@ from . import __version__
 from .acceptance import ALL_CRITERIA, run_suites
 from .ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_a, simulate_b
 from .diffusion import moment_ode
-from .fluid import solve_fluid, solve_fluid_tv
+from .fluid import _CSV_ROWS, solve_fluid, solve_fluid_tv
 from .params import InviteSimError
 from .presets import ConfigInvalid, ExperimentConfig, config_from_json, get_preset, presets
 from .stats import scale_sweep, stationary_moments, sup_deviation, gaussian_check
@@ -120,12 +120,15 @@ def emit_plot_data(path, sim, fluid=None, grid=None) -> list[str]:
         header = "t,sim_y,sim_x,fluid_y,fluid_x"
         cols = [t, sim_vals[:, 0], sim_vals[:, 1],
                 fluid_vals[:, 0], fluid_vals[:, 1]]
-    # + 0.0 drops negative zeros
-    cols = [(np.asarray(c, dtype=float) + 0.0).tolist() for c in cols]
     row = ",".join(["{:.10g}"] * len(cols)) + "\n"
     with open(path, "w") as out:
         out.write(header + "\n")
-        out.writelines(starmap(row.format, zip(*cols)))
+        # a block of rows at a time, so few Python floats are alive at once
+        for a in range(0, len(t), _CSV_ROWS):
+            # + 0.0 drops negative zeros
+            block = [(np.asarray(c[a:a + _CSV_ROWS], dtype=float) + 0.0).tolist()
+                     for c in cols]
+            out.writelines(starmap(row.format, zip(*block)))
     return warnings
 
 

@@ -35,8 +35,9 @@ from .params import (
     validate_params,
 )
 
-# one fluid.csv row: t, y, x, segment_kind
-_FLUID_ROW = "{:.10g},{:.12g},{:.12g},{}\n"
+# rows formatted per block of a CSV writer, so few Python floats are alive
+# at once
+_CSV_ROWS = 2048
 
 
 class FluidSolverError(InviteSimError):
@@ -138,11 +139,19 @@ class FluidTrajectory:
     def to_csv(self, path, dt: float = 0.05) -> None:
         n = int(math.floor(self.horizon / dt * (1 + 1e-12))) + 1
         ts = np.arange(n) * dt
-        vals = self.states(ts) + 0.0  # drop negative zeros
-        cols = [ts.tolist(), vals[:, 0].tolist(), vals[:, 1].tolist(), self.segment_kinds(ts)]
-        with open(path, "w") as fh:
-            fh.write("t,y,x,segment_kind\n")
-            fh.writelines(starmap(_FLUID_ROW.format, zip(*cols)))
+        vals = self.states(ts)
+        _write_fluid_csv(path, ts, vals[:, 0], vals[:, 1], self.segment_kinds(ts))
+
+
+def _write_fluid_csv(path, t, y, x, kinds) -> None:
+    """fluid.csv from the arrays t, y, x and a list of segment kinds."""
+    with open(path, "w") as fh:
+        fh.write("t,y,x,segment_kind\n")
+        for a in range(0, len(t), _CSV_ROWS):
+            b = slice(a, a + _CSV_ROWS)
+            # + 0.0 drops negative zeros
+            fh.writelines(starmap("{:.10g},{:.12g},{:.12g},{}\n".format, zip(
+                t[b].tolist(), (y[b] + 0.0).tolist(), (x[b] + 0.0).tolist(), kinds[b])))
 
 
 def interior_solution(initial, dt: float, spec: SpectralData) -> FluidState:
@@ -311,12 +320,8 @@ class TVFluidTrajectory:
 
     def to_csv(self, path, every: int = 1) -> None:
         rows = slice(None, None, every)
-        cols = [self.t[rows].tolist(), (self.y[rows] + 0.0).tolist(),
-                (self.x[rows] + 0.0).tolist(),
-                ["boundary" if f else "interior" for f in self.on_floor[rows].tolist()]]
-        with open(path, "w") as fh:
-            fh.write("t,y,x,segment_kind\n")
-            fh.writelines(starmap(_FLUID_ROW.format, zip(*cols)))
+        kinds = ["boundary" if f else "interior" for f in self.on_floor[rows].tolist()]
+        _write_fluid_csv(path, self.t[rows], self.y[rows], self.x[rows], kinds)
 
 
 # evaluate the output grid this many points at a time, so the temporaries of

@@ -229,6 +229,8 @@ def _overlay_cases():
                         None),
         "grid": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0),
                  np.linspace(0.0, 7.5, 41)),
+        "long": (fluid_scale(_short_run(horizon=120.0), SMALL),  # 2 401 rows
+                 solve_fluid((0.0, 0.0), SMALL, horizon=120.0), None),
         "odd": (odd, None, None),
         "odd-fluid": (odd, odd_fluid, None),
     }

@@ -405,7 +405,7 @@ def _row_loop_tv_csv(path, tv, every):
 
 @pytest.mark.parametrize("initial,horizon,dt", [
     ((18.0, -0.9), 50.0, 0.5),     # interior, slide, interior
-    ((18.0, -0.9), 50.0, 0.05),
+    ((18.0, -0.9), 50.0, 0.02),    # 2 501 rows: more than one block
     ((0.0, 0.0), 3.0, 0.3),        # rests at the origin: zeros of either sign
     ((1.0, 2.0), 7.0, 0.07),
 ])
