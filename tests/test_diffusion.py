@@ -252,7 +252,7 @@ def test_transition_covariance_matches_van_loan():
     # V_inf - E^T V_inf E, which is accurate once s is not small
     rng = np.random.default_rng(43)
     for p in [BASE] + [_random_params(rng) for _ in range(5)]:
-        for s in (1e-6, 1e-3, 0.5, 1.0):
+        for s in (1e-9, 1e-6, 1e-3, 0.5, 1.0):
             _, sigma = _transition(p, s)
             assert _rel(sigma, _van_loan_covariance(p, s)) <= 1e-10, (p, s)
         v_inf = stationary_covariance(p)
