@@ -246,6 +246,42 @@ def test_emit_plot_data_bytes_match_row_loop(tmp_path, case):
     assert b"-0," not in new and not new.endswith(b"-0\n")
 
 
+def _row_loop_target_gap(path, traj, scale_r):
+    """The row-at-a-time target_gap.csv writer, kept as the byte reference."""
+    with open(path, "w") as fh:
+        fh.write("t,scaled_gap\n")
+        gap = np.abs(traj.x - traj.x_target) / scale_r
+        for tv, gv in zip(traj.t, gap):
+            fh.write(f"{tv:.10g},{gv:.10g}\n")
+
+
+@pytest.mark.parametrize("n", [None, 0, 1, 2048, 2049])
+def test_target_gap_bytes_match_row_loop(tmp_path, monkeypatch, n):
+    # n=None is the simulated run; otherwise hand-made columns of n rows,
+    # either side of the writers' block edge, go through the same cli.run
+    params = replace(SMALL, beta_tilde=1.0)
+    cfg = small_config(scheme="A", initial=(0, 0, 50.0), params=params,
+                       horizon=5.0, outputs=("trajectory",))
+    traj = cli.simulate_a(SystemState(0, 0, x_target=50.0), params, horizon=5.0,
+                          stream=RandomStream(seed=cfg.seed),
+                          sampling=GridSpec(dt=cfg.grid_dt))
+    if n is not None:
+        rng = np.random.default_rng(n)
+        t = np.arange(n) * 0.05
+        t[1:2] = 1e-11
+        x = rng.integers(0, 10**12, n)
+        x_target = x + rng.normal(0.0, 1e3, n)
+        x_target[2:3] = x[2:3]  # a zero gap
+        traj = replace(traj, t=t, y=np.zeros(n, dtype=np.int64), x=x,
+                       x_target=x_target)
+        monkeypatch.setattr(cli, "simulate_a", lambda *args, **kwargs: traj)
+    run(cfg, tmp_path / "run")
+    _row_loop_target_gap(tmp_path / "old.csv", traj, params.scale_r)
+    new = (tmp_path / "run" / "target_gap.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\n") == 1 + len(traj.t)
+
+
 # ---------------------------------------------------------------------------
 # command-line surface
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from invitesim.ctmc import RandomStream
 from invitesim.diffusion import (
     DiffusionError,
     DiffusionState,
+    MomentPath,
     MomentState,
     NonSymmetricV0,
     _transition,
@@ -341,6 +342,45 @@ def test_moment_path_interp_and_csv(tmp_path):
     assert len(lines) == 1 + math.ceil(201 / 10)
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 1.0, 0.0, 0.5, -1.0, 2.1]
+
+
+def _row_loop_moments_csv(path, mp, every):
+    """The row-at-a-time MomentPath writer, kept as the byte reference."""
+    with open(path, "w") as fh:
+        fh.write("t,m1,m2,V11,V12,V22\n")
+        for i in range(0, len(mp.t), every):
+            fh.write(f"{mp.t[i]:.10g},{mp.m[i, 0]:.12g},{mp.m[i, 1]:.12g},"
+                     f"{mp.V[i, 0, 0]:.12g},{mp.V[i, 0, 1]:.12g},"
+                     f"{mp.V[i, 1, 1]:.12g}\n")
+
+
+def _moment_path_cases():
+    cases = {"solved": moment_ode(np.array([1.0, -0.5]), np.zeros((2, 2)), BASE,
+                                  horizon=3.0, dt=1e-2)}
+    # hand-made columns: no rows, and either side of the writers' block edge
+    for n in (0, 2048, 2049):
+        rng = np.random.default_rng(n)
+        m = rng.normal(0.0, 1e3, (n, 2))
+        V = rng.normal(0.0, 1.0, (n, 2, 2)) / 3
+        if n:
+            # negative zeros, which these files keep, and values .12g must round
+            m[0, 0], V[1, 0, 1], V[2, 1, 1], m[3, 1] = -0.0, -0.0, -0.0, 123456789012.345
+        cases[f"rows-{n}"] = MomentPath(t=np.arange(n) * 1e-3, m=m, V=V, dt=1e-3,
+                                        params=BASE)
+    return cases
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("case", list(_moment_path_cases()))
+def test_moment_csv_bytes_match_row_loop(tmp_path, case, every):
+    path = _moment_path_cases()[case]
+    path.to_csv(tmp_path / "new.csv", every=every)
+    _row_loop_moments_csv(tmp_path / "old.csv", path, every)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\n") == 1 + len(range(0, len(path.t), every))
+    if case == "rows-2049":
+        assert new.startswith(b"t,m1,m2,V11,V12,V22\n0,-0,")
 
 
 def test_gaussian_transient_endpoints():

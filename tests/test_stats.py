@@ -12,6 +12,8 @@ from invitesim.stats import (
     GridOutsideHorizon,
     InsufficientData,
     StatsError,
+    SweepRow,
+    SweepTable,
     batch_means,
     gaussian_check,
     generator_drift_check,
@@ -205,6 +207,45 @@ def test_scale_sweep_single_replication_has_no_std(tmp_path):
     table.to_csv(out)
     row = out.read_text().strip().split("\n")[1].split(",")
     assert row[2] == ""
+
+
+def _row_loop_sweep_csv(path, table):
+    """The row-at-a-time SweepTable writer, kept as the byte reference."""
+    with open(path, "w") as fh:
+        fh.write("r,mean_dev,std_dev,n\n")
+        for row in table.rows:
+            sd = "" if math.isnan(row.std_dev) else f"{row.std_dev:.12g}"
+            fh.write(f"{row.r:.10g},{row.mean_dev:.12g},{sd},{row.n}\n")
+
+
+def _sweep_table_cases():
+    cases = {"swept": scale_sweep([50, 100], lambda r: (0, 0), BASE, horizon=3.0,
+                                  replications=2, stream=RandomStream(seed=6))}
+    # hand-made rows: none, and either side of the writers' block edge
+    for n in (0, 2048, 2049):
+        rng = np.random.default_rng(n)
+        rows = [SweepRow(r=float(r), mean_dev=float(m), std_dev=float(s), n=int(k), devs=())
+                for r, m, s, k in zip(np.arange(1, n + 1) * 12.5, rng.normal(0, 1, n) / 3,
+                                      rng.exponential(1e3, n), rng.integers(1, 10**12, n))]
+        if n:
+            # a single replication (NaN), negative zeros, and values .12g must round
+            rows[0] = SweepRow(r=1e-11, mean_dev=-0.0, std_dev=float("nan"), n=1, devs=())
+            rows[1] = SweepRow(r=123456789012.5, mean_dev=123456789012.345,
+                               std_dev=-0.0, n=2, devs=())
+        cases[f"rows-{n}"] = SweepTable(rows=tuple(rows), monotone_decreasing=False)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_sweep_table_cases()))
+def test_sweep_csv_bytes_match_row_loop(tmp_path, case):
+    table = _sweep_table_cases()[case]
+    table.to_csv(tmp_path / "new.csv")
+    _row_loop_sweep_csv(tmp_path / "old.csv", table)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\n") == 1 + len(table.rows)
+    if case == "rows-2049":
+        assert new.startswith(b"r,mean_dev,std_dev,n\n1e-11,-0,,1\n")
 
 
 def test_scale_sweep_devs_match_independent_runs():
