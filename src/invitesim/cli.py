@@ -18,16 +18,16 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from itertools import starmap
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._csv import write_columns
 from .acceptance import ALL_CRITERIA, run_suites
 from .ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_a, simulate_b
 from .diffusion import moment_ode
-from .fluid import _CSV_ROWS, solve_fluid, solve_fluid_tv
+from .fluid import solve_fluid, solve_fluid_tv
 from .params import InviteSimError
 from .presets import ConfigInvalid, ExperimentConfig, config_from_json, get_preset, presets
 from .stats import scale_sweep, stationary_moments, sup_deviation, gaussian_check
@@ -120,15 +120,8 @@ def emit_plot_data(path, sim, fluid=None, grid=None) -> list[str]:
         header = "t,sim_y,sim_x,fluid_y,fluid_x"
         cols = [t, sim_vals[:, 0], sim_vals[:, 1],
                 fluid_vals[:, 0], fluid_vals[:, 1]]
-    row = ",".join(["{:.10g}"] * len(cols)) + "\n"
-    with open(path, "w") as out:
-        out.write(header + "\n")
-        # a block of rows at a time, so few Python floats are alive at once
-        for a in range(0, len(t), _CSV_ROWS):
-            # + 0.0 drops negative zeros
-            block = [(np.asarray(c[a:a + _CSV_ROWS], dtype=float) + 0.0).tolist()
-                     for c in cols]
-            out.writelines(starmap(row.format, zip(*block)))
+    # + 0.0 drops negative zeros
+    write_columns(path, header, ",".join(["{:.10g}"] * len(cols)), [c + 0.0 for c in cols])
     return warnings
 
 
@@ -214,19 +207,12 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         written.append(target)
         if config.scheme == "A":
             target = out / "target_gap.csv"
-            with open(target, "w") as fh:
-                fh.write("t,scaled_gap\n")
-                gap = np.abs(traj.x - traj.x_target) / p.scale_r
-                for tv, gv in zip(traj.t, gap):
-                    fh.write(f"{tv:.10g},{gv:.10g}\n")
+            write_columns(target, "t,scaled_gap", "{:.10g},{:.10g}",
+                          [traj.t, np.abs(traj.x - traj.x_target) / p.scale_r])
             written.append(target)
     if "fluid" in config.outputs:
         target = out / "fluid.csv"
-        if hasattr(fluid, "segments"):
-            fluid.to_csv(target, dt=config.grid_dt)
-        else:
-            every = max(1, round(config.grid_dt / fluid.dt))
-            fluid.to_csv(target, every=every)
+        fluid.to_csv(target, dt=config.grid_dt)
         written.append(target)
     if "deviation" in config.outputs:
         scaled = fluid_scale(traj, p)
@@ -252,8 +238,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         path = moment_ode(np.zeros(2), np.zeros((2, 2)), p,
                           horizon=config.horizon, dt=1e-3)
         target = out / "moments.csv"
-        every = max(1, round(config.grid_dt / path.dt))
-        path.to_csv(target, every=every)
+        path.to_csv(target, dt=config.grid_dt)
         written.append(target)
     if "sweep" in config.outputs:
         y0, x0 = config.initial[0] / p.scale_r, config.initial[1] / p.scale_r
@@ -334,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, blurb in (
         ("simulate", "run one trajectory and write raw counts"),
         ("fluid", "solve the deterministic scaled path"),
-        ("diffusion", "integrate the fluctuation moment equations"),
+        ("diffusion", "mean and covariance of the fluctuation limit"),
         ("stationary", "estimate long-run moments by batch means"),
         ("compare", "overlay a run on its fluid reference"),
         ("sweep", "sup-deviation decay across system scales"),

@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from . import _native
+from ._csv import write_columns
 from .params import (
     ArrivalRateFn,
     InviteSimError,
@@ -158,15 +159,13 @@ class Trajectory:
         return self.arrival is not None and not self.arrival.is_constant
 
     def to_csv(self, path) -> None:
-        cols = [self.t.tolist(), self.y.tolist(), self.x.tolist()]
+        cols = [self.t, self.y, self.x]
         if self.x_target is None:
-            head, row = "t,y,x\n", "{:.10g},{},{}\n"
+            head, row = "t,y,x", "{:.10g},{},{}"
         else:
-            cols.append(self.x_target.tolist())
-            head, row = "t,y,x,x_target\n", "{:.10g},{},{},{:.10g}\n"
-        with open(path, "w") as fh:
-            fh.write(head)
-            fh.writelines(starmap(row.format, zip(*cols)))
+            cols.append(self.x_target)
+            head, row = "t,y,x,x_target", "{:.10g},{},{},{:.10g}"
+        write_columns(path, head, row, cols)
 
 
 @dataclass(frozen=True)

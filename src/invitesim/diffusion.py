@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_columns
 from .ctmc import RandomStream
 from .params import (InviteSimError, ModelParams, drift_matrix, spectral_decompose,
                      validate_params)
@@ -163,7 +164,7 @@ class MomentPath:
 
     def at(self, t: float) -> MomentState:
         if t < -1e-12 or t > self.t[-1] * (1 + 1e-12) + 1e-12:
-            raise DiffusionError(f"t={t} outside the integrated range")
+            raise DiffusionError(f"t={t} outside the path [0, {self.t[-1]}]")
         m = np.array([np.interp(t, self.t, self.m[:, i]) for i in range(2)])
         V = np.array([[np.interp(t, self.t, self.V[:, i, j]) for j in range(2)]
                       for i in range(2)])
@@ -173,13 +174,12 @@ class MomentPath:
     def final(self) -> MomentState:
         return MomentState(m=self.m[-1], V=self.V[-1])
 
-    def to_csv(self, path, every: int = 1) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,m1,m2,V11,V12,V22\n")
-            for i in range(0, len(self.t), every):
-                fh.write(f"{self.t[i]:.10g},{self.m[i, 0]:.12g},{self.m[i, 1]:.12g},"
-                         f"{self.V[i, 0, 0]:.12g},{self.V[i, 0, 1]:.12g},"
-                         f"{self.V[i, 1, 1]:.12g}\n")
+    def to_csv(self, path, dt: float = 0.05) -> None:
+        """moments.csv at the path's samples nearest a spacing of dt."""
+        rows = slice(None, None, max(1, round(dt / self.dt)))
+        m, V = self.m[rows], self.V[rows]
+        write_columns(path, "t,m1,m2,V11,V12,V22", "{:.10g}" + ",{:.12g}" * 5,
+                      [self.t[rows], m[:, 0], m[:, 1], V[:, 0, 0], V[:, 0, 1], V[:, 1, 1]])
 
 
 def _moments_at(init: MomentState, params: ModelParams,

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import starmap
 
 import numpy as np
 
+from ._csv import write_columns
 from .params import (
     ArrivalRateFn,
     ConstantArrival,
@@ -34,10 +34,6 @@ from .params import (
     star_coords,
     validate_params,
 )
-
-# rows formatted per block of a CSV writer, so few Python floats are alive
-# at once
-_CSV_ROWS = 2048
 
 
 class FluidSolverError(InviteSimError):
@@ -145,13 +141,9 @@ class FluidTrajectory:
 
 def _write_fluid_csv(path, t, y, x, kinds) -> None:
     """fluid.csv from the arrays t, y, x and a list of segment kinds."""
-    with open(path, "w") as fh:
-        fh.write("t,y,x,segment_kind\n")
-        for a in range(0, len(t), _CSV_ROWS):
-            b = slice(a, a + _CSV_ROWS)
-            # + 0.0 drops negative zeros
-            fh.writelines(starmap("{:.10g},{:.12g},{:.12g},{}\n".format, zip(
-                t[b].tolist(), (y[b] + 0.0).tolist(), (x[b] + 0.0).tolist(), kinds[b])))
+    # + 0.0 drops negative zeros
+    write_columns(path, "t,y,x,segment_kind", "{:.10g},{:.12g},{:.12g},{}",
+                  [t, y + 0.0, x + 0.0, kinds])
 
 
 def interior_solution(initial, dt: float, spec: SpectralData) -> FluidState:
@@ -318,8 +310,9 @@ class TVFluidTrajectory:
     def eval_on(self, grid: np.ndarray) -> np.ndarray:
         return self.states(grid)
 
-    def to_csv(self, path, every: int = 1) -> None:
-        rows = slice(None, None, every)
+    def to_csv(self, path, dt: float = 0.05) -> None:
+        """fluid.csv at the solver samples nearest a spacing of dt."""
+        rows = slice(None, None, max(1, round(dt / self.dt)))
         kinds = ["boundary" if f else "interior" for f in self.on_floor[rows].tolist()]
         _write_fluid_csv(path, self.t[rows], self.y[rows], self.x[rows], kinds)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._csv import write_columns
 from .ctmc import RandomStream, SystemState, fluid_scale, diffusion_scale, simulate_b, \
     transition_rates_b, drift_replicates_b, GridSpec
 from .fluid import solve_fluid
@@ -341,11 +342,11 @@ class SweepTable:
         return float(np.polyfit(xs, ys, 1)[0])
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("r,mean_dev,std_dev,n\n")
-            for row in self.rows:
-                sd = "" if math.isnan(row.std_dev) else f"{row.std_dev:.12g}"
-                fh.write(f"{row.r:.10g},{row.mean_dev:.12g},{sd},{row.n}\n")
+        """sweep.csv; std_dev is empty for a single replication."""
+        sd = ["" if math.isnan(row.std_dev) else f"{row.std_dev:.12g}" for row in self.rows]
+        write_columns(path, "r,mean_dev,std_dev,n", "{:.10g},{:.12g},{},{}",
+                      [[row.r for row in self.rows], [row.mean_dev for row in self.rows],
+                       sd, [row.n for row in self.rows]])
 
 
 def scale_sweep(r_list, initial_family, params: ModelParams, horizon: float,

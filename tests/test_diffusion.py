@@ -336,7 +336,7 @@ def test_moment_path_interp_and_csv(tmp_path):
     lo, hi = path.at(1.0), path.at(1.01)
     assert lo.m[0] >= st.m[0] >= hi.m[0] or lo.m[0] <= st.m[0] <= hi.m[0]
     out = tmp_path / "moments.csv"
-    path.to_csv(out, every=10)
+    path.to_csv(out, dt=10 * path.dt)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,m1,m2,V11,V12,V22"
     assert len(lines) == 1 + math.ceil(201 / 10)
@@ -374,7 +374,7 @@ def _moment_path_cases():
 @pytest.mark.parametrize("case", list(_moment_path_cases()))
 def test_moment_csv_bytes_match_row_loop(tmp_path, case, every):
     path = _moment_path_cases()[case]
-    path.to_csv(tmp_path / "new.csv", every=every)
+    path.to_csv(tmp_path / "new.csv", dt=every * path.dt)
     _row_loop_moments_csv(tmp_path / "old.csv", path, every)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()

@@ -375,7 +375,7 @@ def test_tv_rejects_bad_inputs():
 def test_tv_csv(tmp_path):
     tv = solve_fluid_tv((30.0, 0.0), None, BASE, horizon=2.0, dt=0.01)
     out = tmp_path / "tv.csv"
-    tv.to_csv(out, every=10)
+    tv.to_csv(out, dt=10 * tv.dt)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,y,x,segment_kind"
     assert lines[1].endswith("boundary")
@@ -427,7 +427,7 @@ def test_tv_csv_bytes_match_row_loop(tmp_path, every):
     y, x = tv.y.copy(), tv.x.copy()
     y[1], x[2], y[3], x[4] = -0.0, -0.0, 1 / 3, -123456789012.345
     for case, path in (("solved", tv), ("odd", replace(tv, y=y, x=x))):
-        path.to_csv(tmp_path / f"new-{case}.csv", every=every)
+        path.to_csv(tmp_path / f"new-{case}.csv", dt=every * path.dt)
         _row_loop_tv_csv(tmp_path / f"old-{case}.csv", path, every)
         new = (tmp_path / f"new-{case}.csv").read_bytes()
         assert new == (tmp_path / f"old-{case}.csv").read_bytes(), case

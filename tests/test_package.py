@@ -1,5 +1,6 @@
 """Package-level contracts: public module names and import-time cost."""
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,15 @@ import invitesim
 def test_presets_submodule_is_not_shadowed():
     assert invitesim.presets.get_preset("fig4a").name == "fig4a"
     assert "fig4a" in invitesim.presets.presets()
+
+
+def test_csv_rows_formatted_in_one_module():
+    # every data file goes through _csv.write_columns; a row loop of its own
+    # elsewhere would bring back writelines or starmap
+    pkg = Path(invitesim.__file__).parent
+    found = {p.name for p in pkg.glob("*.py")
+             if re.search(r"\b(writelines|starmap)\b", p.read_text())}
+    assert found == {"_csv.py"}
 
 
 def test_import_loads_no_scipy():
