@@ -407,7 +407,9 @@ def _euler_ensemble(initial, params: ModelParams, horizon: float,
     y = np.full(n_paths, y0)
     x = np.full(n_paths, x0)
     out = np.empty((len(record_steps), n_paths, 2))
-    rec = {k: i for i, k in enumerate(record_steps)}
+    rec = {}  # step -> every slot recorded at it
+    for i, k in enumerate(record_steps):
+        rec.setdefault(k, []).append(i)
     if 0 in rec:
         out[rec[0], :, 0] = y
         out[rec[0], :, 1] = x

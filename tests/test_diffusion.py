@@ -322,6 +322,16 @@ def test_ensemble_repeated_record_times_share_one_state():
     assert not np.array_equal(states[1], states[2])
 
 
+def test_euler_repeated_record_times_share_one_state():
+    kw = dict(initial=DiffusionState(0.5, -0.25), params=BASE, horizon=1.0,
+              n_paths=64, dt=1e-2)
+    rep = _euler_ensemble(stream=RandomStream(seed=8), record_times=[0.5, 0.5, 1.0], **kw)
+    ref = _euler_ensemble(stream=RandomStream(seed=8), record_times=[0.5, 1.0], **kw)
+    assert np.array_equal(rep, ref[[0, 0, 1]])
+    zero = _euler_ensemble(stream=RandomStream(seed=8), record_times=[0.0, 0.0], **kw)
+    assert np.array_equal(zero, np.broadcast_to([0.5, -0.25], zero.shape))
+
+
 def test_ensemble_record_order_only_permutes():
     kw = dict(initial=DiffusionState(0.5, -0.25), params=BASE, horizon=2.0,
               n_paths=256, dt=1e-3)
