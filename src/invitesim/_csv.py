@@ -16,10 +16,9 @@ def write_columns(path, header: str, row: str, cols) -> None:
     block of array rows goes through tolist(), so format sees Python numbers.
     """
     fmt = (row + "\n").format
-    n = len(cols[0])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for a in range(0, n, _CSV_ROWS):
+        for a in range(0, len(cols[0]), _CSV_ROWS):
             block = [c[a:a + _CSV_ROWS] for c in cols]
-            fh.writelines(starmap(fmt, zip(*[
-                b.tolist() if isinstance(b, np.ndarray) else b for b in block])))
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            fh.writelines(starmap(fmt, zip(*block)))
