@@ -18,17 +18,11 @@ from .params import (
     NonIntegerGamma,
     NonPositiveRate,
     StabilityViolation,
-    SpectralData,
     ConstantArrival,
     SinusoidArrival,
     PiecewiseConstantArrival,
-    arrival_from_spec,
-    arrival_to_spec,
     drift_matrix,
-    params_from_json,
-    params_to_json,
     spectral_decompose,
-    star_coords,
     star_norm,
     validate_params,
 )
@@ -40,21 +34,17 @@ from .ctmc import (
     SimulationError,
     SystemState,
     Trajectory,
-    diffusion_scale,
     drift_replicates_b,
     fluid_scale,
     reflect_representation,
     simulate_a,
     simulate_b,
-    transition_rates_b,
 )
 from .fluid import (
     FluidState,
     FluidTrajectory,
     TVFluidTrajectory,
-    boundary_hit_time,
     drift_check,
-    interior_solution,
     solve_fluid,
     solve_fluid_tv,
 )
@@ -62,10 +52,8 @@ from .diffusion import (
     DiffusionState,
     MomentPath,
     MomentState,
-    gaussian_transient,
     lyapunov_residual,
     moment_ode,
-    noise_vector,
     simulate_sde_ensemble,
     stationary_covariance,
 )
@@ -75,7 +63,6 @@ from .stats import (
     SweepTable,
     batch_means,
     gaussian_check,
-    generator_drift_check,
     scale_sweep,
     stationary_moments,
     sup_deviation,

@@ -27,13 +27,14 @@ from .ctmc import (
 from .diffusion import (
     DiffusionError,
     DiffusionState,
+    _record_steps,
     lyapunov_residual,
     moment_ode,
     stationary_covariance,
 )
 from .fluid import FluidState, drift_check, solve_fluid, solve_fluid_tv
-from .params import (ModelParams, SinusoidArrival, spectral_decompose, star_norm,
-                     validate_params)
+from .params import (ModelParams, SinusoidArrival, _time_grid, spectral_decompose,
+                     star_norm, validate_params)
 from .stats import batch_means, scale_sweep, stationary_moments, sup_deviation
 
 P6 = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
@@ -238,7 +239,7 @@ def criterion_fluid_model(n_states: int = 100) -> CriterionResult:
     t0 = time.perf_counter()
     spec = spectral_decompose(P6)
     rng = np.random.default_rng(303)
-    grid = np.arange(0.0, 50.0 * (1 + 1e-12), 0.05)
+    grid = _time_grid(50.0, 0.05)
     horizon_d = 50.0 / spec.nu1
     worst = {"segments": 0, "ratio_min": float("inf"), "bdry_max": -float("inf"),
              "final_norm": 0.0, "ref_sup": 0.0}
@@ -390,15 +391,7 @@ def _euler_ensemble(initial, params: ModelParams, horizon: float,
     validate_params(params, scheme="A")
     if dt <= 0.0 or horizon <= 0.0 or n_paths <= 0:
         raise DiffusionError("horizon, dt and n_paths must be > 0")
-    if record_times is None:
-        record_times = [horizon]
-    record_steps = []
-    n = int(round(horizon / dt))
-    for rt in record_times:
-        k = int(round(rt / dt))
-        if abs(k * dt - rt) > 1e-9 * max(1.0, rt) or not 0 <= k <= n:
-            raise DiffusionError(f"record time {rt} not on the step grid")
-        record_steps.append(k)
+    record_steps, n = _record_steps(record_times, horizon, dt)
     y0, x0 = (initial.y_hat, initial.x_hat) if isinstance(initial, DiffusionState) \
         else (float(initial[0]), float(initial[1]))
     beta, gamma, eps = params.beta, params.gamma, params.epsilon

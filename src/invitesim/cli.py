@@ -28,7 +28,7 @@ from .acceptance import ALL_CRITERIA, run_suites
 from .ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_a, simulate_b
 from .diffusion import moment_ode
 from .fluid import solve_fluid, solve_fluid_tv
-from .params import InviteSimError
+from .params import InviteSimError, _time_grid
 from .presets import ConfigInvalid, ExperimentConfig, config_from_json, get_preset, presets
 from .stats import scale_sweep, stationary_moments, sup_deviation, gaussian_check
 
@@ -125,6 +125,13 @@ def emit_plot_data(path, sim, fluid=None, grid=None) -> list[str]:
     return warnings
 
 
+def _solver_dt(grid_dt: float) -> float:
+    """Sample spacing of the time-varying fluid and moment solvers: about 1e-3,
+    with grid_dt a whole multiple of it, so that fluid.csv and moments.csv
+    keep the rows on the run's grid."""
+    return grid_dt / max(1, round(grid_dt / 1e-3))
+
+
 def _fluid_reference(config: ExperimentConfig):
     """Fluid trajectory matching the config's scaled initial state."""
     p = config.params
@@ -136,7 +143,8 @@ def _fluid_reference(config: ExperimentConfig):
         x0 = config.initial[1] / r - p.lam / p.beta
     if config.arrival is not None and not config.arrival.is_constant:
         return solve_fluid_tv((config.initial[0] / r, config.initial[1] / r),
-                              config.arrival, p, horizon=config.horizon)
+                              config.arrival, p, horizon=config.horizon,
+                              dt=_solver_dt(config.grid_dt))
     return solve_fluid((y0, x0), p, horizon=config.horizon)
 
 
@@ -219,7 +227,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         target = out / "overlay.csv"
         manifest.warnings += emit_plot_data(target, scaled, fluid)
         written.append(target)
-        grid_t = np.arange(0.0, config.horizon * (1 + 1e-12), config.grid_dt)
+        grid_t = _time_grid(config.horizon, config.grid_dt)
         rep = sup_deviation(scaled, fluid, grid_t,
                             context={"name": config.name, "seed": config.seed})
         target = out / "deviation.json"
@@ -236,7 +244,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         written.append(target)
     if "moments" in config.outputs:
         path = moment_ode(np.zeros(2), np.zeros((2, 2)), p,
-                          horizon=config.horizon, dt=1e-3)
+                          horizon=config.horizon, dt=_solver_dt(config.grid_dt))
         target = out / "moments.csv"
         path.to_csv(target, dt=config.grid_dt)
         written.append(target)

@@ -20,11 +20,14 @@ are their differences, and the kind follows from them (scheme B: dy = -1
 arrival, +1 accept, else dx = +1 feedback up and any other move feedback
 down; scheme A: dy = -1, +1, 0 for arrival, accept, reject).
 
-The scheme-B transitions live in one loop: run_b in C, _loop_b in Python.
-simulate_b runs it once over [0, horizon] on a grid; drift_replicates_b runs
-it as n restarted windows [0, dt] from one state, with no grid, each window
-reading on from where the last one stopped.  simulate_a has its own loop,
-since its rates, transitions and top-up all differ.
+Each scheme's transitions live in one loop: run_b in C and _loop_b in Python
+for scheme B, run_a and _loop_a for scheme A, whose rates, transitions and
+top-up all differ.  One dispatcher, _run, computes the arrival bound and
+sends a run to the C loop or to its Python twin.  simulate_b and simulate_a
+run their loop once over [0, horizon] on a grid, through the shared _sample;
+drift_replicates_b runs the scheme-B loop as n restarted windows [0, dt]
+from one state, with no grid, each window reading on from where the last
+one stopped.
 
 Both loops run in C (_kernel.c, built on the first call and loaded through
 ctypes by _native) when the library builds, and in Python otherwise.  The C
@@ -52,6 +55,7 @@ from .params import (
     ModelParams,
     PiecewiseConstantArrival,
     SinusoidArrival,
+    _time_grid,
     validate_params,
 )
 
@@ -217,10 +221,6 @@ def transition_rates_b(state: SystemState, params: ModelParams,
         else:
             out.append((rate_fb, 0, 0))
     return out
-
-
-def _grid_size(horizon: float, dt: float) -> int:
-    return int(math.floor(horizon / dt * (1.0 + 1e-12))) + 1
 
 
 def _uniform_feed(gen: np.random.Generator):
@@ -393,21 +393,133 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
     return n_events, truncated, (ev_t, ev_y, ev_x)
 
 
-def _run_b(params: ModelParams, arrival: ArrivalRateFn | None, stream: RandomStream,
-           **fields):
-    """A scheme-B run of run_b in C, or of _loop_b where that cannot run.
+def _loop_a(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream, *,
+            beta: float, eps: float, beta_t: float, gamma: float, bound_rate: float,
+            bound: float, horizon: float, y: int, x: int, target: float, dtg: float,
+            n_grid: int, ys: np.ndarray, xs: np.ndarray, tgts: np.ndarray,
+            budget: int, logging: bool):
+    """run_a of _kernel.c in Python: the scheme-A event loop, same arguments and result.
 
-    `fields` are the run's KernelState fields other than the model's rates,
-    which come from `params` and `arrival`.
+    Runs [0, horizon] from (y, x) and the target, filling the grid and
+    logging up to `budget` post-event states.
+    """
+    ev_t: list[float] = []
+    ev_y: list[int] = []
+    ev_x: list[int] = []
+    log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
+    truncated = False
+    gi = 0
+    tg = 0.0  # gi * dtg, or inf once the grid is full
+
+    draw = _uniform_feed(stream.generator())
+    log = math.log
+    ceil = math.ceil
+    t = last_change = 0.0
+    n_events = 0
+    lam_fn = arrival
+
+    while True:
+        acc = beta * x
+        rej = beta_t * x
+        total = bound_rate + acc + rej
+        if total <= 0.0:
+            break
+        tn = t + -log(1.0 - draw()) / total
+        while tg < tn:
+            ys[gi] = y
+            xs[gi] = x
+            tgts[gi] = target
+            gi += 1
+            tg = gi * dtg if gi < n_grid else math.inf
+        if tn > horizon:
+            break
+        t = tn
+        pick = draw() * total
+        if pick < bound_rate:
+            if thinning:
+                lam_t = lam_fn(t)
+                if lam_t > bound * (1.0 + 1e-9):
+                    raise ThinningBoundViolated(
+                        f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
+                if not draw() * bound < lam_t:
+                    continue
+            elapsed = t - last_change
+            y_pre = y
+            y -= 1
+            target = max(0.0, target + gamma - eps * y_pre * elapsed)
+            last_change = t
+        elif pick < bound_rate + acc:
+            elapsed = t - last_change
+            y_pre = y
+            y += 1
+            x -= 1
+            target = max(0.0, target - gamma - eps * y_pre * elapsed)
+            last_change = t
+        else:
+            x -= 1
+        if x < target:
+            x = ceil(target)
+        n_events += 1
+        if logging:
+            if n_events <= budget:
+                log_t(t)
+                log_y(y)
+                log_x(x)
+            else:
+                truncated = True
+                logging = False
+
+    while gi < n_grid:
+        ys[gi] = y
+        xs[gi] = x
+        tgts[gi] = target
+        gi += 1
+    return n_events, truncated, (ev_t, ev_y, ev_x)
+
+
+def _run(kernel: str, loop, params: ModelParams, arrival: ArrivalRateFn | None,
+         stream: RandomStream, **fields):
+    """A run of the compiled `kernel`, or of its Python twin `loop` where that cannot run.
+
+    `fields` are the run's KernelState fields other than the rates both
+    schemes share, which come from `params` and `arrival`.
     """
     r = params.scale_r
     thinning = arrival is not None and not arrival.is_constant
     bound_rate = (params.lam if arrival is None else arrival.bound()) * r
     fields.update(beta=params.beta, eps=params.epsilon, bound_rate=bound_rate,
-                  bound=bound_rate / r if r else 0.0,
-                  gamma_int=int(params.gamma) if float(params.gamma).is_integer() else 0)
-    result = _run_compiled("run_b", arrival, thinning, stream, **fields)
-    return _loop_b(arrival, thinning, stream, **fields) if result is None else result
+                  bound=bound_rate / r if r else 0.0)
+    result = _run_compiled(kernel, arrival, thinning, stream, **fields)
+    return loop(arrival, thinning, stream, **fields) if result is None else result
+
+
+def _sample(scheme: str, params: ModelParams, arrival: ArrivalRateFn | None,
+            stream: RandomStream, horizon: float, sampling: GridSpec | None,
+            y: int, x: int, **fields) -> Trajectory:
+    """One run of `scheme` over [0, horizon] from (y, x), sampled on the grid.
+
+    `fields` are the scheme's own KernelState fields; scheme A's grid also
+    samples the target.
+    """
+    sampling = sampling or GridSpec()
+    kernel, loop, kinds = ("run_a", _loop_a, _kinds_a) if scheme == "A" else (
+        "run_b", _loop_b, _kinds_b)
+    ts = _time_grid(horizon, sampling.dt)
+    ys = np.empty(len(ts), dtype=np.int64)
+    xs = np.empty(len(ts), dtype=np.int64)
+    if scheme == "A":
+        fields["tgts"] = np.empty(len(ts))
+    n_events, truncated, logged = _run(
+        kernel, loop, params, arrival, stream, horizon=horizon, dtg=sampling.dt,
+        n_grid=len(ts), ys=ys, xs=xs, budget=sampling.event_budget,
+        logging=sampling.record_events, y=y, x=x, **fields)
+    events = None
+    if sampling.record_events:
+        events = _state_log(*logged, y, x, kinds, truncated)
+    return Trajectory(scheme=scheme, t=ts, y=ys, x=xs, x_target=fields.get("tgts"),
+                      params=params, arrival=arrival, stream=stream,
+                      grid_dt=sampling.dt, horizon=horizon, n_events=n_events,
+                      events=events)
 
 
 def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
@@ -419,34 +531,13 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
     if horizon <= 0.0:
         raise HorizonZero(f"horizon must be > 0, got {horizon}")
     validate_params(params, scheme="B", randomized_rounding=randomized_rounding)
-    if sampling is None:
-        sampling = GridSpec()
     if isinstance(initial, tuple):
         initial = SystemState(y=initial[0], x=initial[1])
-
-    y0 = int(initial.y)
-    x0 = int(initial.x)
+    # with rounding on, the step is g_lo or g_lo + 1 and gamma_int is not read
     g_lo = int(math.floor(params.gamma))
-
-    dtg = sampling.dt
-    n_grid = _grid_size(horizon, dtg)
-    ts = np.arange(n_grid) * dtg
-    ys = np.empty(n_grid, dtype=np.int64)
-    xs = np.empty(n_grid, dtype=np.int64)
-
-    n_events, truncated, logged = _run_b(
-        params, arrival, stream, g_frac=params.gamma - g_lo, g_lo=g_lo,
-        rounding=randomized_rounding and not float(params.gamma).is_integer(),
-        horizon=horizon, dtg=dtg, n_grid=n_grid, ys=ys, xs=xs,
-        budget=sampling.event_budget, logging=sampling.record_events, y=y0, x=x0)
-
-    events = None
-    if sampling.record_events:
-        events = _state_log(*logged, y0, x0, _kinds_b, truncated)
-    return Trajectory(scheme="B", t=ts, y=ys, x=xs, x_target=None,
-                      params=params, arrival=arrival, stream=stream,
-                      grid_dt=dtg, horizon=horizon, n_events=n_events,
-                      events=events)
+    return _sample("B", params, arrival, stream, horizon, sampling, int(initial.y),
+                   int(initial.x), gamma_int=g_lo, g_lo=g_lo, g_frac=params.gamma - g_lo,
+                   rounding=randomized_rounding and not float(params.gamma).is_integer())
 
 
 def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelParams,
@@ -466,8 +557,9 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
     if isinstance(initial, tuple):
         initial = SystemState(y=initial[0], x=initial[1])
     out = np.zeros((n_replicates, 2), dtype=np.int64)
-    _run_b(params, arrival, stream, horizon=dt, tg=math.inf, y=int(initial.y),
-           x=int(initial.x), n_reps=n_replicates, out=out)
+    _run("run_b", _loop_b, params, arrival, stream, gamma_int=int(params.gamma),
+         horizon=dt, tg=math.inf, y=int(initial.y), x=int(initial.x),
+         n_reps=n_replicates, out=out)
     return out
 
 
@@ -485,121 +577,11 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
     if horizon <= 0.0:
         raise HorizonZero(f"horizon must be > 0, got {horizon}")
     validate_params(params, scheme="A")
-    if sampling is None:
-        sampling = GridSpec()
     if initial.x_target is None:
         raise SimulationError("scheme A needs an initial x_target")
-
-    y = y0 = int(initial.y)
-    x = x0 = int(initial.x)
-    target = float(initial.x_target)
-    last_change = 0.0
-    beta = params.beta
-    beta_t = params.beta_tilde
-    gamma = params.gamma
-    eps = params.epsilon
-    r = params.scale_r
-    thinning = arrival is not None and not arrival.is_constant
-    bound_rate = (params.lam if arrival is None else arrival.bound()) * r
-    bound = bound_rate / r if r else 0.0
-    lam_fn = arrival
-
-    dtg = sampling.dt
-    n_grid = _grid_size(horizon, dtg)
-    ts = np.arange(n_grid) * dtg
-    ys = np.empty(n_grid, dtype=np.int64)
-    xs = np.empty(n_grid, dtype=np.int64)
-    tgts = np.empty(n_grid, dtype=float)
-
-    logging = sampling.record_events
-    budget = sampling.event_budget
-    compiled = _run_compiled("run_a", arrival, thinning, stream, beta=beta, eps=eps,
-                             beta_t=beta_t, gamma=gamma, bound_rate=bound_rate, bound=bound,
-                             horizon=horizon, dtg=dtg, n_grid=n_grid, ys=ys, xs=xs,
-                             tgts=tgts, budget=budget,
-                             logging=logging, target=target, y=y0, x=x0)
-    if compiled is not None:
-        n_events, truncated, logged = compiled
-    else:
-        ev_t: list[float] = []
-        ev_y: list[int] = []
-        ev_x: list[int] = []
-        log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
-        logged = (ev_t, ev_y, ev_x)
-        truncated = False
-        gi = 0
-        tg = 0.0  # gi * dtg, or inf once the grid is full
-
-        draw = _uniform_feed(stream.generator())
-        log = math.log
-        ceil = math.ceil
-        t = 0.0
-        n_events = 0
-
-        while True:
-            acc = beta * x
-            rej = beta_t * x
-            total = bound_rate + acc + rej
-            if total <= 0.0:
-                break
-            tn = t + -log(1.0 - draw()) / total
-            while tg < tn:
-                ys[gi] = y
-                xs[gi] = x
-                tgts[gi] = target
-                gi += 1
-                tg = gi * dtg if gi < n_grid else math.inf
-            if tn > horizon:
-                break
-            t = tn
-            pick = draw() * total
-            if pick < bound_rate:
-                if thinning:
-                    lam_t = lam_fn(t)
-                    if lam_t > bound * (1.0 + 1e-9):
-                        raise ThinningBoundViolated(
-                            f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
-                    if not draw() * bound < lam_t:
-                        continue
-                elapsed = t - last_change
-                y_pre = y
-                y -= 1
-                target = max(0.0, target + gamma - eps * y_pre * elapsed)
-                last_change = t
-            elif pick < bound_rate + acc:
-                elapsed = t - last_change
-                y_pre = y
-                y += 1
-                x -= 1
-                target = max(0.0, target - gamma - eps * y_pre * elapsed)
-                last_change = t
-            else:
-                x -= 1
-            if x < target:
-                x = ceil(target)
-            n_events += 1
-            if logging:
-                if n_events <= budget:
-                    log_t(t)
-                    log_y(y)
-                    log_x(x)
-                else:
-                    truncated = True
-                    logging = False
-
-        while gi < n_grid:
-            ys[gi] = y
-            xs[gi] = x
-            tgts[gi] = target
-            gi += 1
-
-    events = None
-    if sampling.record_events:
-        events = _state_log(*logged, y0, x0, _kinds_a, truncated)
-    return Trajectory(scheme="A", t=ts, y=ys, x=xs, x_target=tgts,
-                      params=params, arrival=arrival, stream=stream,
-                      grid_dt=dtg, horizon=horizon, n_events=n_events,
-                      events=events)
+    return _sample("A", params, arrival, stream, horizon, sampling, int(initial.y),
+                   int(initial.x), beta_t=params.beta_tilde, gamma=params.gamma,
+                   target=float(initial.x_target))
 
 
 # ---------------------------------------------------------------------------

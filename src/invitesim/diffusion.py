@@ -20,8 +20,8 @@ import numpy as np
 
 from ._csv import write_columns
 from .ctmc import RandomStream
-from .params import (InviteSimError, ModelParams, drift_matrix, spectral_decompose,
-                     validate_params)
+from .params import (InviteSimError, ModelParams, _grid_stride, _time_grid,
+                     drift_matrix, spectral_decompose, validate_params)
 
 
 # grid points evaluated at once by moment_ode
@@ -110,6 +110,21 @@ def _transition(params: ModelParams, s: float) -> tuple[np.ndarray, np.ndarray]:
     return E, sigma
 
 
+def _record_steps(record_times, horizon: float, dt: float) -> tuple[list[int], int]:
+    """Steps k, one per record time k*dt (default: the horizon alone), and the
+    number of steps to the horizon; raises for a time off that step grid."""
+    if record_times is None:
+        record_times = [horizon]
+    n = int(round(horizon / dt))
+    steps = []
+    for rt in record_times:
+        k = int(round(rt / dt))
+        if abs(k * dt - rt) > 1e-9 * max(1.0, rt) or not 0 <= k <= n:
+            raise DiffusionError(f"record time {rt} not on the step grid")
+        steps.append(k)
+    return steps, n
+
+
 def simulate_sde_ensemble(initial, params: ModelParams, horizon: float,
                           stream: RandomStream, n_paths: int, dt: float = 1e-3,
                           record_times=None) -> np.ndarray:
@@ -126,15 +141,7 @@ def simulate_sde_ensemble(initial, params: ModelParams, horizon: float,
     validate_params(params, scheme="A")
     if dt <= 0.0 or horizon <= 0.0 or n_paths <= 0:
         raise DiffusionError("horizon, dt and n_paths must be > 0")
-    if record_times is None:
-        record_times = [horizon]
-    record_steps = []
-    n = int(round(horizon / dt))
-    for rt in record_times:
-        k = int(round(rt / dt))
-        if abs(k * dt - rt) > 1e-9 * max(1.0, rt) or not 0 <= k <= n:
-            raise DiffusionError(f"record time {rt} not on the step grid")
-        record_steps.append(k)
+    record_steps, _ = _record_steps(record_times, horizon, dt)
     steps, order = np.unique(record_steps, return_inverse=True)
     y0, x0 = (initial.y_hat, initial.x_hat) if isinstance(initial, DiffusionState) \
         else (float(initial[0]), float(initial[1]))
@@ -175,8 +182,8 @@ class MomentPath:
         return MomentState(m=self.m[-1], V=self.V[-1])
 
     def to_csv(self, path, dt: float = 0.05) -> None:
-        """moments.csv at the path's samples nearest a spacing of dt."""
-        rows = slice(None, None, max(1, round(dt / self.dt)))
+        """moments.csv every dt, a whole multiple of the path's sample spacing."""
+        rows = slice(None, None, _grid_stride(dt, self.dt, DiffusionError))
         m, V = self.m[rows], self.V[rows]
         write_columns(path, "t,m1,m2,V11,V12,V22", "{:.10g}" + ",{:.12g}" * 5,
                       [self.t[rows], m[:, 0], m[:, 1], V[:, 0, 0], V[:, 0, 1], V[:, 1, 1]])
@@ -223,21 +230,11 @@ def moment_ode(m0, V0, params: ModelParams, horizon: float,
         raise DiffusionError("horizon and dt must be > 0")
     init = MomentState(m=np.asarray(m0, dtype=float),
                        V=np.asarray(V0, dtype=float))  # validates shape/symmetry
-    n = int(math.floor(horizon / dt * (1 + 1e-12))) + 1
-    ts = np.arange(n) * dt
+    ts = _time_grid(horizon, dt)
+    n = len(ts)
     m = np.empty((n, 2))
     V = np.empty((n, 2, 2))
     # a chunk at a time, so the temporaries stay small next to the outputs
     for a in range(0, n, _CHUNK):
         m[a:a + _CHUNK], V[a:a + _CHUNK] = _moments_at(init, params, ts[a:a + _CHUNK])
     return MomentPath(t=ts, m=m, V=V, dt=dt, params=params)
-
-
-def gaussian_transient(params: ModelParams, t: float, initial: MomentState) -> MomentState:
-    """Mean and covariance of the Gaussian marginal at time t."""
-    if t < 0.0:
-        raise DiffusionError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return initial
-    m, V = _moments_at(initial, params, np.array([float(t)]))
-    return MomentState(m=m[0], V=V[0])

@@ -29,6 +29,8 @@ from .params import (
     PiecewiseConstantArrival,
     SinusoidArrival,
     SpectralData,
+    _grid_stride,
+    _time_grid,
     drift_matrix,
     spectral_decompose,
     star_coords,
@@ -133,8 +135,7 @@ class FluidTrajectory:
         return out
 
     def to_csv(self, path, dt: float = 0.05) -> None:
-        n = int(math.floor(self.horizon / dt * (1 + 1e-12))) + 1
-        ts = np.arange(n) * dt
+        ts = _time_grid(self.horizon, dt)
         vals = self.states(ts)
         _write_fluid_csv(path, ts, vals[:, 0], vals[:, 1], self.segment_kinds(ts))
 
@@ -311,8 +312,8 @@ class TVFluidTrajectory:
         return self.states(grid)
 
     def to_csv(self, path, dt: float = 0.05) -> None:
-        """fluid.csv at the solver samples nearest a spacing of dt."""
-        rows = slice(None, None, max(1, round(dt / self.dt)))
+        """fluid.csv every dt, a whole multiple of the solver's sample spacing."""
+        rows = slice(None, None, _grid_stride(dt, self.dt, FluidSolverError))
         kinds = ["boundary" if f else "interior" for f in self.on_floor[rows].tolist()]
         _write_fluid_csv(path, self.t[rows], self.y[rows], self.x[rows], kinds)
 
@@ -422,8 +423,8 @@ def solve_fluid_tv(initial, arrival: ArrivalRateFn | None, params: ModelParams,
     x0 = max(x0, 0.0)
     spec = spectral_decompose(params)
 
-    n = int(math.floor(horizon / dt * (1 + 1e-12))) + 1
-    ts_out = np.arange(n) * dt
+    ts_out = _time_grid(horizon, dt)
+    n = len(ts_out)
     ys = np.empty(n)
     xs = np.empty(n)
     floors = np.zeros(n, dtype=bool)

@@ -94,6 +94,21 @@ def validate_params(params: ModelParams, scheme: str = "B",
     return params
 
 
+def _time_grid(horizon: float, dt: float) -> np.ndarray:
+    """The output grid k*dt, k = 0, 1, ..., up to horizon; a relative 1e-12
+    of slack keeps a horizon that is a multiple of dt on the grid."""
+    return np.arange(int(math.floor(horizon / dt * (1.0 + 1e-12))) + 1) * dt
+
+
+def _grid_stride(dt: float, step: float, error: type[InviteSimError]) -> int:
+    """k with dt = k*step to a relative 1e-9: every k-th sample of a grid `step`
+    apart is `dt` apart.  Raises `error` when there is no such k."""
+    k = round(dt / step)
+    if k < 1 or abs(k * step - dt) > 1e-9 * dt:
+        raise error(f"output spacing {dt} is not a multiple of the sample spacing {step}")
+    return k
+
+
 def drift_matrix(params: ModelParams) -> np.ndarray:
     """A with (y, x) as row vectors: y' = beta*x, x' = -eps*y - gamma*beta*x."""
     return np.array([

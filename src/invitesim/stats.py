@@ -17,7 +17,7 @@ from ._csv import write_columns
 from .ctmc import RandomStream, SystemState, fluid_scale, diffusion_scale, simulate_b, \
     transition_rates_b, drift_replicates_b, GridSpec
 from .fluid import solve_fluid
-from .params import InviteSimError, ModelParams
+from .params import InviteSimError, ModelParams, _time_grid
 
 
 class StatsError(InviteSimError):
@@ -366,7 +366,7 @@ def scale_sweep(r_list, initial_family, params: ModelParams, horizon: float,
         raise StatsError("r_list must be strictly increasing")
     if replications < 1:
         raise StatsError("need at least one replication")
-    grid = np.arange(0.0, horizon * (1 + 1e-12), grid_dt)
+    grid = _time_grid(horizon, grid_dt)
     rows = []
     for i, r in enumerate(r_list):
         p = replace(params, scale_r=float(r))

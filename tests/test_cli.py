@@ -122,6 +122,24 @@ def test_scheme_a_outputs_target_column(tmp_path):
     assert len(gap) > 100
 
 
+def test_solver_rows_on_the_run_grid(tmp_path):
+    # the time-varying fluid and the moments are solved about 1e-3 apart;
+    # their rows must still fall on the run's grid when grid_dt is no
+    # multiple of 1e-3
+    cfg = small_config(horizon=10.0, grid_dt=0.0375, initial=(-50, 100),
+                       arrival=SinusoidArrival(1.0, 0.2, 12.0),
+                       outputs=("trajectory", "fluid", "moments"))
+    run(cfg, tmp_path)
+
+    def times(name):
+        return [row.split(",")[0] for row in (tmp_path / name).read_text().splitlines()[1:]]
+
+    want = times("trajectory.csv")
+    assert want[:3] == ["0", "0.0375", "0.075"] and len(want) == 267
+    assert times("fluid.csv") == want
+    assert times("moments.csv") == want
+
+
 def test_stationary_outputs(tmp_path):
     cfg = small_config(horizon=300.0, outputs=("trajectory", "stationary"))
     run(cfg, tmp_path)

@@ -12,8 +12,8 @@ from invitesim.diffusion import (
     MomentPath,
     MomentState,
     NonSymmetricV0,
+    _moments_at,
     _transition,
-    gaussian_transient,
     lyapunov_residual,
     moment_ode,
     noise_vector,
@@ -166,9 +166,9 @@ def test_moment_ode_closed_form_matches_rk4():
             E = expm(A * path.t[k])
             assert np.abs(path.m[k] - m0 @ E).max() <= 1e-9
             assert np.abs(path.V[k] - (v_inf + E.T @ (V0 - v_inf) @ E)).max() <= 1e-9
-            direct = gaussian_transient(p, path.t[k], init)
-            assert np.abs(direct.m - path.m[k]).max() <= 1e-12
-            assert np.abs(direct.V - path.V[k]).max() <= 1e-12
+            m, V = _moments_at(init, p, path.t[k:k + 1])
+            assert np.abs(m[0] - path.m[k]).max() <= 1e-12
+            assert np.abs(V[0] - path.V[k]).max() <= 1e-12
 
 
 def _euler_path(initial, horizon, stream, dt, noise_scale=1.0):
@@ -352,6 +352,9 @@ def test_moment_path_interp_and_csv(tmp_path):
     assert len(lines) == 1 + math.ceil(201 / 10)
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 1.0, 0.0, 0.5, -1.0, 2.1]
+    for off_grid in (0.025, 0.004):  # rows must be path samples, not the nearest ones
+        with pytest.raises(DiffusionError, match="not a multiple"):
+            path.to_csv(out, dt=off_grid)
 
 
 def _row_loop_moments_csv(path, mp, every):
@@ -393,17 +396,13 @@ def test_moment_csv_bytes_match_row_loop(tmp_path, case, every):
         assert new.startswith(b"t,m1,m2,V11,V12,V22\n0,-0,")
 
 
-def test_gaussian_transient_endpoints():
-    init = MomentState(m=np.array([1.0, 1.0]), V=np.zeros((2, 2)))
-    assert gaussian_transient(BASE, 0.0, init) is init
-    far = gaussian_transient(BASE, 200.0, init)
-    assert np.linalg.norm(far.m) <= 1e-6
-    assert np.linalg.norm(far.V - V_INF) <= 1e-6
-
-
-def test_gaussian_transient_mean_decay_rate():
-    init = MomentState(m=np.array([1.0, 1.0]), V=np.zeros((2, 2)))
-    n0 = star_norm(init.m, SPEC)
+def test_moment_ode_mean_decay_rate():
+    # the mean decays at least at the slow rate nu1 in the star norm, and the
+    # moments settle at (0, V_inf)
+    m0 = np.array([1.0, 1.0])
+    path = moment_ode(m0, np.zeros((2, 2)), BASE, horizon=200.0, dt=0.5)
+    n0 = star_norm(m0, SPEC)
     for t in (2.0, 5.0, 10.0):
-        st = gaussian_transient(BASE, t, init)
-        assert star_norm(st.m, SPEC) <= n0 * math.exp(-SPEC.nu1 * t) * (1 + 1e-9)
+        assert star_norm(path.at(t).m, SPEC) <= n0 * math.exp(-SPEC.nu1 * t) * (1 + 1e-9)
+    assert np.linalg.norm(path.final.m) <= 1e-6
+    assert np.linalg.norm(path.final.V - V_INF) <= 1e-6

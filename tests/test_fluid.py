@@ -379,6 +379,9 @@ def test_tv_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,y,x,segment_kind"
     assert lines[1].endswith("boundary")
+    for off_grid in (0.015, 0.004):  # rows must be solver samples, not the nearest ones
+        with pytest.raises(FluidSolverError, match="not a multiple"):
+            tv.to_csv(out, dt=off_grid)
 
 
 def _row_loop_fluid_csv(path, traj, dt):

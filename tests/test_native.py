@@ -181,16 +181,20 @@ def test_compiled_thinning_violation_same_message(scheme, monkeypatch):
     assert native == oracle
 
 
-def test_overridden_rate_runs_the_python_loop(monkeypatch):
+@pytest.mark.parametrize("scheme", "AB")
+def test_overridden_rate_runs_the_python_loop(scheme, monkeypatch):
     # _kernel.c mirrors only the library's own rate functions
     class Shifted(SinusoidArrival):
         def __call__(self, t):
             return super().__call__(t + 0.25)
 
+    case = (scheme, replace(LONG_B[0], scale_r=10.0), SystemState(0, 10, x_target=10.0), 2.0,
+            Shifted(1.0, 0.5, 1.0), GridSpec(record_events=True))
     ran = _spy_compiled(monkeypatch)
-    traj = simulate_b((0, 10), replace(LONG_B[0], scale_r=10.0), 2.0, RandomStream(1),
-                      arrival=Shifted(1.0, 0.5, 1.0))
+    traj = _simulate(*case, RandomStream(1))
     assert ran == [False] and traj.n_events > 0
+    monkeypatch.setattr(_native, "_lib", None)
+    assert _fingerprint(traj) == _fingerprint(_simulate(*case, RandomStream(1)))
 
 
 @needs_cc

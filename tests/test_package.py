@@ -23,6 +23,16 @@ def test_csv_rows_formatted_in_one_module():
     assert found == {"_csv.py"}
 
 
+def test_time_grid_built_in_one_module():
+    # every output grid k*dt up to a horizon comes from params._time_grid; a
+    # copy of its rule elsewhere (floor(h/dt*(1+1e-12)) + 1 points, or
+    # np.arange from 0 to h*(1+1e-12)) could drift from it
+    pkg = Path(invitesim.__file__).parent
+    rule = re.compile(r"floor\(.*\(1(\.0)? \+ 1e-12\)\)|arange\(0\.0, .*1e-12")
+    found = {p.name for p in pkg.glob("*.py") if rule.search(p.read_text())}
+    assert found == {"params.py"}
+
+
 def test_import_loads_no_scipy():
     # the closed-form solvers need numpy only; scipy would add to every
     # command's start-up time
