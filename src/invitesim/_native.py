@@ -55,6 +55,17 @@ class KernelState(ctypes.Structure):
     ]
 
 
+def new_state(**fields) -> KernelState:
+    """A KernelState with `fields` set and the rest zero, on 64-byte cache
+    lines of its own: the kernels write the run state into it on every event,
+    and two pooled runs' states on one line would stall each other."""
+    buf = bytearray(ctypes.sizeof(KernelState) + 127)
+    state = KernelState.from_buffer(buf, -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64)
+    for name, value in fields.items():
+        setattr(state, name, value)
+    return state
+
+
 def _build() -> ctypes.CDLL:
     # imported here, not at module level, to keep `import invitesim` light
     import hashlib

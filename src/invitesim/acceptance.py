@@ -35,7 +35,7 @@ from .diffusion import (
 from .fluid import FluidState, drift_check, solve_fluid, solve_fluid_tv
 from .params import (ModelParams, SinusoidArrival, _time_grid, spectral_decompose,
                      star_norm, validate_params)
-from .stats import batch_means, scale_sweep, stationary_moments, sup_deviation
+from .stats import batch_means, replicate, scale_sweep, stationary_moments, sup_deviation
 
 P6 = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
 SINE = SinusoidArrival(base=1.0, amplitude=0.2, period=120.0)
@@ -483,35 +483,29 @@ def criterion_time_varying(replications: int = 20) -> CriterionResult:
     t0 = time.perf_counter()
     stream = RandomStream(seed=SEEDS["time-varying"])
     grid = np.arange(5.0, 500.0 * (1 + 1e-12), 0.05)
+    inits = ((0, 0), (-1000, 2000))
+    refs = [solve_fluid_tv((y / P6.scale_r, x / P6.scale_r), SINE, P6, horizon=500.0, dt=1e-3)
+            for y, x in inits]
+
+    def one_run(i, j, sub):
+        traj = simulate_b(SystemState(*inits[i]), P6, horizon=500.0, stream=sub,
+                          arrival=SINE, sampling=GridSpec(dt=0.05))
+        return (sup_deviation(fluid_scale(traj, P6), refs[i], grid).sup,
+                int(np.abs(traj.y[traj.t >= 50.0]).max()))
+
     cells = {}
-    ok = True
-    for i, init in enumerate(((0, 0), (-1000, 2000))):
-        scaled0 = (init[0] / P6.scale_r, init[1] / P6.scale_r)
-        ref = solve_fluid_tv(scaled0, SINE, P6, horizon=500.0, dt=1e-3)
-        sup_hits = y_hits = joint = 0
-        sups = []
-        ymaxes = []
-        for j in range(replications):
-            traj = simulate_b(SystemState(*init), P6, horizon=500.0,
-                              stream=stream.child(i).child(j), arrival=SINE,
-                              sampling=GridSpec(dt=0.05))
-            sup = sup_deviation(fluid_scale(traj, P6), ref, grid).sup
-            ymax = int(np.abs(traj.y[traj.t >= 50.0]).max())
-            sups.append(sup)
-            ymaxes.append(ymax)
-            a = sup <= 0.05
-            b = ymax <= 100
-            sup_hits += a
-            y_hits += b
-            joint += a and b
+    for i, runs in enumerate(replicate(one_run, stream, (len(inits), replications))):
+        sups, ymaxes = zip(*runs)
+        sup_ok = [sup <= 0.05 for sup in sups]
+        y_ok = [ymax <= 100 for ymax in ymaxes]
         cells[f"init{i}"] = {
-            "initial": list(init),
-            "sup_within_005": sup_hits, "ymax_within_100": y_hits,
-            "joint": joint, "replications": replications,
+            "initial": list(inits[i]),
+            "sup_within_005": sum(sup_ok), "ymax_within_100": sum(y_ok),
+            "joint": sum(a and b for a, b in zip(sup_ok, y_ok)),
+            "replications": replications,
             "mean_sup": float(np.mean(sups)), "max_ymax": int(max(ymaxes)),
         }
-        if joint < 18:
-            ok = False
+    ok = all(cell["joint"] >= 18 for cell in cells.values())
     return _finish(
         "time-varying", ok, cells, {"joint_hits": "≥18/20", "sup": 0.05,
                                     "abs_y_after_50": 100}, t0,

@@ -11,7 +11,6 @@ other error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
@@ -250,21 +249,12 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         written.append(target)
     if "sweep" in config.outputs:
         y0, x0 = config.initial[0] / p.scale_r, config.initial[1] / p.scale_r
-        map_fn = None
-        pool = None
-        if workers > 1:
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-            map_fn = pool.map
-        try:
-            table = scale_sweep(
-                SWEEP_SCALES,
-                lambda r: (int(round(y0 * r)), int(round(x0 * r))),
-                p, horizon=config.horizon,
-                replications=SWEEP_REPLICATIONS, stream=stream,
-                grid_dt=config.grid_dt, map_fn=map_fn)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        table = scale_sweep(
+            SWEEP_SCALES,
+            lambda r: (int(round(y0 * r)), int(round(x0 * r))),
+            p, horizon=config.horizon,
+            replications=SWEEP_REPLICATIONS, stream=stream,
+            grid_dt=config.grid_dt, workers=workers)
         target = out / "sweep.csv"
         table.to_csv(target)
         written.append(target)

@@ -262,8 +262,8 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
     lib = _native.library()
     if lib is None:
         return None
-    ks = _native.KernelState(**{k: v.ctypes.data if isinstance(v, np.ndarray) else v
-                                for k, v in fields.items()})
+    ks = _native.new_state(**{k: v.ctypes.data if isinstance(v, np.ndarray) else v
+                              for k, v in fields.items()})
     ks.y0, ks.x0 = ks.y, ks.x
     if thinning:
         call = type(arrival).__call__

@@ -112,10 +112,11 @@ def _transition(params: ModelParams, s: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _record_steps(record_times, horizon: float, dt: float) -> tuple[list[int], int]:
     """Steps k, one per record time k*dt (default: the horizon alone), and the
-    number of steps to the horizon; raises for a time off that step grid."""
+    number of steps to the horizon; raises for a horizon that is not a whole
+    number of steps or a time off that step grid."""
     if record_times is None:
         record_times = [horizon]
-    n = int(round(horizon / dt))
+    n = _grid_stride(horizon, dt, DiffusionError, what="horizon")
     steps = []
     for rt in record_times:
         k = int(round(rt / dt))

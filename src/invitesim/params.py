@@ -100,12 +100,14 @@ def _time_grid(horizon: float, dt: float) -> np.ndarray:
     return np.arange(int(math.floor(horizon / dt * (1.0 + 1e-12))) + 1) * dt
 
 
-def _grid_stride(dt: float, step: float, error: type[InviteSimError]) -> int:
+def _grid_stride(dt: float, step: float, error: type[InviteSimError],
+                 what: str = "output spacing") -> int:
     """k with dt = k*step to a relative 1e-9: every k-th sample of a grid `step`
-    apart is `dt` apart.  Raises `error` when there is no such k."""
+    apart is `dt` apart.  Raises `error`, naming `dt` as `what`, when there is
+    no such k."""
     k = round(dt / step)
     if k < 1 or abs(k * step - dt) > 1e-9 * dt:
-        raise error(f"output spacing {dt} is not a multiple of the sample spacing {step}")
+        raise error(f"{what} {dt} is not a multiple of the sample spacing {step}")
     return k
 
 

@@ -1,21 +1,24 @@
 """Comparison harness: sup-norm deviation between scaled paths and their
 deterministic limits, steady-state estimation by batch means, Gaussian moment
-checks, and the deviation-vs-scale sweep.
+checks, the replication runner and the deviation-vs-scale sweep.
 
 Steady-state averages are time-weighted (a sampled CTMC state holds its value
 until the next sample), never event-weighted.  Every report carries enough
-context (seed, parameters, grid) to rerun it exactly.
+context (seed, parameters, grid) to rerun it exactly.  Repeated runs go
+through replicate, the one place that builds a thread pool: cell (i, j) of a
+grid of runs draws from stream.child(i).child(j), so results do not depend
+on the number of workers.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._csv import write_columns
-from .ctmc import RandomStream, SystemState, fluid_scale, diffusion_scale, simulate_b, \
-    transition_rates_b, drift_replicates_b, GridSpec
+from .ctmc import RandomStream, SystemState, fluid_scale, diffusion_scale, simulate_b, GridSpec
 from .fluid import solve_fluid
 from .params import InviteSimError, ModelParams, _time_grid
 
@@ -349,17 +352,44 @@ class SweepTable:
                        sd, [row.n for row in self.rows]])
 
 
+def replicate(fn, stream: RandomStream, shape: tuple[int, int], workers: int = 1) -> list[list]:
+    """fn(i, j, stream.child(i).child(j)) for every cell of a 2-D shape, as
+    nested lists in index order.
+
+    With workers > 1 the calls run on one thread pool of that size, which is
+    closed before returning (calls not yet started are dropped when one
+    raises).  Streams are fixed by index, so the result is the same for
+    every number of workers.
+    """
+    if workers < 1:
+        raise StatsError(f"workers must be >= 1, got {workers}")
+    rows, cols = shape
+
+    def cell(k):
+        i, j = divmod(k, cols)
+        return fn(i, j, stream.child(i).child(j))
+
+    if workers == 1:
+        flat = list(map(cell, range(rows * cols)))
+    else:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            flat = list(pool.map(cell, range(rows * cols)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
 def scale_sweep(r_list, initial_family, params: ModelParams, horizon: float,
                 replications: int, stream: RandomStream,
-                grid_dt: float = 0.05, map_fn=None) -> SweepTable:
+                grid_dt: float = 0.05, workers: int = 1) -> SweepTable:
     """Mean/std of the fluid-scale sup deviation at each scale in r_list.
 
     initial_family maps a scale r to the unscaled integer initial state, so
     the whole family shares one scaled starting point and one fluid
-    reference.  Replication j at scale index i uses stream.child(i).child(j).
-    map_fn lets callers fan replications out to a worker pool; streams are
-    assigned up front and results collected in order, so the table is
-    identical no matter how the work is scheduled.
+    reference.  Replication j at scale index i uses stream.child(i).child(j);
+    all scales' replications run through one replicate call on `workers`
+    threads, so the table is the same for every number of workers.
     """
     r_list = list(r_list)
     if any(b <= a for a, b in zip(r_list, r_list[1:])):
@@ -367,23 +397,25 @@ def scale_sweep(r_list, initial_family, params: ModelParams, horizon: float,
     if replications < 1:
         raise StatsError("need at least one replication")
     grid = _time_grid(horizon, grid_dt)
-    rows = []
-    for i, r in enumerate(r_list):
+    cases = []
+    for r in r_list:
         p = replace(params, scale_r=float(r))
         init = initial_family(r)
         if not isinstance(init, SystemState):
             init = SystemState(y=int(init[0]), x=int(init[1]))
         scaled0 = (init.y / r, init.x / r - p.lam / p.beta)
-        reference = solve_fluid(scaled0, p, horizon=horizon)
+        cases.append((p, init, solve_fluid(scaled0, p, horizon=horizon)))
 
-        def one_replicate(j, _i=i, _p=p, _init=init, _ref=reference):
-            traj = simulate_b(_init, _p, horizon=horizon,
-                              stream=stream.child(_i).child(j),
-                              sampling=GridSpec(dt=grid_dt))
-            return sup_deviation(fluid_scale(traj, _p), _ref, grid).sup
+    def one_replicate(i, j, sub):
+        p, init, reference = cases[i]
+        traj = simulate_b(init, p, horizon=horizon, stream=sub,
+                          sampling=GridSpec(dt=grid_dt))
+        return sup_deviation(fluid_scale(traj, p), reference, grid).sup
 
-        devs = np.array(list((map_fn or map)(one_replicate,
-                                             range(replications))))
+    rows = []
+    for r, devs in zip(r_list, replicate(one_replicate, stream,
+                                         (len(r_list), replications), workers)):
+        devs = np.array(devs)
         rows.append(SweepRow(
             r=float(r), mean_dev=float(devs.mean()),
             std_dev=float(devs.std(ddof=1)) if replications >= 2 else float("nan"),
@@ -393,62 +425,3 @@ def scale_sweep(r_list, initial_family, params: ModelParams, horizon: float,
                       context={"seed": stream.seed, "stream_path": list(stream.path),
                                "horizon": horizon, "grid_dt": grid_dt,
                                "replications": replications})
-
-
-# ---------------------------------------------------------------------------
-# generator audit
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DriftRow:
-    state: tuple[int, int]
-    expected: tuple[float, float]
-    empirical: tuple[float, float]
-    se: tuple[float, float]
-    z: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class GeneratorDriftReport:
-    rows: tuple[DriftRow, ...]
-    max_abs_z: float
-    dt: float
-    n_replicates: int
-    context: dict = field(default_factory=dict, compare=False)
-
-
-def generator_drift_check(states, params: ModelParams, dt: float,
-                          n_replicates: int, stream: RandomStream,
-                          arrival=None) -> GeneratorDriftReport:
-    """Short-window mean increments vs the rate-table prediction.
-
-    For each starting state, E[delta] over a window of length dt is the rate
-    table's sum of rate*jump*dt up to O(dt^2); the empirical mean over
-    n_replicates is compared in standard-error units.
-    """
-    rows = []
-    max_z = 0.0
-    for k, st in enumerate(states):
-        if not isinstance(st, SystemState):
-            st = SystemState(y=int(st[0]), x=int(st[1]))
-        exp_dy =exp_dx = 0.0
-        for rate, dy, dx in transition_rates_b(st, params, arrival=arrival):
-            exp_dy += rate * dy * dt
-            exp_dx += rate * dx * dt
-        deltas = drift_replicates_b(st, params, dt=dt, n_replicates=n_replicates,
-                                    stream=stream.child(k), arrival=arrival)
-        emp = deltas.mean(axis=0)
-        se = deltas.std(axis=0, ddof=1) / math.sqrt(n_replicates)
-        se = np.maximum(se, 1e-12)
-        z = (emp - [exp_dy, exp_dx]) / se
-        max_z = max(max_z, float(np.abs(z).max()))
-        rows.append(DriftRow(
-            state=(st.y, st.x),
-            expected=(exp_dy, exp_dx),
-            empirical=(float(emp[0]), float(emp[1])),
-            se=(float(se[0]), float(se[1])),
-            z=(float(z[0]), float(z[1]))))
-    return GeneratorDriftReport(rows=tuple(rows), max_abs_z=max_z, dt=dt,
-                                n_replicates=n_replicates,
-                                context={"seed": stream.seed,
-                                         "stream_path": list(stream.path)})

@@ -223,6 +223,17 @@ def test_sde_rejects_off_grid_horizon():
         simulate_sde_ensemble(DiffusionState(0.0, 0.0), BASE, horizon=1.0,
                               stream=RandomStream(seed=1), n_paths=10,
                               record_times=[0.50049], dt=1e-3)
+    # 1.1 / 0.4 rounds to 3 steps: a record time 1.2 would be past the horizon
+    with pytest.raises(DiffusionError, match="horizon 1.1"):
+        simulate_sde_ensemble(DiffusionState(0.0, 0.0), BASE, horizon=1.1,
+                              stream=RandomStream(seed=1), n_paths=4, dt=0.4,
+                              record_times=[1.2])
+    with pytest.raises(DiffusionError, match="horizon 1.1"):
+        _euler_ensemble(DiffusionState(0.0, 0.0), BASE, horizon=1.1,
+                        stream=RandomStream(seed=1), n_paths=4, dt=0.4)
+    assert simulate_sde_ensemble(DiffusionState(0.0, 0.0), BASE, horizon=1.2,
+                                 stream=RandomStream(seed=1), n_paths=4,
+                                 dt=0.4).shape == (1, 4, 2)
 
 
 def _rel(got, want):

@@ -4,9 +4,10 @@ simulate_b, drift_replicates_b and simulate_a run _kernel.c when it builds
 and their Python loops otherwise; both must give the same bits.  Setting `_native._lib` to None
 forces the Python loop, the oracle here.
 """
-import concurrent.futures
+import ctypes
 import shutil
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -198,6 +199,34 @@ def test_overridden_rate_runs_the_python_loop(scheme, monkeypatch):
 
 
 @needs_cc
+def test_kernel_state_owns_its_cache_lines(monkeypatch):
+    # the kernels write the run state on every event; a state sharing a 64-byte
+    # line with another thread's made a two-thread sweep's kernels up to 1.8x
+    # slower in CPU time (false sharing)
+    lib = _native.library()
+    seen = []
+
+    class Spy:
+        def __getattr__(self, name):
+            def call(ks):
+                (buf,) = ks._objects.values()  # the buffer the state lives in
+                seen.append((ctypes.addressof(ks),
+                             ctypes.addressof(ctypes.c_char.from_buffer(buf)) + len(buf)))
+                return getattr(lib, name)(ks)
+            return call
+
+    monkeypatch.setattr(_native, "library", Spy)
+    params = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=2.0, epsilon=0.2)
+    for k in range(20):
+        simulate_b(SystemState(0, 100), params, 2.0, RandomStream(k))
+        simulate_a(SystemState(0, 100, x_target=100.0), params, 2.0, RandomStream(k))
+    lines = -(-ctypes.sizeof(_native.KernelState) // 64) * 64
+    assert len(seen) >= 40
+    for address, buf_end in seen:
+        assert address % 64 == 0 and address + lines <= buf_end
+
+
+@needs_cc
 def test_pooled_sweep_equals_serial_while_threads_race_the_build(tmp_path, monkeypatch):
     # four threads race the first load of a library that is not built yet
     # (a fresh source location), then run their kernels without the GIL
@@ -206,13 +235,20 @@ def test_pooled_sweep_equals_serial_while_threads_race_the_build(tmp_path, monke
     monkeypatch.setattr(_native, "_lib", _native._UNTRIED)
     params = ModelParams(lam=1.0, scale_r=1.0, beta=1.0, gamma=2.0, epsilon=0.2)
     args = ((50, 200), lambda r: (0, 2 * int(r)), params, 5.0, 8, RandomStream(77))
+    result = []
+    # a daemon thread, so that a deadlocked build fails the test instead of
+    # hanging the run
+    runner = threading.Thread(target=lambda: result.append(scale_sweep(*args, workers=4)),
+                              daemon=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with concurrent.futures.ThreadPoolExecutor(4) as pool:
-            pooled = scale_sweep(*args, map_fn=lambda fn, it: pool.map(fn, it, timeout=120))
+        runner.start()
+        runner.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
+    assert not runner.is_alive() and len(result) == 1
+    pooled = result[0]
     assert _native._lib is not None
     assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [
         next((tmp_path / "__pycache__").glob("_kernel-*.so")).name]

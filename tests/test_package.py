@@ -33,6 +33,15 @@ def test_time_grid_built_in_one_module():
     assert found == {"params.py"}
 
 
+def test_thread_pool_built_in_one_module():
+    # repeated runs fan out through stats.replicate, which owns the pool; a
+    # pool of its own elsewhere would bring back a second replication loop
+    pkg = Path(invitesim.__file__).parent
+    found = {p.name for p in pkg.glob("*.py")
+             if re.search(r"\bThreadPoolExecutor\b|\bconcurrent\.futures\b", p.read_text())}
+    assert found == {"stats.py"}
+
+
 def test_import_loads_no_scipy():
     # the closed-form solvers need numpy only; scipy would add to every
     # command's start-up time

@@ -16,7 +16,7 @@ from invitesim.stats import (
     SweepTable,
     batch_means,
     gaussian_check,
-    generator_drift_check,
+    replicate,
     scale_sweep,
     stationary_moments,
     sup_deviation,
@@ -272,6 +272,15 @@ def test_scale_sweep_devs_match_independent_runs():
         assert row.std_dev == float(np.std(devs, ddof=1))
 
 
+def test_replicate_returns_cells_in_index_order():
+    stream = RandomStream(seed=4, path=(7,))
+    got = replicate(lambda i, j, sub: (i, j, sub.path), stream, (3, 4))
+    assert got == [[(i, j, (7, i, j)) for j in range(4)] for i in range(3)]
+    assert replicate(lambda i, j, sub: (i, j, sub.path), stream, (3, 4), workers=3) == got
+    with pytest.raises(ZeroDivisionError):  # a failing call reaches the caller
+        replicate(lambda i, j, sub: 1 / (i - 1), stream, (3, 2), workers=2)
+
+
 def test_scale_sweep_validation():
     with pytest.raises(StatsError):
         scale_sweep([100, 100], lambda r: (0, 0), BASE, horizon=5.0,
@@ -279,21 +288,6 @@ def test_scale_sweep_validation():
     with pytest.raises(StatsError):
         scale_sweep([100], lambda r: (0, 0), BASE, horizon=5.0,
                     replications=0, stream=RandomStream(seed=1))
-
-
-def test_generator_drift_check_agrees_with_rate_table():
-    states = [(0, 0), (2, 5), (-3, 0), (4, 0), (0, 1)]
-    rep = generator_drift_check(states, BASE, dt=1e-3, n_replicates=4000,
-                                stream=RandomStream(seed=21))
-    assert rep.max_abs_z < 4.0
-    by_state = {row.state: row for row in rep.rows}
-    # hand-written first-order expectations: sum of rate * jump * dt
-    lam_r = BASE.lam * BASE.scale_r
-    exp_00 = (-lam_r * 1e-3, lam_r * 2 * 1e-3)
-    assert by_state[(0, 0)].expected[0] == pytest.approx(exp_00[0], rel=1e-12)
-    assert by_state[(0, 0)].expected[1] == pytest.approx(exp_00[1], rel=1e-12)
-    exp_25_dy = (-lam_r + 5 * BASE.beta) * 1e-3
-    exp_25_dx = (lam_r * 2 - 5 * BASE.beta * 2 - 0.2 * 2) * 1e-3
-    assert by_state[(2, 5)].expected[0] == pytest.approx(exp_25_dy, rel=1e-12)
-    assert by_state[(2, 5)].expected[1] == pytest.approx(exp_25_dx, rel=1e-12)
-    assert all(s > 0 for row in rep.rows for s in row.se)
+    with pytest.raises(StatsError, match="workers"):
+        scale_sweep([100], lambda r: (0, 0), BASE, horizon=5.0,
+                    replications=2, stream=RandomStream(seed=1), workers=0)
