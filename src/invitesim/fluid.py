@@ -3,8 +3,10 @@ arrival rates.
 
 Constant rate: away from the floor x = -lam/beta the path is a sum of two
 decaying eigenmodes; on the floor it slides with y' = -lam until y reaches
-gamma*lam/epsilon and lifts off.  A path enters the floor at most once, so a
-full solution is at most interior/boundary/interior.
+gamma*lam/epsilon and lifts off.  The gap to the floor has at most one
+extremum, which settles whether the path meets the floor and brackets where.
+A path enters the floor at most once, so a full solution is at most
+interior/boundary/interior.
 
 Time-varying rate: the uncentered pair (y, x) follows a piecewise-smooth field
 with the same floor structure at x = 0.  Off the floor the path is a particular
@@ -85,13 +87,17 @@ class FluidTrajectory:
     def boundary_segments(self) -> int:
         return sum(1 for s in self.segments if isinstance(s, BoundarySegment))
 
+    def _segment_index(self, ts: np.ndarray) -> np.ndarray:
+        """Index of the segment that holds each time of ts."""
+        starts = np.array([s.t0 for s in self.segments])
+        return np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, len(self.segments) - 1)
+
     def states(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < -1e-12 or ts.max() > self.horizon * (1 + 1e-12) + 1e-12):
             raise FluidSolverError(
                 f"evaluation times outside [0, {self.horizon}]")
-        starts = np.array([s.t0 for s in self.segments])
-        idx = np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, len(self.segments) - 1)
+        idx = self._segment_index(ts)
         out = np.empty((ts.size, 2))
         spec = self.spec
         lam, beta = self.params.lam, self.params.beta
@@ -114,25 +120,10 @@ class FluidTrajectory:
         return self.states(np.array([t]))[0]
 
     def segment_kinds(self, ts) -> list[str]:
-        ts = np.asarray(ts, dtype=float)
-        starts = np.array([s.t0 for s in self.segments])
-        idx = np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, len(self.segments) - 1)
-        return [self.segments[i].kind for i in idx]
+        return [self.segments[i].kind for i in self._segment_index(np.asarray(ts, dtype=float))]
 
     def eval_on(self, grid: np.ndarray) -> np.ndarray:
         return self.states(grid)
-
-    def segment_summary(self) -> list[dict]:
-        out = []
-        for s in self.segments:
-            d = {"kind": s.kind, "t0": s.t0, "duration": s.duration}
-            if isinstance(s, InteriorSegment):
-                d["alpha1"] = s.alpha1
-                d["alpha2"] = s.alpha2
-            else:
-                d["y_start"] = s.y_start
-            out.append(d)
-        return out
 
     def to_csv(self, path, dt: float = 0.05) -> None:
         ts = _time_grid(self.horizon, dt)
@@ -160,8 +151,11 @@ def boundary_hit_time(initial, params: ModelParams,
                       spec: SpectralData | None = None) -> float | None:
     """Smallest t > 0 where the interior closed form reaches x = -lam/beta.
 
-    Scans sign changes of x(t) + lam/beta on a grid of step min(1/nu2, T)/64
-    augmented with the single analytic critical point, then bisects to 1e-12.
+    The gap g(t) = x(t) + lam/beta = lam/beta - a1 e^{-nu1 t} - a2 e^{-nu2 t}
+    starts positive off the floor, tends to lam/beta > 0 and has at most one
+    extremum, at t_crit = ln(-nu2 a2 / (nu1 a1)) / (nu2 - nu1).  So the path
+    touches the floor iff t_crit > 0 and g(t_crit) <= 0, and the first
+    contact is the one sign change of g on (0, t_crit], bisected to 1e-12.
     Returns None when the path stays above the floor.
     """
     if spec is None:
@@ -188,30 +182,14 @@ def boundary_hit_time(initial, params: ModelParams,
     if on_floor and nu1 * nu1 * a1 + nu2 * nu2 * a2 < 0.0:
         return None
 
-    reach = abs(a1) + abs(a2)
-    if reach <= level * (1.0 - 1e-15):
+    # gap'(t) = nu1 a1 e^{-nu1 t} + nu2 a2 e^{-nu2 t} vanishes once, at t_crit,
+    # and t_crit > 0 iff the ratio exceeds 1; without it g is monotone on t > 0
+    ratio = -nu2 * a2 / (nu1 * a1) if a1 != 0.0 else 0.0
+    if ratio <= 1.0:
         return None
-    t_max = math.log(max(reach / level, 1.0)) / nu1 + 1.0 / nu2
-    step = min(1.0 / nu2, t_max) / 64.0
-    ts = list(np.arange(step, t_max + step, step))
-    # at most one interior extremum of the gap; include it so a dip between
-    # scan points cannot be missed
-    if a1 != 0.0 and -nu2 * a2 / (nu1 * a1) > 0.0:
-        t_crit = math.log(-nu2 * a2 / (nu1 * a1)) / (nu2 - nu1)
-        if 0.0 < t_crit < t_max:
-            ts = sorted(ts + [t_crit])
-
-    prev_t, prev_g = 0.0, gap(0.0)
-    bracket = None
-    for t in ts:
-        g = gap(t)
-        if prev_g > 0.0 >= g:
-            bracket = (prev_t, t)
-            break
-        prev_t, prev_g = t, g
-    if bracket is None:
+    lo, hi = 0.0, math.log(ratio) / (nu2 - nu1)
+    if gap(hi) > 0.0:
         return None
-    lo, hi = bracket
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
@@ -512,54 +490,42 @@ class DriftReport:
 
 
 def drift_check(traj: FluidTrajectory, spec: SpectralData | None = None,
-                grid_dt: float = 0.01, fd_step: float = 1e-6,
-                norm_floor: float = 1e-9) -> DriftReport:
-    """Finite-difference audit of d/dt of the weighted norm along the path.
+                grid_dt: float = 0.01) -> DriftReport:
+    """Exact d/dt of the weighted norm n = |alpha|, alpha = u @ basis_inv,
+    every grid_dt along each segment.
 
-    Interior points report the decay ratio -n'(t)/n(t), which should never
-    fall below the slow rate nu1; boundary points report n'(t) itself, which
-    should be strictly negative.  Points within fd_step of a segment joint
-    are excluded since the derivative jumps there.
+    Interior points report the decay ratio -n'/n = (nu1 c1^2 + nu2 c2^2) /
+    (c1^2 + c2^2) of the mode coefficients c_i = alpha_i e^{-nu_i t}, which
+    never falls below the slow rate nu1; boundary points report
+    n' = (alpha . alpha')/n with alpha' = (-lam, 0) @ basis_inv, which
+    should be strictly negative.  Points with n = 0 are skipped.
     """
     spec = spec or traj.spec
-    binv = spec.basis_inv
+    lam, beta = traj.params.lam, traj.params.beta
+    slide = np.array([-lam, 0.0]) @ spec.basis_inv
     ratios: list[float] = []
     bdrifts: list[float] = []
-    checked = 0
     for seg in traj.segments:
-        margin = 10 * fd_step
-        if seg.duration <= 2 * margin:
-            continue
-        taus = np.arange(margin, seg.duration - margin, grid_dt)
-        if taus.size == 0:
-            taus = np.array([seg.duration / 2])
-        if isinstance(seg, InteriorSegment):
-            def norm_at(tt):
-                c1 = seg.alpha1 * np.exp(-spec.nu1 * tt)
-                c2 = seg.alpha2 * np.exp(-spec.nu2 * tt)
-                return np.hypot(c1, c2)
-            n0 = norm_at(taus)
-            deriv = (norm_at(taus + fd_step) - norm_at(taus - fd_step)) / (2 * fd_step)
-            keep = n0 > norm_floor
-            checked += int(keep.sum())
-            if keep.any():
-                ratios.extend((-deriv[keep] / n0[keep]).tolist())
+        taus = np.arange(0.0, seg.duration, grid_dt)
+        interior = isinstance(seg, InteriorSegment)
+        if interior:
+            al = np.stack([seg.alpha1 * np.exp(-spec.nu1 * taus),
+                           seg.alpha2 * np.exp(-spec.nu2 * taus)], axis=-1)
         else:
-            ystart = seg.y_start
-            lam, beta = traj.params.lam, traj.params.beta
-
-            def norm_at(tt):
-                u = np.stack([ystart - lam * tt, np.full_like(tt, -lam / beta)], axis=-1)
-                al = u @ binv
-                return np.hypot(al[..., 0], al[..., 1])
-            deriv = (norm_at(taus + fd_step) - norm_at(taus - fd_step)) / (2 * fd_step)
-            checked += taus.size
-            bdrifts.extend(deriv.tolist())
+            al = np.stack([seg.y_start - lam * taus, np.full_like(taus, -lam / beta)],
+                          axis=-1) @ spec.basis_inv
+        n = np.hypot(al[:, 0], al[:, 1])
+        # unit vectors, so the squares of tiny coefficients cannot underflow
+        e = al[n > 0.0] / n[n > 0.0, None]
+        if interior:
+            ratios.extend((e * e @ [spec.nu1, spec.nu2]).tolist())
+        else:
+            bdrifts.extend((e @ slide).tolist())
     return DriftReport(
         interior_ratio_min=min(ratios) if ratios else None,
         interior_ratio_max=max(ratios) if ratios else None,
         boundary_drift_max=max(bdrifts) if bdrifts else None,
         boundary_segments=traj.boundary_segments,
-        points_checked=checked,
+        points_checked=len(ratios) + len(bdrifts),
         grid_dt=grid_dt,
     )

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 
 from .params import (
     ArrivalRateFn,
+    ConstantArrival,
     InviteSimError,
     ModelParams,
     SinusoidArrival,
@@ -64,6 +65,9 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown outputs {sorted(unknown)}")
         if self.seed < 0:
             raise ConfigInvalid("seed must be a nonnegative integer")
+        if isinstance(self.arrival, ConstantArrival) and self.arrival.rate != self.params.lam:
+            raise ConfigInvalid(f"constant arrival rate {self.arrival.rate} differs from lambda "
+                                f"{self.params.lam}, the rate of every reference")
 
     def to_json_dict(self) -> dict:
         return {

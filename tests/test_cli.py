@@ -84,6 +84,36 @@ def test_acceptance_is_not_a_config_output():
         small_config(outputs=("acceptance",))
 
 
+def _constant_rate_doc(base):
+    doc = small_config(outputs=("trajectory", "fluid", "deviation")).to_json_dict()
+    doc["model"]["arrival"] = {"kind": "constant", "base": base}
+    return doc
+
+
+def test_config_rejects_constant_rate_off_lambda():
+    # the simulation would run at base*r while every reference uses lambda
+    with pytest.raises(ConfigInvalid, match="rate 0.5 differs from lambda 1.0"):
+        config_from_json(_constant_rate_doc(0.5))
+
+
+def test_constant_rate_off_lambda_leaves_no_output_dir(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_constant_rate_doc(0.5)))
+    out = tmp_path / "D"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 1
+    assert "differs from lambda" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_constant_rate_at_lambda_writes_the_same_data(tmp_path):
+    same = config_from_json(_constant_rate_doc(1.0))
+    assert same.arrival is not None
+    plain = run(small_config(outputs=("trajectory", "fluid", "deviation")), tmp_path / "a")
+    files = run(same, tmp_path / "b").files
+    assert [(f["path"], f["sha256"]) for f in files] == [
+        (f["path"], f["sha256"]) for f in plain.files]
+
+
 # ---------------------------------------------------------------------------
 # run(): files, manifest, reproducibility
 # ---------------------------------------------------------------------------

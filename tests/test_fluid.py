@@ -30,6 +30,9 @@ from invitesim.params import (
 
 BASE = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
 SPEC = spectral_decompose(BASE)
+# tangential lift-off at the exit corner after a slide from the floor
+LIFTOFF = ModelParams(lam=2.5625, scale_r=100.0, beta=2.4453125, gamma=2.0,
+                      epsilon=0.534912109375)
 
 # frozen reference values, computed once with an adaptive integrator at
 # rtol=1e-12 and an independent root find on the mode expansion
@@ -157,10 +160,10 @@ def test_states_match_scalar_eval():
 
 def test_segment_summary_and_csv(tmp_path):
     traj = solve_fluid((18.0, -0.9), BASE, horizon=50.0)
-    summ = traj.segment_summary()
-    assert [d["kind"] for d in summ] == ["interior", "boundary", "interior"]
-    assert summ[1]["y_start"] == pytest.approx(HIT_Y, abs=1e-9)
-    assert sum(d["duration"] for d in summ) == pytest.approx(50.0, abs=1e-9)
+    segs = traj.segments
+    assert [s.kind for s in segs] == ["interior", "boundary", "interior"]
+    assert segs[1].y_start == pytest.approx(HIT_Y, abs=1e-9)
+    assert sum(s.duration for s in segs) == pytest.approx(50.0, abs=1e-9)
     out = tmp_path / "fluid.csv"
     traj.to_csv(out, dt=0.5)
     lines = out.read_text().strip().split("\n")
@@ -188,6 +191,50 @@ def test_drift_check_boundary_negative():
     assert rep.boundary_segments == 1
     assert rep.boundary_drift_max < 0.0
     assert rep.interior_ratio_min >= SPEC.nu1 - 1e-5
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+def test_drift_check_pure_mode_ratio_is_its_rate(mode):
+    # a start along one eigen-row decays at exactly that row's rate
+    for c in (0.5, -2.0):
+        start = c * (SPEC.v1, SPEC.v2)[mode]
+        traj = solve_fluid(start, BASE, horizon=40.0)
+        assert traj.boundary_segments == 0
+        rep = drift_check(traj)
+        rate = (SPEC.nu1, SPEC.nu2)[mode]
+        assert rep.points_checked == 4000
+        assert rep.interior_ratio_min == pytest.approx(rate, rel=1e-12)
+        assert rep.interior_ratio_max == pytest.approx(rate, rel=1e-12)
+
+
+def _central_difference_norm_drift(params, spec, y_start, tau, h=1e-6):
+    """d/dt of |u @ basis_inv| along the slide y = y_start - lam*t, x = floor,
+    by a central difference of step h."""
+    def norm(t):
+        u = np.array([y_start - params.lam * t, -params.lam / params.beta])
+        return float(np.linalg.norm(u @ spec.basis_inv))
+    return (norm(tau + h) - norm(tau - h)) / (2 * h)
+
+
+@pytest.mark.parametrize("params, start", [(BASE, (18.0, -0.9)),
+                                           (LIFTOFF, (10.0, -LIFTOFF.lam / LIFTOFF.beta))],
+                         ids=["base", "liftoff"])
+def test_drift_check_slide_matches_central_difference(params, start):
+    spec = spectral_decompose(params)
+    # one slide point per report: a grid step longer than the segment
+    for y_start in np.linspace(params.boundary_exit_y, 40.0, 25):
+        seg = BoundarySegment(t0=0.0, duration=1.0, y_start=float(y_start))
+        traj = fluid.FluidTrajectory(params=params, spec=spec, segments=(seg,), horizon=1.0)
+        rep = drift_check(traj, grid_dt=2.0)
+        assert rep.points_checked == 1
+        want = _central_difference_norm_drift(params, spec, y_start, 0.0)
+        assert rep.boundary_drift_max == pytest.approx(want, rel=1e-6)
+    # the whole slide of a solved path: the maximum over its grid
+    traj = solve_fluid(start, params, horizon=30.0)
+    (seg,) = [s for s in traj.segments if s.kind == "boundary"]
+    taus = np.arange(0.0, seg.duration, 0.01)
+    want = max(_central_difference_norm_drift(params, spec, seg.y_start, t) for t in taus)
+    assert drift_check(traj).boundary_drift_max == pytest.approx(want, rel=1e-6)
 
 
 @st.composite
@@ -221,11 +268,6 @@ def test_hit_time_is_first_floor_crossing(params, y0, xoff):
         assert at.y >= params.boundary_exit_y - 1e-6
 
 
-# tangential lift-off at the exit corner after a slide from the floor
-LIFTOFF = ModelParams(lam=2.5625, scale_r=100.0, beta=2.4453125, gamma=2.0,
-                      epsilon=0.534912109375)
-
-
 @settings(max_examples=25, deadline=None)
 @given(params=stable_params(), y0=st.floats(-20.0, 40.0), xoff=st.floats(0.0, 10.0))
 @example(params=LIFTOFF, y0=10.0, xoff=0.0)
@@ -254,6 +296,81 @@ def test_tangential_liftoff_after_slide():
     tail = _reference_ivp((exit_y, floor), 30.0 - t_exit, LIFTOFF)
     for dt_after in (0.01, 1.0, 10.0):
         assert np.allclose(traj.state(t_exit + dt_after), tail.sol(dt_after), atol=1e-9)
+
+
+def _scan_hit_time(initial, params, spec):
+    """The grid-scan contact search that boundary_hit_time replaced, kept as
+    its oracle: sign changes of the gap on a grid of step min(1/nu2, T)/64,
+    plus the gap's one extremum, then bisection to 1e-12."""
+    a1, a2 = (float(a) for a in np.asarray(initial, dtype=float) @ spec.basis_inv)
+    nu1, nu2 = spec.nu1, spec.nu2
+    level = params.lam / params.beta
+
+    def gap(t):
+        return level - a1 * math.exp(-nu1 * t) - a2 * math.exp(-nu2 * t)
+
+    on_floor = gap(0.0) <= 1e-12 * max(1.0, level)
+    if on_floor and nu1 * a1 + nu2 * a2 < -1e-9 * max(1.0, abs(a1) + abs(a2)):
+        return 0.0
+    if on_floor and nu1 * nu1 * a1 + nu2 * nu2 * a2 < 0.0:
+        return None
+    reach = abs(a1) + abs(a2)
+    if reach <= level * (1.0 - 1e-15):
+        return None
+    t_max = math.log(max(reach / level, 1.0)) / nu1 + 1.0 / nu2
+    step = min(1.0 / nu2, t_max) / 64.0
+    ts = list(np.arange(step, t_max + step, step))
+    if a1 != 0.0 and -nu2 * a2 / (nu1 * a1) > 0.0:
+        t_crit = math.log(-nu2 * a2 / (nu1 * a1)) / (nu2 - nu1)
+        if 0.0 < t_crit < t_max:
+            ts = sorted(ts + [t_crit])
+    prev_t, prev_g = 0.0, gap(0.0)
+    for t in ts:
+        g = gap(t)
+        if prev_g > 0.0 >= g:
+            break
+        prev_t, prev_g = t, g
+    else:
+        return None
+    lo, hi = prev_t, t
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_hit_time_matches_grid_scan():
+    # seeded starts over the stable_params ranges: a quarter on the floor
+    # anywhere, a quarter at the exit corner (lift-off), half above the floor
+    rng = np.random.default_rng(1519)
+    cases = [(LIFTOFF, (LIFTOFF.boundary_exit_y, -LIFTOFF.lam / LIFTOFF.beta))]
+    for k in range(2400):
+        beta, gamma = rng.uniform(0.2, 4.0), rng.uniform(0.5, 5.0)
+        eps = rng.uniform(0.05, 0.95) * gamma * gamma * beta / 4.0
+        params = ModelParams(lam=rng.uniform(0.2, 3.0), scale_r=100.0, beta=beta,
+                             gamma=gamma, epsilon=eps)
+        floor = -params.lam / params.beta
+        if k % 2:
+            initial = (rng.uniform(-30.0, 30.0), floor + rng.uniform(0.0, 20.0))
+        elif k % 4 == 2:
+            initial = (params.boundary_exit_y, floor)
+        else:
+            initial = (rng.uniform(-30.0, 40.0), floor)
+        cases.append((params, initial))
+    counts = {"none": 0, "now": 0, "later": 0}
+    for params, initial in cases:
+        spec = spectral_decompose(params)
+        want = _scan_hit_time(initial, params, spec)
+        got = boundary_hit_time(initial, params, spec)
+        assert (got is None) == (want is None), (params, initial, want, got)
+        if want is not None:
+            assert abs(got - want) <= 1e-11, (params, initial, want, got)
+        counts["none" if want is None else "now" if want == 0.0 else "later"] += 1
+    # every branch is exercised many times over
+    assert min(counts.values()) > 200, counts
 
 
 # --- time-varying rates -----------------------------------------------------
