@@ -108,7 +108,7 @@ def emit_plot_data(path, sim, fluid=None, grid=None) -> list[str]:
             t = t[keep]
             sim_vals = sim_vals[keep]
         native = getattr(fluid, "t", None)
-        if native is not None:
+        if native is not None and hasattr(fluid, "dt"):
             step = float(native[1] - native[0]) if len(native) > 1 else 1.0
             off = np.abs(t / step - np.round(t / step))
             if np.any(off > 1e-6):

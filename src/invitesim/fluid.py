@@ -18,7 +18,7 @@ grid points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class InteriorSegment:
     alpha1: float
     alpha2: float
     kind: str = "interior"
+    flow: "_PieceFlow | None" = field(default=None, repr=False, compare=False)
+
+    def states(self, ts):
+        return self.flow.interior(self.t0, self.alpha1, self.alpha2, ts)
 
 
 @dataclass(frozen=True)
@@ -72,16 +76,25 @@ class BoundarySegment:
     duration: float
     y_start: float
     kind: str = "boundary"
+    flow: "_PieceFlow | None" = field(default=None, repr=False, compare=False)
+
+    def states(self, ts):
+        return self.flow.floor(self.t0, self.y_start, ts)
 
 
 @dataclass(frozen=True)
 class FluidTrajectory:
-    """Piecewise closed-form path of the centered fluid pair (y, x)."""
+    """Piecewise closed-form fluid path (y, x); t holds the segment start
+    times, closed by the horizon."""
 
     params: ModelParams
     spec: SpectralData
     segments: tuple
     horizon: float
+    t: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "t", np.array([s.t0 for s in self.segments] + [self.horizon]))
 
     @property
     def boundary_segments(self) -> int:
@@ -89,8 +102,7 @@ class FluidTrajectory:
 
     def _segment_index(self, ts: np.ndarray) -> np.ndarray:
         """Index of the segment that holds each time of ts."""
-        starts = np.array([s.t0 for s in self.segments])
-        return np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, len(self.segments) - 1)
+        return np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.segments) - 1)
 
     def states(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -99,28 +111,17 @@ class FluidTrajectory:
                 f"evaluation times outside [0, {self.horizon}]")
         idx = self._segment_index(ts)
         out = np.empty((ts.size, 2))
-        spec = self.spec
-        lam, beta = self.params.lam, self.params.beta
-        for i, seg in enumerate(self.segments):
+        for i in np.unique(idx):
             mask = idx == i
-            if not mask.any():
-                continue
-            tau = ts[mask] - seg.t0
-            if isinstance(seg, InteriorSegment):
-                c1 = seg.alpha1 * np.exp(-spec.nu1 * tau)
-                c2 = seg.alpha2 * np.exp(-spec.nu2 * tau)
-                out[mask, 0] = c1 * spec.a1 + c2 * spec.a2
-                out[mask, 1] = -(c1 + c2)
-            else:
-                out[mask, 0] = seg.y_start - lam * tau
-                out[mask, 1] = -lam / beta
+            out[mask, 0], out[mask, 1] = self.segments[i].states(ts[mask])
         return out
 
     def state(self, t: float) -> np.ndarray:
         return self.states(np.array([t]))[0]
 
     def segment_kinds(self, ts) -> list[str]:
-        return [self.segments[i].kind for i in self._segment_index(np.asarray(ts, dtype=float))]
+        kinds = np.array([s.kind for s in self.segments])
+        return kinds[self._segment_index(np.asarray(ts, dtype=float))].tolist()
 
     def eval_on(self, grid: np.ndarray) -> np.ndarray:
         return self.states(grid)
@@ -128,14 +129,9 @@ class FluidTrajectory:
     def to_csv(self, path, dt: float = 0.05) -> None:
         ts = _time_grid(self.horizon, dt)
         vals = self.states(ts)
-        _write_fluid_csv(path, ts, vals[:, 0], vals[:, 1], self.segment_kinds(ts))
-
-
-def _write_fluid_csv(path, t, y, x, kinds) -> None:
-    """fluid.csv from the arrays t, y, x and a list of segment kinds."""
-    # + 0.0 drops negative zeros
-    write_columns(path, "t,y,x,segment_kind", "{:.10g},{:.12g},{:.12g},{}",
-                  [t, y + 0.0, x + 0.0, kinds])
+        # + 0.0 drops negative zeros
+        write_columns(path, "t,y,x,segment_kind", "{:.10g},{:.12g},{:.12g},{}",
+                      [ts, vals[:, 0] + 0.0, vals[:, 1] + 0.0, self.segment_kinds(ts)])
 
 
 def interior_solution(initial, dt: float, spec: SpectralData) -> FluidState:
@@ -199,62 +195,199 @@ def boundary_hit_time(initial, params: ModelParams,
     return 0.5 * (lo + hi)
 
 
-def solve_fluid(initial, params: ModelParams, horizon: float) -> FluidTrajectory:
-    """Exact constant-rate fluid path as at most interior/boundary/interior."""
+def _scan(margin, curvature, t: float, t_end: float, h_max: float, tol: float):
+    """First time in (t, t_end] where margin falls below -tol, or None.
+
+    curvature(s) bounds |margin''| on [s, t_end].  An interval [a, b] is
+    clear when margin(a) and margin(b) both exceed
+    curvature(a)*(b - a)**2/8 - tol, since the margin stays above its chord
+    less that much; otherwise it is halved, so an excursion below -tol is
+    found however short it is.  A cleared interval doubles the next step, up
+    to h_max.  At the float resolution of t_end an interval is taken as it
+    is, and its end is returned if the margin is below -tol there.
+    """
+    h_min = 2.0 ** -52 * max(h_max, abs(t_end))
+    h, lo, m_lo = h_max, t, margin(t)
+    while lo < t_end:
+        hi = min(lo + h, t_end)
+        m_hi = margin(hi)
+        slack = curvature(lo) * (hi - lo) ** 2 / 8.0 - tol
+        if (m_lo > slack and m_hi > slack) or (hi - lo <= h_min and m_hi >= -tol):
+            lo, m_lo, h = hi, m_hi, min(2.0 * h, h_max)
+        elif hi - lo > h_min:
+            h = 0.5 * (hi - lo)
+        else:
+            return hi
+    return None
+
+
+class _PieceFlow:
+    """Closed forms of the fluid field while lam(t) = base + amp*sin(omega*t),
+    in the view whose floor is x = floor (0 uncentred, -lam/beta centred).
+
+    Off the floor the uncentred pair u = (y, x) follows u' = u A + lam(t) B
+    with B = (-1, gamma).  A particular path is the fixed point (0, base/beta)
+    of the base rate, at x = offset = base/beta + floor in the view, plus
+    Im(z e^{i omega t}) with z (i omega I - A) = amp B; u less it is a sum of
+    the two eigenmodes.  On the floor y' = -lam(t) integrates in closed form.
+    The floor holds while the lift-off expression gamma*lam(t) - epsilon*y,
+    which is x' at the floor, is negative.
+    """
+
+    def __init__(self, params: ModelParams, spec: SpectralData,
+                 arrival: ArrivalRateFn, t0: float, floor: float):
+        if isinstance(arrival, SinusoidArrival):
+            self.base, self.amp = arrival.base, arrival.amplitude
+            self.omega = 2.0 * math.pi / arrival.period
+        elif isinstance(arrival, (ConstantArrival, PiecewiseConstantArrival)):
+            # right-continuous, so the rate at t0 holds until the next jump
+            self.base, self.amp, self.omega = arrival(t0), 0.0, 0.0
+        else:
+            raise FluidSolverError(f"no closed form for the arrival profile {arrival!r}")
+        self.params, self.spec, self.floor_x = params, spec, floor
+        # exactly 0.0 in the centred view at rate lam, where a constant piece
+        # then evaluates as the bare modes
+        self.offset = self.base / params.beta + floor
+        self.z = np.zeros(2, dtype=complex)
+        if self.amp:
+            a = drift_matrix(params)
+            self.z = np.linalg.solve((1j * self.omega * np.eye(2) - a).T,
+                                     self.amp * np.array([-1.0, params.gamma]))
+            # the scan step: an eighth of the period
+            self.step = math.pi / (4.0 * self.omega)
+
+    def liftoff(self, t, y):
+        rate = self.base + self.amp * np.sin(self.omega * t)
+        return self.params.gamma * rate - self.params.epsilon * y
+
+    def _particular(self, t):
+        if not self.amp:
+            return 0.0, self.offset
+        s, c = np.sin(self.omega * t), np.cos(self.omega * t)
+        return (self.z[0].real * s + self.z[0].imag * c,
+                self.offset + self.z[1].real * s + self.z[1].imag * c)
+
+    def _fall(self, t0: float, tau):
+        """Drop of y on the floor over the elapsed times tau after t0."""
+        fall = self.base * tau
+        if self.amp:
+            fall = fall - self.amp / self.omega * (np.cos(self.omega * (t0 + tau))
+                                                   - math.cos(self.omega * t0))
+        return fall
+
+    def modes(self, t: float, y: float, x: float) -> tuple[float, float]:
+        """Mode coefficients of the interior path through (y, x) at t."""
+        py, px = self._particular(t)
+        a1, a2 = star_coords((y - py, x - px), self.spec)
+        return float(a1), float(a2)
+
+    def interior(self, t0: float, a1: float, a2: float, ts):
+        """(y, x) at times ts of the interior path with modes (a1, a2) at t0."""
+        spec = self.spec
+        c1 = a1 * np.exp(-spec.nu1 * (ts - t0))
+        c2 = a2 * np.exp(-spec.nu2 * (ts - t0))
+        py, px = self._particular(ts)
+        return py + c1 * spec.a1 + c2 * spec.a2, px - (c1 + c2)
+
+    def floor(self, t0: float, y0: float, ts):
+        """(y, x) at times ts of the slide through y0 at t0."""
+        return y0 - self._fall(t0, ts - t0), self.floor_x
+
+    def slide(self, t: float, y: float, t_end: float) -> float:
+        """Time on the floor from y at t until lift-off, at most t_end - t;
+        0.0 when the field already points off the floor."""
+        if not self.amp:
+            exit_y = self.params.gamma * self.base / self.params.epsilon
+            if y <= exit_y + 1e-12:
+                return 0.0
+            return min((y - exit_y) / self.base if self.base else math.inf, t_end - t)
+        if self.liftoff(t, y) >= 0.0:
+            return 0.0
+        g, e = self.params.gamma, self.params.epsilon
+        bound = abs(self.amp) * (g * self.omega ** 2 + e * self.omega)
+        end = _scan(lambda s: -self.liftoff(s, y - self._fall(t, s - t)),
+                    lambda s: bound, t, t_end, self.step, 0.0)
+        return (t_end if end is None else end) - t
+
+    def hit(self, t: float, y: float, x: float, a1: float, a2: float, t_end: float):
+        """(elapsed time, y) where the interior path from (y, x) at t, with
+        modes (a1, a2), meets the floor before t_end; None if it does not."""
+        if not self.amp:
+            state = (y, x - self.offset)
+            tau = boundary_hit_time(state, replace(self.params, lam=self.base), self.spec)
+            if tau is None or tau >= t_end - t:
+                return None
+            y_hit = interior_solution(state, tau, self.spec).y
+            exit_y = self.params.gamma * self.base / self.params.epsilon
+            # a grazing contact touches the floor and lifts off
+            return tau, y_hit if y_hit > exit_y + 1e-12 else min(y_hit, exit_y)
+        spec = self.spec
+        flat = abs(self.z[1]) * self.omega ** 2
+
+        def curvature(s):
+            return (flat + spec.nu1 ** 2 * abs(a1) * math.exp(-spec.nu1 * (s - t))
+                    + spec.nu2 ** 2 * abs(a2) * math.exp(-spec.nu2 * (s - t)))
+
+        # far above the rounding of the closed form, far below any real dip
+        tol = 1e-13 * (1.0 + self.base / self.params.beta + abs(self.z[1]) + abs(a1) + abs(a2))
+        end = _scan(lambda s: self.interior(t, a1, a2, s)[1] - self.floor_x,
+                    curvature, t, t_end, self.step, tol)
+        if end is None:
+            return None
+        return end - t, float(self.interior(t, a1, a2, end)[0])
+
+
+def _solve(initial, arrival: ArrivalRateFn | None, params: ModelParams,
+           horizon: float, centred: bool) -> FluidTrajectory:
+    """The fluid path from initial over [0, horizon] as closed-form segments.
+
+    Each piece of the arrival profile (its jump times split it) gets one
+    _PieceFlow; within a piece the path alternates between the interior,
+    up to the floor contact, and the floor, up to lift-off.  centred puts
+    the floor at x = -lam/beta, otherwise at x = 0.
+    """
     validate_params(params, scheme="A")
     if horizon <= 0.0:
         raise FluidSolverError(f"horizon must be > 0, got {horizon}")
+    if arrival is None:
+        arrival = ConstantArrival(params.lam)
     spec = spectral_decompose(params)
-    if isinstance(initial, FluidState):
-        y0, x0 = initial.y, initial.x
-    else:
-        y0, x0 = float(initial[0]), float(initial[1])
-    floor = -params.lam / params.beta
-    exit_y = params.boundary_exit_y
-    tol = 1e-9 * max(1.0, abs(floor))
-    if x0 < floor - tol:
-        raise InvalidInitial(f"x={x0} below the floor {floor}")
-    x0 = max(x0, floor)
+    y, x = (initial.y, initial.x) if isinstance(initial, FluidState) else (
+        float(initial[0]), float(initial[1]))
+    floor = -params.lam / params.beta if centred else 0.0
+    if x < floor - 1e-9 * max(1.0, abs(floor)):
+        raise InvalidInitial(f"x={x} below the floor {floor}")
 
     segments: list = []
-    cursor = 0.0
-    y, x = y0, x0
-    on_floor = x <= floor + 1e-12 * max(1.0, abs(floor))
-    mode = "boundary" if (on_floor and y > exit_y + 1e-12) else "interior"
-    if on_floor:
-        x = floor
-
-    while cursor < horizon:
-        remaining = horizon - cursor
-        if len(segments) > 3:
-            raise FluidSolverError("segment structure exceeded interior/boundary/interior")
-        if mode == "interior":
-            al = star_coords((y, x), spec)
-            t_hit = boundary_hit_time(FluidState(y, x), params, spec)
-            if t_hit is None or t_hit >= remaining:
-                segments.append(InteriorSegment(t0=cursor, duration=remaining,
-                                                alpha1=float(al[0]), alpha2=float(al[1])))
-                cursor = horizon
-                break
-            segments.append(InteriorSegment(t0=cursor, duration=t_hit,
-                                            alpha1=float(al[0]), alpha2=float(al[1])))
-            hit = interior_solution(FluidState(y, x), t_hit, spec)
-            cursor += t_hit
-            y, x = hit.y, floor
-            mode = "boundary" if y > exit_y + 1e-12 else "interior"
-            if mode == "interior" and cursor < horizon:
-                # grazing contact: the path touches the floor and lifts off
-                y = min(y, exit_y)
-        else:
-            dur = (y - exit_y) / params.lam
-            d = min(dur, remaining)
-            segments.append(BoundarySegment(t0=cursor, duration=d, y_start=y))
-            cursor += d
-            y = y - params.lam * d
+    t = 0.0
+    for t_end in [*arrival.jump_times(0.0, horizon), horizon]:
+        flow = _PieceFlow(params, spec, arrival, t, floor)
+        at_floor = x <= floor + 1e-12 * max(1.0, abs(floor))
+        if at_floor:
             x = floor
-            mode = "interior"
+        while t < t_end:
+            d = flow.slide(t, y, t_end) if at_floor else 0.0
+            if d > 0.0:
+                segments.append(BoundarySegment(t0=t, duration=d, y_start=y, flow=flow))
+                y, t, at_floor = y - flow._fall(t, d), t + d, False
+                continue
+            a1, a2 = flow.modes(t, y, x)
+            hit = flow.hit(t, y, x, a1, a2, t_end)
+            d = t_end - t if hit is None else hit[0]
+            segments.append(InteriorSegment(t0=t, duration=d, alpha1=a1, alpha2=a2, flow=flow))
+            if hit is None:
+                y, x = (float(v) for v in flow.interior(t, a1, a2, t_end))
+                t = t_end
+            else:
+                y, x, t, at_floor = hit[1], floor, t + d, True
     return FluidTrajectory(params=params, spec=spec, segments=tuple(segments),
                            horizon=horizon)
+
+
+def solve_fluid(initial, params: ModelParams, horizon: float) -> FluidTrajectory:
+    """Exact constant-rate fluid path in the centred view (floor at
+    x = -lam/beta), as at most interior/boundary/interior."""
+    return _solve(initial, None, params, horizon, centred=True)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +426,8 @@ class TVFluidTrajectory:
         """fluid.csv every dt, a whole multiple of the solver's sample spacing."""
         rows = slice(None, None, _grid_stride(dt, self.dt, FluidSolverError))
         kinds = ["boundary" if f else "interior" for f in self.on_floor[rows].tolist()]
-        _write_fluid_csv(path, self.t[rows], self.y[rows], self.x[rows], kinds)
+        write_columns(path, "t,y,x,segment_kind", "{:.10g},{:.12g},{:.12g},{}",
+                      [self.t[rows], self.y[rows] + 0.0, self.x[rows] + 0.0, kinds])
 
 
 # evaluate the output grid this many points at a time, so the temporaries of
@@ -301,7 +435,7 @@ class TVFluidTrajectory:
 _CHUNK = 16384
 
 
-class _PieceFlow:
+class _GridPieceFlow:
     """Closed forms of the uncentered field while lam(t) = base + amp*sin(omega*t).
 
     Off the floor u = (y, x) follows u' = u A + lam(t) B with B = (-1, gamma);
@@ -414,7 +548,7 @@ def solve_fluid_tv(initial, arrival: ArrivalRateFn | None, params: ModelParams,
     ys[0], xs[0], floors[0] = y, x, on_floor
 
     for t_end in [*arrival.jump_times(0.0, ts_out[-1]), ts_out[-1]]:
-        flow = _PieceFlow(params, spec, arrival, t)
+        flow = _GridPieceFlow(params, spec, arrival, t)
         stall = 0  # mode switches since the last checkpoint passed
         while t < t_end:
             if not on_floor and x <= 0.0:

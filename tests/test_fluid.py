@@ -418,6 +418,189 @@ def _tv_hybrid_reference(initial, arrival, params, horizon, grid):
     return out
 
 
+# --- the grid solver that the segment solver replaced, kept as its oracle ---
+
+class _GridFlow:
+    """Closed forms of the uncentered field on one arrival piece, as the grid
+    solver evaluated them."""
+
+    def __init__(self, params, spec, arrival, t0):
+        if isinstance(arrival, SinusoidArrival):
+            self.base, self.amp = arrival.base, arrival.amplitude
+            self.omega = 2.0 * math.pi / arrival.period
+        else:
+            self.base, self.amp, self.omega = arrival(t0), 0.0, 0.0
+        self.params, self.spec = params, spec
+        self.z = np.zeros(2, dtype=complex)
+        if self.amp:
+            a = np.array([[0.0, -params.epsilon], [params.beta, -params.gamma * params.beta]])
+            self.z = np.linalg.solve((1j * self.omega * np.eye(2) - a).T,
+                                     self.amp * np.array([-1.0, params.gamma]))
+
+    def liftoff(self, t, y):
+        rate = self.base + self.amp * np.sin(self.omega * t)
+        return self.params.gamma * rate - self.params.epsilon * y
+
+    def _particular(self, t):
+        s, c = np.sin(self.omega * t), np.cos(self.omega * t)
+        return (self.z[0].real * s + self.z[0].imag * c,
+                self.base / self.params.beta + self.z[1].real * s + self.z[1].imag * c)
+
+    def interior(self, t_a, y_a, x_a):
+        spec = self.spec
+        py, px = self._particular(t_a)
+        a1, a2 = np.array([y_a - py, x_a - px]) @ spec.basis_inv
+
+        def states(ts):
+            c1 = a1 * np.exp(-spec.nu1 * (ts - t_a))
+            c2 = a2 * np.exp(-spec.nu2 * (ts - t_a))
+            py, px = self._particular(ts)
+            return py + c1 * spec.a1 + c2 * spec.a2, px - (c1 + c2)
+        return states
+
+    def floor(self, t_a, y_a):
+        def states(ts):
+            fall = self.base * (ts - t_a)
+            if self.amp:
+                fall = fall - self.amp / self.omega * (np.cos(self.omega * ts)
+                                                       - math.cos(self.omega * t_a))
+            return y_a - fall, np.zeros_like(ts)
+        return states
+
+
+def _grid_solve_tv(initial, arrival, params, horizon, dt=1e-3, chunk=16384):
+    """The grid solver: (t, y, x, on_floor) at t = 0, dt, 2 dt, ..., horizon.
+
+    Switches are detected at grid points and at jump times, then bisected
+    60 times on the closed form; an exact tie that keeps the modes trading
+    places falls back to one clamped interior step."""
+    spec = spectral_decompose(params)
+    ts_out = np.arange(int(math.floor(horizon / dt * (1.0 + 1e-12))) + 1) * dt
+    n = len(ts_out)
+    ys, xs, floors = np.empty(n), np.empty(n), np.zeros(n, dtype=bool)
+    (t, y, x), i = (0.0, *initial), 1
+    on_floor = x <= 0.0 and params.gamma * arrival(0.0) - params.epsilon * y <= 0.0
+    if on_floor:
+        x = 0.0
+    ys[0], xs[0], floors[0] = y, x, on_floor
+
+    def checkpoints(i, t_end):
+        j_end = int(np.searchsorted(ts_out, t_end, side="right"))
+        while i < j_end:
+            j = min(i + chunk, j_end)
+            yield i, ts_out[i:j], True
+            i = j
+        if j_end == 0 or ts_out[j_end - 1] < t_end:
+            yield j_end, np.array([t_end]), False
+
+    for t_end in [*arrival.jump_times(0.0, ts_out[-1]), ts_out[-1]]:
+        flow = _GridFlow(params, spec, arrival, t)
+        stall = 0
+        while t < t_end:
+            if not on_floor and x <= 0.0:
+                x = 0.0
+                on_floor = flow.liftoff(t, y) <= 0.0
+            elif on_floor and flow.liftoff(t, y) > 0.0:
+                on_floor = False
+            if i < n and ts_out[i] <= t:
+                ys[i], xs[i], floors[i] = y, x, on_floor
+                i += 1
+            if stall >= 3:
+                tc = ts_out[i] if i < n and ts_out[i] <= t_end else t_end
+                y, x = flow.interior(t, y, x)(tc)
+                t, x = tc, max(x, 0.0)
+                on_floor = x == 0.0 and flow.liftoff(t, y) <= 0.0
+                stall = 0
+                continue
+            path = flow.floor(t, y) if on_floor else flow.interior(t, y, x)
+
+            def leaves(ts, py, px, _floor=on_floor):
+                return flow.liftoff(ts, py) > 0.0 if _floor else px < 0.0
+
+            lo = t
+            for g, times, on_grid in checkpoints(i, t_end):
+                cy, cx = path(times)
+                bad = np.flatnonzero(leaves(times, cy, cx))
+                k = int(bad[0]) if bad.size else len(times)
+                if on_grid:
+                    ys[g:g + k], xs[g:g + k], floors[g:g + k] = cy[:k], cx[:k], on_floor
+                    i = g + k
+                if k < len(times):
+                    stall = stall + 1 if k == 0 and lo == t else 1
+                    if k > 0:
+                        lo = float(times[k - 1])
+                    hi = float(times[k])
+                    for _ in range(60):
+                        mid = 0.5 * (lo + hi)
+                        my, mx = path(mid)
+                        if leaves(mid, my, mx):
+                            hi = mid
+                        else:
+                            lo = mid
+                    t = hi if on_floor else lo
+                    y, x = path(t)[0], 0.0
+                    on_floor = flow.liftoff(t, y) <= 0.0
+                    break
+                lo = float(times[-1])
+            else:
+                t, y, x = t_end, cy[-1], cx[-1]
+                stall = 0
+    if i < n:
+        ys[i:], xs[i:], floors[i:] = y, x, on_floor
+    return ts_out, ys, xs, floors
+
+
+def _seeded_tv_cases(seed, n):
+    """(params, arrival, start) over the stable_params ranges: constant,
+    piecewise and sinusoidal rates, each from a start above the floor, on
+    the floor, at the exact tie gamma*lam(0) = epsilon*y0, and high up
+    close to the floor."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for k in range(n):
+        beta, gamma = rng.uniform(0.2, 4.0), rng.uniform(0.5, 5.0)
+        eps = rng.uniform(0.05, 0.95) * gamma * gamma * beta / 4.0
+        lam = rng.uniform(0.2, 3.0)
+        params = ModelParams(lam=lam, scale_r=100.0, beta=beta, gamma=gamma, epsilon=eps)
+        if k % 3 == 0:
+            arrival = ConstantArrival(lam)
+        elif k % 3 == 1:
+            m = int(rng.integers(1, 4))
+            arrival = PiecewiseConstantArrival(tuple(np.sort(rng.uniform(0.5, 19.5, m))),
+                                               tuple(rng.uniform(0.0, 3.0, m + 1)))
+        else:
+            base = rng.uniform(0.2, 3.0)
+            arrival = SinusoidArrival(base, rng.uniform(-1.0, 1.0) * base,
+                                      rng.uniform(1.0, 40.0))
+        start = [(rng.uniform(-30.0, 40.0), rng.uniform(0.0, 20.0)),
+                 (rng.uniform(-30.0, 40.0), 0.0),
+                 (gamma * arrival(0.0) / eps, 0.0),
+                 (rng.uniform(10.0, 60.0), rng.uniform(0.0, 0.5))][k // 3 % 4]
+        cases.append((params, arrival, start))
+    return cases
+
+
+def test_tv_segments_match_grid_solver():
+    # 240 seeded cases against the grid solver at its 20 001 samples each
+    counts = {"slides": 0, "jumps on the floor": 0, "sinusoid floor contacts": 0}
+    for params, arrival, start in _seeded_tv_cases(1616, 240):
+        t, y, x, on_floor = _grid_solve_tv(start, arrival, params, 20.0)
+        traj = fluid._solve(start, arrival, params, 20.0, centred=False)
+        err = np.abs(traj.states(t) - np.column_stack([y, x])).max()
+        assert err < 1e-12, (params, arrival, start, err)
+        # the kinds differ at most at a grid point within rounding of a switch
+        kinds = np.array(traj.segment_kinds(t)) == "boundary"
+        assert (kinds != on_floor).sum() <= 1, (params, arrival, start)
+        slides = [s for s in traj.segments if s.kind == "boundary"]
+        ends = np.array([s.t0 + s.duration for s in slides])
+        counts["slides"] += bool(slides)
+        counts["jumps on the floor"] += any(
+            np.any(np.abs(ends - j) < 1e-9) for j in arrival.jump_times(0.0, 20.0))
+        counts["sinusoid floor contacts"] += isinstance(arrival, SinusoidArrival) and any(
+            s.t0 > 0.0 for s in slides)
+    # 60 of the cases start at an exact tie; the other branches are seen often
+    assert counts["slides"] > 100 and min(counts.values()) > 30, counts
+
 def test_tv_constant_rate_matches_closed_form():
     # uncentered coordinates shift the floor to 0
     shift = BASE.lam / BASE.beta
@@ -591,7 +774,7 @@ def test_tv_mode_ping_pong_falls_back_to_clamped_steps(monkeypatch):
     # an interior form that drops below the floor right after any start makes
     # every floor entry land where it started; the solver must still reach
     # the horizon, one clamped interior step per grid interval
-    exact = fluid._PieceFlow.interior
+    exact = fluid._GridPieceFlow.interior
     starts = []
 
     def dipping(self, t_a, y_a, x_a):
@@ -605,7 +788,7 @@ def test_tv_mode_ping_pong_falls_back_to_clamped_steps(monkeypatch):
             return y, np.where(np.asarray(ts) > t_a, x - 10.0, x)
         return shifted
 
-    monkeypatch.setattr(fluid._PieceFlow, "interior", dipping)
+    monkeypatch.setattr(fluid._GridPieceFlow, "interior", dipping)
     tv = solve_fluid_tv((0.0, 1.0), ConstantArrival(1.0), BASE, horizon=0.1, dt=1e-2)
     assert len(tv.t) == 11
     assert np.all(tv.x[1:] == 0.0) and not tv.on_floor.any()
