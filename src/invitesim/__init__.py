@@ -43,7 +43,6 @@ from .ctmc import (
 from .fluid import (
     FluidState,
     FluidTrajectory,
-    TVFluidTrajectory,
     drift_check,
     solve_fluid,
     solve_fluid_tv,

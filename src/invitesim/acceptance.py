@@ -484,7 +484,7 @@ def criterion_time_varying(replications: int = 20) -> CriterionResult:
     stream = RandomStream(seed=SEEDS["time-varying"])
     grid = np.arange(5.0, 500.0 * (1 + 1e-12), 0.05)
     inits = ((0, 0), (-1000, 2000))
-    refs = [solve_fluid_tv((y / P6.scale_r, x / P6.scale_r), SINE, P6, horizon=500.0, dt=1e-3)
+    refs = [solve_fluid_tv((y / P6.scale_r, x / P6.scale_r), SINE, P6, horizon=500.0)
             for y, x in inits]
 
     def one_run(i, j, sub):

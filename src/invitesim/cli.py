@@ -107,14 +107,6 @@ def emit_plot_data(path, sim, fluid=None, grid=None) -> list[str]:
                 f"fluid horizon {fh} dropped from the overlay")
             t = t[keep]
             sim_vals = sim_vals[keep]
-        native = getattr(fluid, "t", None)
-        if native is not None and hasattr(fluid, "dt"):
-            step = float(native[1] - native[0]) if len(native) > 1 else 1.0
-            off = np.abs(t / step - np.round(t / step))
-            if np.any(off > 1e-6):
-                warnings.append(
-                    "misaligned grids: fluid reference resampled onto the "
-                    "simulation grid by linear interpolation")
         fluid_vals = fluid.eval_on(t)
         header = "t,sim_y,sim_x,fluid_y,fluid_x"
         cols = [t, sim_vals[:, 0], sim_vals[:, 1],
@@ -124,27 +116,17 @@ def emit_plot_data(path, sim, fluid=None, grid=None) -> list[str]:
     return warnings
 
 
-def _solver_dt(grid_dt: float) -> float:
-    """Sample spacing of the time-varying fluid and moment solvers: about 1e-3,
-    with grid_dt a whole multiple of it, so that fluid.csv and moments.csv
-    keep the rows on the run's grid."""
-    return grid_dt / max(1, round(grid_dt / 1e-3))
-
-
 def _fluid_reference(config: ExperimentConfig):
-    """Fluid trajectory matching the config's scaled initial state."""
+    """Fluid trajectory matching the config's scaled initial state; for
+    scheme A, x starts at the pool target.  A time-varying rate (scheme B
+    only) takes the uncentred path."""
     p = config.params
     r = p.scale_r
-    y0 = config.initial[0] / r
-    if config.scheme == "A":
-        x0 = config.initial[2] / r - p.lam / p.beta
-    else:
-        x0 = config.initial[1] / r - p.lam / p.beta
     if config.arrival is not None and not config.arrival.is_constant:
         return solve_fluid_tv((config.initial[0] / r, config.initial[1] / r),
-                              config.arrival, p, horizon=config.horizon,
-                              dt=_solver_dt(config.grid_dt))
-    return solve_fluid((y0, x0), p, horizon=config.horizon)
+                              config.arrival, p, horizon=config.horizon)
+    x0 = config.initial[2 if config.scheme == "A" else 1] / r - p.lam / p.beta
+    return solve_fluid((config.initial[0] / r, x0), p, horizon=config.horizon)
 
 
 def _write_manifest(manifest: RunManifest, written: list[Path], out: Path,
@@ -243,7 +225,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         written.append(target)
     if "moments" in config.outputs:
         path = moment_ode(np.zeros(2), np.zeros((2, 2)), p,
-                          horizon=config.horizon, dt=_solver_dt(config.grid_dt))
+                          horizon=config.horizon, dt=config.grid_dt)
         target = out / "moments.csv"
         path.to_csv(target, dt=config.grid_dt)
         written.append(target)

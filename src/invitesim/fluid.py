@@ -31,7 +31,6 @@ from .params import (
     PiecewiseConstantArrival,
     SinusoidArrival,
     SpectralData,
-    _grid_stride,
     _time_grid,
     drift_matrix,
     spectral_decompose,
@@ -390,223 +389,17 @@ def solve_fluid(initial, params: ModelParams, horizon: float) -> FluidTrajectory
     return _solve(initial, None, params, horizon, centred=True)
 
 
-# ---------------------------------------------------------------------------
-# time-varying arrival rate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TVFluidTrajectory:
-    """Sampled uncentered fluid path under a time-varying arrival rate."""
-
-    params: ModelParams
-    arrival: ArrivalRateFn
-    t: np.ndarray
-    y: np.ndarray
-    x: np.ndarray
-    on_floor: np.ndarray
-    dt: float
-    horizon: float
-
-    def states(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < -1e-12 or ts.max() > self.horizon * (1 + 1e-12) + 1e-12):
-            raise FluidSolverError(f"evaluation times outside [0, {self.horizon}]")
-        out = np.empty((ts.size, 2))
-        out[:, 0] = np.interp(ts, self.t, self.y)
-        out[:, 1] = np.interp(ts, self.t, self.x)
-        return out
-
-    def state(self, t: float) -> np.ndarray:
-        return self.states(np.array([t]))[0]
-
-    def eval_on(self, grid: np.ndarray) -> np.ndarray:
-        return self.states(grid)
-
-    def to_csv(self, path, dt: float = 0.05) -> None:
-        """fluid.csv every dt, a whole multiple of the solver's sample spacing."""
-        rows = slice(None, None, _grid_stride(dt, self.dt, FluidSolverError))
-        kinds = ["boundary" if f else "interior" for f in self.on_floor[rows].tolist()]
-        write_columns(path, "t,y,x,segment_kind", "{:.10g},{:.12g},{:.12g},{}",
-                      [self.t[rows], self.y[rows] + 0.0, self.x[rows] + 0.0, kinds])
-
-
-# evaluate the output grid this many points at a time, so the temporaries of
-# the closed forms stay small next to the preallocated output arrays
-_CHUNK = 16384
-
-
-class _GridPieceFlow:
-    """Closed forms of the uncentered field while lam(t) = base + amp*sin(omega*t).
-
-    Off the floor u = (y, x) follows u' = u A + lam(t) B with B = (-1, gamma);
-    a particular path is p(t) = (0, base/beta) + Im(z e^{i omega t}) with
-    z (i omega I - A) = amp B, and u - p is a sum of the two eigenmodes.  On
-    the floor y' = -lam(t) integrates in closed form.
-    """
-
-    def __init__(self, params: ModelParams, spec: SpectralData,
-                 arrival: ArrivalRateFn, t0: float):
-        if isinstance(arrival, SinusoidArrival):
-            self.base, self.amp = arrival.base, arrival.amplitude
-            self.omega = 2.0 * math.pi / arrival.period
-        elif isinstance(arrival, (ConstantArrival, PiecewiseConstantArrival)):
-            # right-continuous, so the rate at t0 holds until the next jump
-            self.base, self.amp, self.omega = arrival(t0), 0.0, 0.0
-        else:
-            raise FluidSolverError(f"no closed form for the arrival profile {arrival!r}")
-        self.params, self.spec = params, spec
-        self.z = np.zeros(2, dtype=complex)
-        if self.amp:
-            a = drift_matrix(params)
-            self.z = np.linalg.solve((1j * self.omega * np.eye(2) - a).T,
-                                     self.amp * np.array([-1.0, params.gamma]))
-
-    def liftoff(self, t, y):
-        """gamma*lam(t) - epsilon*y: x' at x = 0, so the floor holds while <= 0."""
-        rate = self.base + self.amp * np.sin(self.omega * t)
-        return self.params.gamma * rate - self.params.epsilon * y
-
-    def _particular(self, t):
-        s, c = np.sin(self.omega * t), np.cos(self.omega * t)
-        return (self.z[0].real * s + self.z[0].imag * c,
-                self.base / self.params.beta + self.z[1].real * s + self.z[1].imag * c)
-
-    def interior(self, t_a: float, y_a: float, x_a: float):
-        """(y, x) at times ts of the path through (y_a, x_a) at t_a."""
-        spec = self.spec
-        py, px = self._particular(t_a)
-        a1, a2 = star_coords((y_a - py, x_a - px), spec)
-
-        def states(ts):
-            c1 = a1 * np.exp(-spec.nu1 * (ts - t_a))
-            c2 = a2 * np.exp(-spec.nu2 * (ts - t_a))
-            py, px = self._particular(ts)
-            return py + c1 * spec.a1 + c2 * spec.a2, px - (c1 + c2)
-        return states
-
-    def floor(self, t_a: float, y_a: float):
-        """(y, 0) at times ts of the slide through y_a at t_a."""
-        def states(ts):
-            fall = self.base * (ts - t_a)
-            if self.amp:
-                fall = fall - self.amp / self.omega * (np.cos(self.omega * ts)
-                                                       - math.cos(self.omega * t_a))
-            return y_a - fall, np.zeros_like(ts)
-        return states
-
-
-def _checkpoints(ts_out: np.ndarray, i: int, t_end: float):
-    """Chunks (first grid index, times, on grid) of the grid points from index
-    i up to t_end, closed by t_end itself when it is not a grid point."""
-    j_end = int(np.searchsorted(ts_out, t_end, side="right"))
-    while i < j_end:
-        j = min(i + _CHUNK, j_end)
-        yield i, ts_out[i:j], True
-        i = j
-    if j_end == 0 or ts_out[j_end - 1] < t_end:
-        yield j_end, np.array([t_end]), False
-
-
 def solve_fluid_tv(initial, arrival: ArrivalRateFn | None, params: ModelParams,
-                   horizon: float, dt: float = 1e-3) -> TVFluidTrajectory:
-    """Exact uncentered pair (y, x) on the grid 0, dt, 2 dt, ... up to horizon.
+                   horizon: float) -> FluidTrajectory:
+    """Exact fluid path under the arrival profile in the uncentred view
+    (floor at x = 0); None means the constant rate lam.
 
-    Off the floor: y' = beta*x - lam(t), x' = gamma*lam(t) - gamma*beta*x -
-    epsilon*y, solved as a particular path for the rate profile plus two
-    decaying eigenmodes (constant rate: the fixed point (0, lam/beta);
-    sinusoid: that of the base rate plus a phase-shifted sinusoid).  On the
-    floor x = 0 (entered while gamma*lam(t) - epsilon*y <= 0): y' = -lam(t),
-    so y falls by the cumulative rate, and x stays 0 until the lift-off
-    expression turns positive.  Floor entry is detected at the first grid
-    point with x < 0 and lift-off at the first with a positive lift-off
-    expression, each then located by bisection on the closed form.  A
-    piecewise-constant profile restarts the closed form at its jump times,
-    which are checked like grid points.  dt is the output grid spacing only.
+    Off the floor y' = beta*x - lam(t), x' = gamma*lam(t) - gamma*beta*x -
+    epsilon*y; on the floor y' = -lam(t) until gamma*lam(t) - epsilon*y
+    turns positive.  A piecewise-constant profile restarts the closed form
+    at its jump times.
     """
-    validate_params(params, scheme="A")
-    if horizon <= 0.0 or dt <= 0.0:
-        raise FluidSolverError("horizon and dt must be > 0")
-    if arrival is None:
-        arrival = ConstantArrival(params.lam)
-    y0, x0 = (initial.y, initial.x) if isinstance(initial, FluidState) else (
-        float(initial[0]), float(initial[1]))
-    if x0 < -1e-12:
-        raise InvalidInitial(f"x={x0} negative")
-    x0 = max(x0, 0.0)
-    spec = spectral_decompose(params)
-
-    ts_out = _time_grid(horizon, dt)
-    n = len(ts_out)
-    ys = np.empty(n)
-    xs = np.empty(n)
-    floors = np.zeros(n, dtype=bool)
-    t, y, x = 0.0, y0, x0
-    i = 1  # next grid point to fill
-    on_floor = x <= 0.0 and params.gamma * arrival(0.0) - params.epsilon * y <= 0.0
-    if on_floor:
-        x = 0.0
-    ys[0], xs[0], floors[0] = y, x, on_floor
-
-    for t_end in [*arrival.jump_times(0.0, ts_out[-1]), ts_out[-1]]:
-        flow = _GridPieceFlow(params, spec, arrival, t)
-        stall = 0  # mode switches since the last checkpoint passed
-        while t < t_end:
-            if not on_floor and x <= 0.0:
-                x = 0.0
-                on_floor = flow.liftoff(t, y) <= 0.0
-            elif on_floor and flow.liftoff(t, y) > 0.0:
-                on_floor = False
-            if i < n and ts_out[i] <= t:  # a switch or step landed on this grid point
-                ys[i], xs[i], floors[i] = y, x, on_floor
-                i += 1
-            if stall >= 3:
-                # an exact tie keeps the two modes trading places without
-                # passing a checkpoint; one clamped interior step breaks it
-                tc = ts_out[i] if i < n and ts_out[i] <= t_end else t_end
-                y, x = flow.interior(t, y, x)(tc)
-                t, x = tc, max(x, 0.0)
-                on_floor = x == 0.0 and flow.liftoff(t, y) <= 0.0
-                stall = 0
-                continue
-            path = flow.floor(t, y) if on_floor else flow.interior(t, y, x)
-
-            def leaves(ts, py, px, _floor=on_floor):
-                return flow.liftoff(ts, py) > 0.0 if _floor else px < 0.0
-
-            lo = t
-            for g, times, on_grid in _checkpoints(ts_out, i, t_end):
-                cy, cx = path(times)
-                bad = np.flatnonzero(leaves(times, cy, cx))
-                k = int(bad[0]) if bad.size else len(times)
-                if on_grid:
-                    ys[g:g + k], xs[g:g + k], floors[g:g + k] = cy[:k], cx[:k], on_floor
-                    i = g + k
-                if k < len(times):
-                    stall = stall + 1 if k == 0 and lo == t else 1
-                    if k > 0:
-                        lo = float(times[k - 1])
-                    hi = float(times[k])
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        my, mx = path(mid)
-                        if leaves(mid, my, mx):
-                            hi = mid
-                        else:
-                            lo = mid
-                    # land on the last point with x >= 0 at a floor entry, or
-                    # the first with a positive lift-off expression at a lift-off
-                    t = hi if on_floor else lo
-                    y, x = path(t)[0], 0.0
-                    on_floor = flow.liftoff(t, y) <= 0.0
-                    break
-                lo = float(times[-1])
-            else:
-                t, y, x = t_end, cy[-1], cx[-1]
-                stall = 0
-    if i < n:  # the last switch or step landed on the last grid point
-        ys[i:], xs[i:], floors[i:] = y, x, on_floor
-    return TVFluidTrajectory(params=params, arrival=arrival, t=ts_out, y=ys,
-                             x=xs, on_floor=floors, dt=dt, horizon=horizon)
+    return _solve(initial, arrival, params, horizon, centred=False)
 
 
 # ---------------------------------------------------------------------------

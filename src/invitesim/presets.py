@@ -68,6 +68,9 @@ class ExperimentConfig:
         if isinstance(self.arrival, ConstantArrival) and self.arrival.rate != self.params.lam:
             raise ConfigInvalid(f"constant arrival rate {self.arrival.rate} differs from lambda "
                                 f"{self.params.lam}, the rate of every reference")
+        if self.scheme == "A" and self.arrival is not None and not self.arrival.is_constant:
+            raise ConfigInvalid("scheme A runs at the constant rate lambda only; a time-varying "
+                                "arrival rate needs scheme B")
 
     def to_json_dict(self) -> dict:
         return {

@@ -105,6 +105,32 @@ def test_constant_rate_off_lambda_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def _scheme_a_sinusoid_doc():
+    doc = small_config(scheme="A", initial=(0, 0, 50.0), params=replace(SMALL, beta_tilde=1.0),
+                       outputs=("trajectory", "fluid", "deviation")).to_json_dict()
+    doc["model"]["arrival"] = {"kind": "sinusoid", "base": 1.0, "amplitude": 0.5, "period": 10.0}
+    return doc
+
+
+def test_config_rejects_time_varying_scheme_a():
+    # scheme A would simulate at the constant rate while its reference
+    # followed the sinusoid
+    with pytest.raises(ConfigInvalid, match="scheme A runs at the constant rate"):
+        config_from_json(_scheme_a_sinusoid_doc())
+    with pytest.raises(ConfigInvalid, match="scheme A"):
+        small_config(scheme="A", initial=(0, 0, 50.0), params=replace(SMALL, beta_tilde=1.0),
+                     arrival=SinusoidArrival(1.0, 0.5, 10.0))
+
+
+def test_time_varying_scheme_a_leaves_no_output_dir(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_scheme_a_sinusoid_doc()))
+    out = tmp_path / "D"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 1
+    assert "scheme A" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_constant_rate_at_lambda_writes_the_same_data(tmp_path):
     same = config_from_json(_constant_rate_doc(1.0))
     assert same.arrival is not None
@@ -153,9 +179,8 @@ def test_scheme_a_outputs_target_column(tmp_path):
 
 
 def test_solver_rows_on_the_run_grid(tmp_path):
-    # the time-varying fluid and the moments are solved about 1e-3 apart;
-    # their rows must still fall on the run's grid when grid_dt is no
-    # multiple of 1e-3
+    # the time-varying fluid and the moments are evaluated on the run's
+    # grid, also when grid_dt is no multiple of 1e-3
     cfg = small_config(horizon=10.0, grid_dt=0.0375, initial=(-50, 100),
                        arrival=SinusoidArrival(1.0, 0.2, 12.0),
                        outputs=("trajectory", "fluid", "moments"))
@@ -227,16 +252,6 @@ def test_emit_plot_data_clips_past_fluid_horizon(tmp_path):
     assert float(rows[-1].split(",")[0]) <= 5.0
 
 
-def test_emit_plot_data_resamples_off_grid_reference(tmp_path):
-    arrival = SinusoidArrival(base=1.0, amplitude=0.2, period=7.0)
-    traj = _short_run(horizon=6.0, dt=0.0375, arrival=arrival)
-    scaled = fluid_scale(traj, SMALL)
-    ref = solve_fluid_tv((0.0, 1.0), arrival, SMALL, horizon=6.0, dt=1e-2)
-    target = tmp_path / "tv.csv"
-    warnings = emit_plot_data(target, scaled, ref)
-    assert any("interpolation" in w for w in warnings)
-
-
 def _row_loop_overlay(path, sim, fluid=None, grid=None):
     """The row-at-a-time overlay writer, kept as the byte reference."""
     t = np.asarray(sim.t if grid is None else grid, dtype=float)
@@ -273,7 +288,7 @@ def _overlay_cases():
         "aligned": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0), None),
         "past-horizon": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=5.0), None),
         "off-grid-tv": (fluid_scale(tv_traj, SMALL),
-                        solve_fluid_tv((0.0, 1.0), arrival, SMALL, horizon=6.0, dt=1e-2),
+                        solve_fluid_tv((0.0, 1.0), arrival, SMALL, horizon=6.0),
                         None),
         "grid": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0),
                  np.linspace(0.0, 7.5, 41)),

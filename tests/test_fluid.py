@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,10 +383,13 @@ def _tv_hybrid_reference(initial, arrival, params, horizon, grid):
     out = np.full((grid.size, 2), np.nan)
     t, (y, x) = 0.0, initial
     on_floor = x <= 0.0 and gamma * arrival(0.0) - eps * y <= 0.0
-    for stop in [*arrival.jump_times(0.0, horizon), horizon]:
-        # a rate jump at the end of the piece must not leak into its last step
+    jumps = arrival.jump_times(0.0, horizon)
+    for begin, stop in zip([0.0, *jumps], [*jumps, horizon]):
+        # the rate of the piece, read at its start: a rate jump at the end of
+        # the piece must not leak into its last step, nor a switch just
+        # before the jump carry the old rate into the next piece
         lam = arrival if isinstance(arrival, SinusoidArrival) else (
-            lambda s, v=arrival(t): v)
+            lambda s, v=arrival(begin): v)
 
         def interior(s, u):
             return [beta * u[1] - lam(s), gamma * lam(s) - gamma * beta * u[1] - eps * u[0]]
@@ -585,7 +587,7 @@ def test_tv_segments_match_grid_solver():
     counts = {"slides": 0, "jumps on the floor": 0, "sinusoid floor contacts": 0}
     for params, arrival, start in _seeded_tv_cases(1616, 240):
         t, y, x, on_floor = _grid_solve_tv(start, arrival, params, 20.0)
-        traj = fluid._solve(start, arrival, params, 20.0, centred=False)
+        traj = solve_fluid_tv(start, arrival, params, 20.0)
         err = np.abs(traj.states(t) - np.column_stack([y, x])).max()
         assert err < 1e-12, (params, arrival, start, err)
         # the kinds differ at most at a grid point within rounding of a switch
@@ -601,30 +603,35 @@ def test_tv_segments_match_grid_solver():
     # 60 of the cases start at an exact tie; the other branches are seen often
     assert counts["slides"] > 100 and min(counts.values()) > 30, counts
 
+
 def test_tv_constant_rate_matches_closed_form():
-    # uncentered coordinates shift the floor to 0
+    # uncentered coordinates shift the floor to 0; both paths come from the
+    # same closed forms, and they agree to 0.0 here
     shift = BASE.lam / BASE.beta
-    tv = solve_fluid_tv((18.0, -0.9 + shift), ConstantArrival(1.0), BASE,
-                        horizon=12.0, dt=1e-3)
+    tv = solve_fluid_tv((18.0, -0.9 + shift), ConstantArrival(1.0), BASE, horizon=12.0)
     cf = solve_fluid((18.0, -0.9), BASE, horizon=12.0)
     ts = np.linspace(0.0, 12.0, 49)
     got = tv.states(ts)
     want = cf.states(ts)
     want[:, 1] += shift
-    assert np.max(np.abs(got - want)) < 2e-5
-    # the slide phase is flagged
-    assert tv.states([4.0])[0][1] == pytest.approx(0.0, abs=1e-9)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert tv.segment_kinds([0.0, 4.0, 12.0]) == ["interior", "boundary", "interior"]
+    assert tv.states([4.0])[0][1] == 0.0
 
 
 def test_tv_on_floor_slide_duration():
+    # agrees to 0.0 with the centred path here
     shift = BASE.lam / BASE.beta
-    tv = solve_fluid_tv((30.0, 0.0), ConstantArrival(1.0), BASE, horizon=30.0, dt=1e-3)
+    tv = solve_fluid_tv((30.0, 0.0), ConstantArrival(1.0), BASE, horizon=30.0)
     cf = solve_fluid((30.0, -shift), BASE, horizon=30.0)
     ts = np.linspace(0.0, 30.0, 121)
     want = cf.states(ts)
     want[:, 1] += shift
-    assert np.max(np.abs(tv.states(ts) - want)) < 5e-5
-    assert tv.state(10.0)[0] == pytest.approx(20.0, abs=1e-9)
+    assert np.max(np.abs(tv.states(ts) - want)) < 1e-12
+    assert tv.state(10.0)[0] == pytest.approx(20.0, abs=1e-12)
+    # the slide from y = 30 down to gamma*lam/epsilon = 10 at rate 1
+    assert tv.segments[0].kind == "boundary"
+    assert tv.segments[0].duration == pytest.approx(20.0, abs=1e-12)
 
 
 def test_tv_smooth_sinusoid_against_adaptive_reference():
@@ -640,7 +647,8 @@ def test_tv_smooth_sinusoid_against_adaptive_reference():
     sol = solve_ivp(rhs, (0.0, 200.0), [0.0, 1.0], rtol=1e-11, atol=1e-12,
                     dense_output=True)
     assert sol.sol(np.linspace(0, 200, 500))[1].min() > 0.1  # stays interior
-    tv = solve_fluid_tv((0.0, 1.0), arr, params, horizon=200.0, dt=1e-3)
+    tv = solve_fluid_tv((0.0, 1.0), arr, params, horizon=200.0)
+    assert [s.kind for s in tv.segments] == ["interior"]
     ts = np.linspace(0.0, 200.0, 401)
     err = np.abs(tv.states(ts) - sol.sol(ts).T)
     assert err.max() < 1e-6
@@ -648,7 +656,7 @@ def test_tv_smooth_sinusoid_against_adaptive_reference():
 
 def test_tv_piecewise_jump_is_sharp():
     arr = PiecewiseConstantArrival(breakpoints=(5.0,), values=(1.0, 3.0))
-    tv = solve_fluid_tv((0.0, 1.0), arr, BASE, horizon=10.0, dt=1e-3)
+    tv = solve_fluid_tv((0.0, 1.0), arr, BASE, horizon=10.0)
 
     def rhs(t, u):
         y, x = u
@@ -663,25 +671,26 @@ def test_tv_piecewise_jump_is_sharp():
     for t in (2.0, 4.999, 5.001, 7.0, 10.0):
         want = sol_a.sol(t) if t <= 5.0 else sol_b.sol(t)
         assert np.allclose(tv.state(t), want, atol=1e-6), t
+    assert [s.t0 for s in tv.segments] == [0.0, 5.0]
 
 
 def test_tv_rejects_bad_inputs():
     with pytest.raises(InvalidInitial):
         solve_fluid_tv((0.0, -0.5), None, BASE, horizon=1.0)
     with pytest.raises(FluidSolverError):
-        solve_fluid_tv((0.0, 1.0), None, BASE, horizon=1.0, dt=0.0)
+        solve_fluid_tv((0.0, 1.0), None, BASE, horizon=0.0)
 
 
 def test_tv_csv(tmp_path):
-    tv = solve_fluid_tv((30.0, 0.0), None, BASE, horizon=2.0, dt=0.01)
+    tv = solve_fluid_tv((30.0, 0.0), None, BASE, horizon=2.0)
     out = tmp_path / "tv.csv"
-    tv.to_csv(out, dt=10 * tv.dt)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "t,y,x,segment_kind"
-    assert lines[1].endswith("boundary")
-    for off_grid in (0.015, 0.004):  # rows must be solver samples, not the nearest ones
-        with pytest.raises(FluidSolverError, match="not a multiple"):
-            tv.to_csv(out, dt=off_grid)
+    # any spacing: every row is the closed form at k*dt
+    for dt, rows in ((0.1, 21), (0.015, 134), (0.004, 501)):
+        tv.to_csv(out, dt=dt)
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "t,y,x,segment_kind"
+        assert lines[1:3] == ["0,30,0,boundary", f"{dt:.10g},{30.0 - dt:.12g},0,boundary"]
+        assert len(lines) == 1 + rows
 
 
 def _row_loop_fluid_csv(path, traj, dt):
@@ -694,16 +703,6 @@ def _row_loop_fluid_csv(path, traj, dt):
         fh.write("t,y,x,segment_kind\n")
         for i in range(n):
             fh.write(f"{ts[i]:.10g},{vals[i, 0]:.12g},{vals[i, 1]:.12g},{kinds[i]}\n")
-
-
-def _row_loop_tv_csv(path, tv, every):
-    """The row-at-a-time TVFluidTrajectory writer, kept as the byte reference."""
-    with open(path, "w") as fh:
-        fh.write("t,y,x,segment_kind\n")
-        for i in range(0, len(tv.t), every):
-            kind = "boundary" if tv.on_floor[i] else "interior"
-            fh.write(f"{tv.t[i]:.10g},{tv.y[i] + 0.0:.12g},"
-                     f"{tv.x[i] + 0.0:.12g},{kind}\n")
 
 
 @pytest.mark.parametrize("initial,horizon,dt", [
@@ -723,24 +722,23 @@ def test_fluid_csv_bytes_match_row_loop(tmp_path, initial, horizon, dt):
 
 @pytest.mark.parametrize("every", [1, 3, 10])
 def test_tv_csv_bytes_match_row_loop(tmp_path, every):
+    # slides, lifts off and meets the floor again: both kinds of row, and
+    # x = 0 on the floor of the uncentred view
     arr = SinusoidArrival(base=1.0, amplitude=0.5, period=7.0)
-    tv = solve_fluid_tv((30.0, 0.0), arr, BASE, horizon=40.0, dt=1e-2)
-    assert tv.on_floor.any() and not tv.on_floor.all()
-    # negative zeros and values that .12g must round
-    y, x = tv.y.copy(), tv.x.copy()
-    y[1], x[2], y[3], x[4] = -0.0, -0.0, 1 / 3, -123456789012.345
-    for case, path in (("solved", tv), ("odd", replace(tv, y=y, x=x))):
-        path.to_csv(tmp_path / f"new-{case}.csv", dt=every * path.dt)
-        _row_loop_tv_csv(tmp_path / f"old-{case}.csv", path, every)
-        new = (tmp_path / f"new-{case}.csv").read_bytes()
-        assert new == (tmp_path / f"old-{case}.csv").read_bytes(), case
-        assert b",-0," not in new
+    tv = solve_fluid_tv((30.0, 0.0), arr, BASE, horizon=40.0)
+    dt = every * 1e-2
+    tv.to_csv(tmp_path / "new.csv", dt=dt)
+    _row_loop_fluid_csv(tmp_path / "old.csv", tv, dt)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b",boundary" in new and b",interior" in new
+    assert b",-0," not in new
 
 
 def test_tv_sinusoid_slide_then_liftoff_matches_hybrid_reference():
     arr = SinusoidArrival(base=1.0, amplitude=0.5, period=7.0)
-    tv = solve_fluid_tv((30.0, 0.0), arr, BASE, horizon=40.0, dt=1e-3)
-    assert tv.on_floor[0] and not tv.on_floor[-1]
+    tv = solve_fluid_tv((30.0, 0.0), arr, BASE, horizon=40.0)
+    assert tv.segment_kinds([0.0, 40.0]) == ["boundary", "interior"]
     ts = np.linspace(0.0, 40.0, 801)
     ref = _tv_hybrid_reference((30.0, 0.0), arr, BASE, 40.0, ts)
     assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
@@ -750,45 +748,102 @@ def test_tv_piecewise_jump_on_the_floor_matches_hybrid_reference():
     # on the floor at t = 4 with y = 21; the faster slide at rate 2 still
     # holds the floor (gamma*2 < epsilon*21) and lifts off at y = 20, t = 4.5
     arr = PiecewiseConstantArrival(breakpoints=(4.0, 9.0), values=(1.0, 2.0, 0.5))
-    tv = solve_fluid_tv((25.0, 0.0), arr, BASE, horizon=20.0, dt=1e-3)
-    assert tv.state(4.0)[0] == pytest.approx(21.0, abs=1e-9)
-    assert tv.state(4.25)[0] == pytest.approx(20.5, abs=1e-9)
-    assert tv.on_floor[4400] and not tv.on_floor[4600]
+    tv = solve_fluid_tv((25.0, 0.0), arr, BASE, horizon=20.0)
+    assert tv.state(4.0)[0] == pytest.approx(21.0, abs=1e-12)
+    assert tv.state(4.25)[0] == pytest.approx(20.5, abs=1e-12)
+    assert [s.kind for s in tv.segments[:3]] == ["boundary", "boundary", "interior"]
+    assert tv.segments[2].t0 == pytest.approx(4.5, abs=1e-12)
     ts = np.linspace(0.0, 20.0, 801)
     ref = _tv_hybrid_reference((25.0, 0.0), arr, BASE, 20.0, ts)
     assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
 
 
-def test_tv_exact_tie_start_returns():
-    # x = 0 and gamma*lam(0) = epsilon*y0: the floor and the interior tie
-    y0 = BASE.gamma * 1.0 / BASE.epsilon
-    tv = solve_fluid_tv((y0, 0.0), ConstantArrival(1.0), BASE, horizon=10.0, dt=1e-3)
-    shift = BASE.lam / BASE.beta
-    want = solve_fluid((y0, -shift), BASE, horizon=10.0).states(tv.t)
-    want[:, 1] += shift
-    assert np.max(np.abs(np.column_stack([tv.y, tv.x]) - want)) < 1e-9
-    assert not tv.on_floor[1:].any()
+def _reaches_horizon(traj, horizon):
+    assert traj.t[-1] == horizon
+    assert sum(s.duration for s in traj.segments) == pytest.approx(horizon, abs=1e-9)
+    assert np.all(np.diff(traj.t) >= 0.0)
 
 
-def test_tv_mode_ping_pong_falls_back_to_clamped_steps(monkeypatch):
-    # an interior form that drops below the floor right after any start makes
-    # every floor entry land where it started; the solver must still reach
-    # the horizon, one clamped interior step per grid interval
-    exact = fluid._GridPieceFlow.interior
-    starts = []
+@pytest.mark.parametrize("arrival", [ConstantArrival(1.0), SinusoidArrival(1.0, 0.5, 7.0),
+                                     SinusoidArrival(1.0, -0.5, 7.0)],
+                         ids=["constant", "rising", "falling"])
+def test_tv_exact_tie_start_returns(arrival):
+    # x = 0 and gamma*lam(0) = epsilon*y0: the floor and the interior tie;
+    # a falling rate pulls the path straight back onto the floor
+    y0 = BASE.gamma * arrival(0.0) / BASE.epsilon
+    tv = solve_fluid_tv((y0, 0.0), arrival, BASE, horizon=10.0)
+    _reaches_horizon(tv, 10.0)
+    ts = np.linspace(0.0, 10.0, 401)
+    ref = _tv_hybrid_reference((y0, 0.0), arrival, BASE, 10.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
+    if isinstance(arrival, ConstantArrival):
+        shift = BASE.lam / BASE.beta
+        want = solve_fluid((y0, -shift), BASE, horizon=10.0).states(ts)
+        want[:, 1] += shift
+        assert np.max(np.abs(tv.states(ts) - want)) < 1e-12
+        assert [s.kind for s in tv.segments] == ["interior"]
 
-    def dipping(self, t_a, y_a, x_a):
-        starts.append(t_a)
-        if len(starts) > 200:
-            raise RuntimeError("mode switches do not advance")
-        states = exact(self, t_a, y_a, x_a)
 
-        def shifted(ts):
-            y, x = states(ts)
-            return y, np.where(np.asarray(ts) > t_a, x - 10.0, x)
-        return shifted
+def test_tv_liftoff_on_a_jump_time():
+    # the slide at rate 1 from y = 14 reaches gamma*1/epsilon = 10 exactly at
+    # the jump t = 4, where the rate 2 lifts the path off
+    arr = PiecewiseConstantArrival(breakpoints=(4.0,), values=(1.0, 2.0))
+    tv = solve_fluid_tv((14.0, 0.0), arr, BASE, horizon=10.0)
+    _reaches_horizon(tv, 10.0)
+    assert [(s.kind, s.t0) for s in tv.segments] == [("boundary", 0.0), ("interior", 4.0)]
+    ts = np.linspace(0.0, 10.0, 401)
+    ref = _tv_hybrid_reference((14.0, 0.0), arr, BASE, 10.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
 
-    monkeypatch.setattr(fluid._GridPieceFlow, "interior", dipping)
-    tv = solve_fluid_tv((0.0, 1.0), ConstantArrival(1.0), BASE, horizon=0.1, dt=1e-2)
-    assert len(tv.t) == 11
-    assert np.all(tv.x[1:] == 0.0) and not tv.on_floor.any()
+
+def _interior_start(arrival, t_back, y_back, x_back):
+    """State at t = 0 of the interior path through (y_back, x_back) at
+    t_back, integrated backwards, with its smallest x on a grid of [0, t_back]."""
+    def rhs(t, u):
+        lt = arrival(t)
+        return [BASE.beta * u[1] - lt,
+                BASE.gamma * lt - BASE.gamma * BASE.beta * u[1] - BASE.epsilon * u[0]]
+
+    sol = solve_ivp(rhs, (t_back, 0.0), [y_back, x_back], method="DOP853",
+                    rtol=1e-13, atol=1e-14, dense_output=True)
+    return tuple(sol.y[:, -1]), sol.sol(np.linspace(0.0, t_back, 2001)[:-1])[1].min()
+
+
+def test_tv_tangential_sinusoid_contact():
+    # the interior path touches the floor at t = 2 with x' = 0 (y = gamma*lam/
+    # epsilon there) and x'' = gamma*lam' + epsilon*lam > 0: one touch, to the
+    # rounding of the backward integration
+    arr = SinusoidArrival(1.0, 0.5, 7.0)
+    start, x_min = _interior_start(arr, 2.0, BASE.gamma * arr(2.0) / BASE.epsilon, 0.0)
+    assert x_min > 0.0
+    tv = solve_fluid_tv(start, arr, BASE, horizon=20.0)
+    _reaches_horizon(tv, 20.0)
+    # the touch is no floor visit; the path meets the floor for real later
+    assert abs(tv.state(2.0)[1]) < 1e-12
+    assert not [s for s in tv.segments if 1.0 < s.t0 < 2.3]
+    assert tv.segment_kinds([1.9, 2.0, 2.1, 5.0]) == ["interior"] * 3 + ["boundary"]
+    ts = np.linspace(0.0, 20.0, 801)
+    ref = _tv_hybrid_reference(start, arr, BASE, 20.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
+
+
+def test_tv_floor_visit_shorter_than_the_scan_step():
+    # built backwards: lift-off at t = 2 (y = gamma*lam/epsilon), a slide
+    # of 0.05 before it, and the interior path that meets the floor there;
+    # the scan starts at an eighth of the period, 5
+    arr = SinusoidArrival(1.0, 0.5, 40.0)
+    t_off, visit = 2.0, 0.05
+    omega = 2.0 * math.pi / arr.period
+    fall = arr.base * visit - arr.amplitude / omega * (
+        math.cos(omega * t_off) - math.cos(omega * (t_off - visit)))
+    y_on = BASE.gamma * arr(t_off) / BASE.epsilon + fall
+    start, x_min = _interior_start(arr, t_off - visit, y_on, 0.0)
+    assert x_min > 0.0
+    tv = solve_fluid_tv(start, arr, BASE, horizon=20.0)
+    _reaches_horizon(tv, 20.0)
+    assert [s.kind for s in tv.segments] == ["interior", "boundary", "interior"]
+    assert tv.segments[1].t0 == pytest.approx(t_off - visit, abs=1e-9)
+    assert tv.segments[1].duration == pytest.approx(visit, abs=1e-9)
+    ts = np.linspace(0.0, 20.0, 801)
+    ref = _tv_hybrid_reference(start, arr, BASE, 20.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6

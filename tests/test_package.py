@@ -33,6 +33,13 @@ def test_time_grid_built_in_one_module():
     assert found == {"params.py"}
 
 
+def test_fluid_paths_never_interpolated():
+    # every fluid path is a closed form evaluated at the times asked for; an
+    # interpolation between samples would bring back a solver grid
+    fluid = Path(invitesim.__file__).parent / "fluid.py"
+    assert "np.interp" not in fluid.read_text()
+
+
 def test_thread_pool_built_in_one_module():
     # repeated runs fan out through stats.replicate, which owns the pool; a
     # pool of its own elsewhere would bring back a second replication loop
