@@ -1,19 +1,23 @@
-"""Deterministic scaled limits in closed form, for constant and time-varying
-arrival rates.
+"""Deterministic scaled limits in closed form, for every arrival profile.
 
-Constant rate: away from the floor x = -lam/beta the path is a sum of two
-decaying eigenmodes; on the floor it slides with y' = -lam until y reaches
-gamma*lam/epsilon and lifts off.  The gap to the floor has at most one
-extremum, which settles whether the path meets the floor and brackets where.
-A path enters the floor at most once, so a full solution is at most
-interior/boundary/interior.
+One segment solver serves constant, piecewise-constant and sinusoidal
+rates.  Off the floor the pair (y, x) is a particular path of the current
+arrival piece plus two decaying eigenmodes; on the floor y falls by the
+cumulative arrival rate until gamma*lam(t) - epsilon*y turns positive and
+the path lifts off.  The path is a sequence of such segments, each exact
+at any t: no output grid enters the solution.  solve_fluid works in the
+centred view (floor at x = -lam/beta, constant rate lam), solve_fluid_tv
+in the uncentred one (floor at x = 0).
 
-Time-varying rate: the uncentered pair (y, x) follows a piecewise-smooth field
-with the same floor structure at x = 0.  Off the floor the path is a particular
-solution for the rate profile plus the same two eigenmodes; on the floor y
-falls by the cumulative arrival rate.  Both are evaluated exactly on the
-output grid, and floor entries and exits are located by bisection between
-grid points.
+Constant pieces: the gap to the floor has at most one extremum, which
+settles whether the path meets the floor and brackets where, and lift-off
+comes at y = gamma*lam/epsilon.  At constant rate a path enters the floor
+at most once, so a full solution is at most interior/boundary/interior.
+A piecewise-constant profile restarts the closed form at its jump times.
+
+Sinusoidal pieces: floor contacts and lift-offs are bracketed by a scan
+whose intervals are certified clear by a bound on the second derivative
+of the closed form, so no contact is missed, however short.
 """
 from __future__ import annotations
 

@@ -583,9 +583,12 @@ def _seeded_tv_cases(seed, n):
 
 
 def test_tv_segments_match_grid_solver():
-    # 240 seeded cases against the grid solver at its 20 001 samples each
+    # 240 seeded cases against the grid solver at its 20 001 samples each,
+    # and a piece at rate 0, on the floor and off it
     counts = {"slides": 0, "jumps on the floor": 0, "sinusoid floor contacts": 0}
-    for params, arrival, start in _seeded_tv_cases(1616, 240):
+    zero = PiecewiseConstantArrival((3.0, 8.0), (1.0, 0.0, 2.0))
+    fixed = [(BASE, zero, (25.0, 0.0)), (BASE, zero, (0.0, 1.0))]
+    for params, arrival, start in _seeded_tv_cases(1616, 240) + fixed:
         t, y, x, on_floor = _grid_solve_tv(start, arrival, params, 20.0)
         traj = solve_fluid_tv(start, arrival, params, 20.0)
         err = np.abs(traj.states(t) - np.column_stack([y, x])).max()
@@ -764,24 +767,24 @@ def _reaches_horizon(traj, horizon):
     assert np.all(np.diff(traj.t) >= 0.0)
 
 
-@pytest.mark.parametrize("arrival", [ConstantArrival(1.0), SinusoidArrival(1.0, 0.5, 7.0),
-                                     SinusoidArrival(1.0, -0.5, 7.0)],
-                         ids=["constant", "rising", "falling"])
-def test_tv_exact_tie_start_returns(arrival):
+def test_tv_exact_tie_start_returns():
     # x = 0 and gamma*lam(0) = epsilon*y0: the floor and the interior tie;
     # a falling rate pulls the path straight back onto the floor
-    y0 = BASE.gamma * arrival(0.0) / BASE.epsilon
-    tv = solve_fluid_tv((y0, 0.0), arrival, BASE, horizon=10.0)
-    _reaches_horizon(tv, 10.0)
     ts = np.linspace(0.0, 10.0, 401)
-    ref = _tv_hybrid_reference((y0, 0.0), arrival, BASE, 10.0, ts)
-    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
-    if isinstance(arrival, ConstantArrival):
-        shift = BASE.lam / BASE.beta
-        want = solve_fluid((y0, -shift), BASE, horizon=10.0).states(ts)
-        want[:, 1] += shift
-        assert np.max(np.abs(tv.states(ts) - want)) < 1e-12
-        assert [s.kind for s in tv.segments] == ["interior"]
+    for arrival in (ConstantArrival(1.0), SinusoidArrival(1.0, 0.5, 7.0),
+                    SinusoidArrival(1.0, -0.5, 7.0)):
+        y0 = BASE.gamma * arrival(0.0) / BASE.epsilon
+        tv = solve_fluid_tv((y0, 0.0), arrival, BASE, horizon=10.0)
+        _reaches_horizon(tv, 10.0)
+        ref = _tv_hybrid_reference((y0, 0.0), arrival, BASE, 10.0, ts)
+        assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6, arrival
+    # at constant rate: the centred path, to rounding
+    y0, shift = BASE.gamma * BASE.lam / BASE.epsilon, BASE.lam / BASE.beta
+    want = solve_fluid((y0, -shift), BASE, horizon=10.0).states(ts)
+    want[:, 1] += shift
+    tv = solve_fluid_tv((y0, 0.0), None, BASE, horizon=10.0)
+    assert np.max(np.abs(tv.states(ts) - want)) < 1e-12
+    assert [s.kind for s in tv.segments] == ["interior"]
 
 
 def test_tv_liftoff_on_a_jump_time():
