@@ -61,6 +61,7 @@ from .stats import (
     StationaryEstimate,
     SweepTable,
     batch_means,
+    fluid_reference,
     gaussian_check,
     scale_sweep,
     stationary_moments,

@@ -26,10 +26,10 @@ from ._csv import write_columns
 from .acceptance import ALL_CRITERIA, run_suites
 from .ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_a, simulate_b
 from .diffusion import moment_ode
-from .fluid import solve_fluid, solve_fluid_tv
-from .params import InviteSimError, _time_grid
+from .params import InviteSimError
 from .presets import ConfigInvalid, ExperimentConfig, config_from_json, get_preset, presets
-from .stats import scale_sweep, stationary_moments, sup_deviation, gaussian_check
+from .stats import (fluid_reference, scale_sweep, stationary_moments, sup_deviation,
+                    gaussian_check)
 
 SWEEP_SCALES = (100, 300, 1000)
 SWEEP_REPLICATIONS = 8
@@ -116,19 +116,6 @@ def emit_plot_data(path, sim, fluid=None, grid=None) -> list[str]:
     return warnings
 
 
-def _fluid_reference(config: ExperimentConfig):
-    """Fluid trajectory matching the config's scaled initial state; for
-    scheme A, x starts at the pool target.  A time-varying rate (scheme B
-    only) takes the uncentred path."""
-    p = config.params
-    r = p.scale_r
-    if config.arrival is not None and not config.arrival.is_constant:
-        return solve_fluid_tv((config.initial[0] / r, config.initial[1] / r),
-                              config.arrival, p, horizon=config.horizon)
-    x0 = config.initial[2 if config.scheme == "A" else 1] / r - p.lam / p.beta
-    return solve_fluid((config.initial[0] / r, x0), p, horizon=config.horizon)
-
-
 def _write_manifest(manifest: RunManifest, written: list[Path], out: Path,
                     t_start: float) -> RunManifest:
     manifest.files = [{"path": f.name, "sha256": _sha256(f),
@@ -166,6 +153,9 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
     t_start = time.perf_counter()
     if workers < 1:
         raise ConfigInvalid("workers must be >= 1")
+    # the one start of the run and of its fluid reference
+    init = SystemState(config.initial[0], config.initial[1],
+                       x_target=float(config.initial[2]) if config.scheme == "A" else None)
     out = _ensure_outdir(out_dir)
     manifest = RunManifest(name=config.name, config=config.to_json_dict(),
                            version=__version__, wall_clock_s=0.0)
@@ -177,18 +167,15 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
     traj = None
     if {"trajectory", "deviation", "stationary"} & set(config.outputs):
         if config.scheme == "A":
-            init = SystemState(config.initial[0], config.initial[1],
-                               x_target=float(config.initial[2]))
             traj = simulate_a(init, p, horizon=config.horizon,
                               stream=stream, sampling=grid)
         else:
-            init = SystemState(config.initial[0], config.initial[1])
             traj = simulate_b(init, p, horizon=config.horizon,
                               stream=stream, arrival=config.arrival,
                               sampling=grid)
     fluid = None
     if {"fluid", "deviation"} & set(config.outputs):
-        fluid = _fluid_reference(config)
+        fluid = fluid_reference(init, p, config.horizon, config.arrival)
 
     if "trajectory" in config.outputs:
         target = out / "trajectory.csv"
@@ -204,19 +191,18 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         fluid.to_csv(target, dt=config.grid_dt)
         written.append(target)
     if "deviation" in config.outputs:
-        scaled = fluid_scale(traj, p)
+        scaled = fluid_scale(traj)
         target = out / "overlay.csv"
         manifest.warnings += emit_plot_data(target, scaled, fluid)
         written.append(target)
-        grid_t = _time_grid(config.horizon, config.grid_dt)
-        rep = sup_deviation(scaled, fluid, grid_t,
+        rep = sup_deviation(scaled, fluid, scaled.t,
                             context={"name": config.name, "seed": config.seed})
         target = out / "deviation.json"
         _write_json(target, rep.to_json_dict())
         written.append(target)
     if "stationary" in config.outputs:
         burn = 100.0 if config.horizon > 300.0 else 0.2 * config.horizon
-        est = stationary_moments(traj, p, burn_in=burn)
+        est = stationary_moments(traj, burn_in=burn)
         target = out / "stationary.json"
         _write_json(target, est.to_json_dict())
         written.append(target)

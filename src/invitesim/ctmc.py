@@ -588,53 +588,35 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
 # scalings
 # ---------------------------------------------------------------------------
 
-def fluid_scale(traj: Trajectory, params: ModelParams | None = None,
-                centered: bool | None = None) -> ScaledTrajectory:
-    """(y, x)/r with the pending count recentered at lam*r/beta when centered.
+def _rescale(traj: Trajectory, shift: float, root: float, scale: str) -> ScaledTrajectory:
+    """(y, x - shift) / root, the target mapped like x."""
+    tgt = None if traj.x_target is None else (traj.x_target - shift) / root
+    return ScaledTrajectory(t=traj.t, y=traj.y / root, x=(traj.x - shift) / root,
+                            scale=scale, scale_r=traj.params.scale_r, x_target=tgt)
 
-    Constant-rate runs default to the centered scale, time-varying ones to the
-    uncentered scale used by the time-varying fluid limit.
+
+def fluid_scale(traj: Trajectory) -> ScaledTrajectory:
+    """(y, x)/r in the view of the run's fluid limit.
+
+    A constant-rate run recentres the pending count at lam*r/beta; a
+    time-varying one keeps it raw, the view of solve_fluid_tv.
     """
-    p = params or traj.params
-    if centered is None:
-        centered = not traj.time_varying
-    r = p.scale_r
-    shift = p.center_x if centered else 0.0
-    tgt = None
-    if traj.x_target is not None:
-        tgt = (traj.x_target - shift) / r
-    return ScaledTrajectory(
-        t=traj.t,
-        y=traj.y / r,
-        x=(traj.x - shift) / r,
-        scale="fluid-centered" if centered else "fluid-uncentered",
-        scale_r=r,
-        x_target=tgt,
-    )
+    p = traj.params
+    if traj.time_varying:
+        return _rescale(traj, 0.0, p.scale_r, "fluid-uncentered")
+    return _rescale(traj, p.center_x, p.scale_r, "fluid-centered")
 
 
-def diffusion_scale(traj: Trajectory, params: ModelParams | None = None) -> ScaledTrajectory:
+def diffusion_scale(traj: Trajectory) -> ScaledTrajectory:
     """(y, x - lam*r/beta) / sqrt(r)."""
-    p = params or traj.params
-    root = math.sqrt(p.scale_r)
-    tgt = None
-    if traj.x_target is not None:
-        tgt = (traj.x_target - p.center_x) / root
-    return ScaledTrajectory(
-        t=traj.t,
-        y=traj.y / root,
-        x=(traj.x - p.center_x) / root,
-        scale="diffusion",
-        scale_r=p.scale_r,
-        x_target=tgt,
-    )
+    p = traj.params
+    return _rescale(traj, p.center_x, math.sqrt(p.scale_r), "diffusion")
 
 
 # ---------------------------------------------------------------------------
 # pathwise replay through the reflection map
 # ---------------------------------------------------------------------------
 
-_Z_DELTA = {K_FEEDBACK_UP: 1, K_FEEDBACK_DOWN: -1}
 _DY_BY_KIND = {K_ARRIVAL: -1, K_ACCEPT: 1, K_FEEDBACK_UP: 0, K_FEEDBACK_DOWN: 0}
 
 

@@ -171,12 +171,13 @@ class MomentPath:
     params: ModelParams
 
     def at(self, t: float) -> MomentState:
+        """The exact moments at any t of the path, on its grid or between."""
         if t < -1e-12 or t > self.t[-1] * (1 + 1e-12) + 1e-12:
             raise DiffusionError(f"t={t} outside the path [0, {self.t[-1]}]")
-        m = np.array([np.interp(t, self.t, self.m[:, i]) for i in range(2)])
-        V = np.array([[np.interp(t, self.t, self.V[:, i, j]) for j in range(2)]
-                      for i in range(2)])
-        return MomentState(m=m, V=V)
+        # row 0 is the initial state exactly
+        m, V = _moments_at(MomentState(self.m[0], self.V[0]), self.params,
+                           np.array([float(t)]))
+        return MomentState(m=m[0], V=V[0])
 
     @property
     def final(self) -> MomentState:

@@ -1,6 +1,7 @@
-"""Comparison harness: sup-norm deviation between scaled paths and their
-deterministic limits, steady-state estimation by batch means, Gaussian moment
-checks, the replication runner and the deviation-vs-scale sweep.
+"""Comparison harness: the fluid reference of a run, sup-norm deviation
+between scaled paths and their deterministic limits, steady-state estimation
+by batch means, Gaussian moment checks, the replication runner and the
+deviation-vs-scale sweep.
 
 Steady-state averages are time-weighted (a sampled CTMC state holds its value
 until the next sample), never event-weighted.  Every report carries enough
@@ -19,8 +20,8 @@ import numpy as np
 
 from ._csv import write_columns
 from .ctmc import RandomStream, SystemState, fluid_scale, diffusion_scale, simulate_b, GridSpec
-from .fluid import solve_fluid
-from .params import InviteSimError, ModelParams, _time_grid
+from .fluid import FluidTrajectory, solve_fluid, solve_fluid_tv
+from .params import ArrivalRateFn, InviteSimError, ModelParams
 
 
 class StatsError(InviteSimError):
@@ -36,8 +37,26 @@ class InsufficientData(StatsError):
 
 
 # ---------------------------------------------------------------------------
-# sup-norm deviation
+# fluid reference and sup-norm deviation
 # ---------------------------------------------------------------------------
+
+def fluid_reference(initial: SystemState, params: ModelParams, horizon: float,
+                    arrival: ArrivalRateFn | None = None) -> FluidTrajectory:
+    """The fluid path that a run from `initial` under `params` and `arrival`
+    converges to, in the view fluid_scale puts that run in.
+
+    A scheme-A start (one with an x_target) starts X at the target, which
+    the run tops X up to.  A time-varying rate takes the uncentred path of
+    solve_fluid_tv; a constant rate, which is lambda, the centred path of
+    solve_fluid.
+    """
+    r = params.scale_r
+    x = initial.x if initial.x_target is None else initial.x_target
+    if arrival is not None and not arrival.is_constant:
+        return solve_fluid_tv((initial.y / r, x / r), arrival, params, horizon=horizon)
+    return solve_fluid((initial.y / r, x / r - params.lam / params.beta), params,
+                       horizon=horizon)
+
 
 @dataclass(frozen=True)
 class DeviationReport:
@@ -129,21 +148,6 @@ class StationaryEstimate:
         }
 
 
-def _as_series(series):
-    if isinstance(series, tuple):
-        t, v = series
-        t = np.asarray(t, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        return t, v
-    # trajectory-like: t plus y/x columns
-    t = np.asarray(series.t, dtype=float)
-    v = np.column_stack([np.asarray(series.y, dtype=float),
-                         np.asarray(series.x, dtype=float)])
-    return t, v
-
-
 def _window_integrals(t, v, edges):
     """Integrals of the piecewise-constant hold interpolant of (t, v) over
     consecutive windows [edges[j], edges[j+1])."""
@@ -162,12 +166,16 @@ def batch_means(series, burn_in: float, n_batches: int = 20,
                 context: dict | None = None) -> StationaryEstimate:
     """Steady-state estimate from equal-time batches after a burn-in.
 
-    The batch spread feeds 95% half-widths for every reported quantity.
+    series is a pair (t, v) of sample times and values, v of shape (n,) or
+    (n, k).  The batch spread feeds 95% half-widths for every reported
+    quantity.
     Covariance and the shape moments of the first component are computed per
     batch around the global mean, so their across-batch averages equal the
     full-window time averages (and the covariance stays PSD).
     """
-    t, v = _as_series(series)
+    t, v = (np.asarray(a, dtype=float) for a in series)
+    if v.ndim == 1:
+        v = v[:, None]
     if n_batches < 10:
         raise InsufficientData(f"need at least 10 batches, got {n_batches}")
     if len(t) < 2 * n_batches:
@@ -194,8 +202,6 @@ def batch_means(series, burn_in: float, n_batches: int = 20,
 
     z95 = 1.959963984540054
     def hw(rows):
-        if n_batches < 2:
-            return np.zeros(rows.shape[1])
         return z95 * rows.std(axis=0, ddof=1) / math.sqrt(n_batches)
 
     mean_hw = hw(means_b)
@@ -221,18 +227,17 @@ def batch_means(series, burn_in: float, n_batches: int = 20,
         horizon=t1, context=context or {})
 
 
-def stationary_moments(traj, params: ModelParams | None = None,
-                       burn_in: float = 100.0, n_batches: int = 20) -> StationaryEstimate:
+def stationary_moments(traj, burn_in: float = 100.0,
+                       n_batches: int = 20) -> StationaryEstimate:
     """Diffusion-scale steady-state moments of a constant-rate run."""
-    if getattr(traj, "time_varying", False):
+    if traj.time_varying:
         raise StatsError("steady-state estimation needs a constant arrival rate")
-    params = params or traj.params
-    scaled = diffusion_scale(traj, params)
+    scaled = diffusion_scale(traj)
     ctx = {
         "scheme": traj.scheme,
         "seed": traj.stream.seed,
         "stream_path": list(traj.stream.path),
-        "scale_r": params.scale_r,
+        "scale_r": scaled.scale_r,
         "horizon": traj.horizon,
         "grid_dt": traj.grid_dt,
         "burn_in": burn_in,
@@ -385,32 +390,31 @@ def scale_sweep(r_list, initial_family, params: ModelParams, horizon: float,
                 grid_dt: float = 0.05, workers: int = 1) -> SweepTable:
     """Mean/std of the fluid-scale sup deviation at each scale in r_list.
 
-    initial_family maps a scale r to the unscaled integer initial state, so
-    the whole family shares one scaled starting point and one fluid
-    reference.  Replication j at scale index i uses stream.child(i).child(j);
-    all scales' replications run through one replicate call on `workers`
-    threads, so the table is the same for every number of workers.
+    initial_family maps a scale r to the unscaled integer initial state;
+    the replications at one scale share its fluid_reference.  Replication j
+    at scale index i uses stream.child(i).child(j); all scales' replications
+    run through one replicate call on `workers` threads, so the table is the
+    same for every number of workers.
     """
     r_list = list(r_list)
     if any(b <= a for a, b in zip(r_list, r_list[1:])):
         raise StatsError("r_list must be strictly increasing")
     if replications < 1:
         raise StatsError("need at least one replication")
-    grid = _time_grid(horizon, grid_dt)
     cases = []
     for r in r_list:
         p = replace(params, scale_r=float(r))
         init = initial_family(r)
         if not isinstance(init, SystemState):
             init = SystemState(y=int(init[0]), x=int(init[1]))
-        scaled0 = (init.y / r, init.x / r - p.lam / p.beta)
-        cases.append((p, init, solve_fluid(scaled0, p, horizon=horizon)))
+        cases.append((p, init, fluid_reference(init, p, horizon)))
 
     def one_replicate(i, j, sub):
         p, init, reference = cases[i]
         traj = simulate_b(init, p, horizon=horizon, stream=sub,
                           sampling=GridSpec(dt=grid_dt))
-        return sup_deviation(fluid_scale(traj, p), reference, grid).sup
+        scaled = fluid_scale(traj)
+        return sup_deviation(scaled, reference, scaled.t).sup
 
     rows = []
     for r, devs in zip(r_list, replicate(one_replicate, stream,

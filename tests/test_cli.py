@@ -14,7 +14,8 @@ from invitesim.cli import (
     main,
     run,
 )
-from invitesim.ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_b
+from invitesim.ctmc import (GridSpec, RandomStream, SystemState, fluid_scale, simulate_a,
+                            simulate_b)
 from invitesim.fluid import solve_fluid, solve_fluid_tv
 from invitesim.params import ModelParams, SinusoidArrival
 from invitesim.presets import (
@@ -24,6 +25,7 @@ from invitesim.presets import (
     get_preset,
     presets,
 )
+from invitesim.stats import fluid_reference
 
 PRESET_NAMES = ["fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4a", "fig4b"]
 SMALL = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=2.0, epsilon=0.2)
@@ -204,6 +206,27 @@ def test_stationary_outputs(tmp_path):
     assert {e["name"] for e in g["entries"]} >= {"mean_y", "cov_yy", "skew_y"}
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_fluid_reference_starts_at_the_scaled_run(name):
+    # the density-dependent limit needs the scaled start of the run to be
+    # the start of its reference: scheme A's X from its target, which the run
+    # tops X up to, and a time-varying run in the uncentred view
+    cfg = get_preset(name)
+    if cfg.scheme == "A":
+        init = SystemState(*cfg.initial[:2], x_target=cfg.initial[2])
+        traj = simulate_a(init, cfg.params, horizon=1.0, stream=RandomStream(cfg.seed))
+    else:
+        init = SystemState(*cfg.initial)
+        traj = simulate_b(init, cfg.params, horizon=1.0, stream=RandomStream(cfg.seed),
+                          arrival=cfg.arrival)
+    scaled = fluid_scale(traj)
+    x0 = scaled.x[0] if scaled.x_target is None else scaled.x_target[0]
+    start = fluid_reference(init, cfg.params, 1.0, cfg.arrival).state(0.0)
+    assert np.abs(start - [scaled.y[0], x0]).max() <= 1e-12
+    want = "fluid-uncentered" if name.startswith("fig4") else "fluid-centered"
+    assert scaled.scale == want
+
+
 def test_unwritable_output_dir(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -223,7 +246,7 @@ def _short_run(params=SMALL, horizon=8.0, seed=3, dt=0.05, arrival=None):
 
 def test_emit_plot_data_aligned(tmp_path):
     traj = _short_run()
-    scaled = fluid_scale(traj, SMALL)
+    scaled = fluid_scale(traj)
     fluid = solve_fluid((0.0, 0.0), SMALL, horizon=8.0)
     target = tmp_path / "overlay.csv"
     warnings = emit_plot_data(target, scaled, fluid)
@@ -236,14 +259,14 @@ def test_emit_plot_data_aligned(tmp_path):
 def test_emit_plot_data_trajectory_only(tmp_path):
     traj = _short_run()
     target = tmp_path / "solo.csv"
-    warnings = emit_plot_data(target, fluid_scale(traj, SMALL))
+    warnings = emit_plot_data(target, fluid_scale(traj))
     assert warnings == []
     assert target.read_text().splitlines()[0] == "t,sim_y,sim_x"
 
 
 def test_emit_plot_data_clips_past_fluid_horizon(tmp_path):
     traj = _short_run(horizon=8.0)
-    scaled = fluid_scale(traj, SMALL)
+    scaled = fluid_scale(traj)
     fluid = solve_fluid((0.0, 0.0), SMALL, horizon=5.0)
     target = tmp_path / "clip.csv"
     warnings = emit_plot_data(target, scaled, fluid)
@@ -273,7 +296,7 @@ def _row_loop_overlay(path, sim, fluid=None, grid=None):
 
 def _overlay_cases():
     traj = _short_run()
-    scaled = fluid_scale(traj, SMALL)
+    scaled = fluid_scale(traj)
     arrival = SinusoidArrival(base=1.0, amplitude=0.2, period=7.0)
     tv_traj = _short_run(horizon=6.0, dt=0.0375, arrival=arrival)
     # integer columns, negative zeros, and values that .10g must round
@@ -287,12 +310,12 @@ def _overlay_cases():
         "scaled": (scaled, None, None),
         "aligned": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0), None),
         "past-horizon": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=5.0), None),
-        "off-grid-tv": (fluid_scale(tv_traj, SMALL),
+        "off-grid-tv": (fluid_scale(tv_traj),
                         solve_fluid_tv((0.0, 1.0), arrival, SMALL, horizon=6.0),
                         None),
         "grid": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0),
                  np.linspace(0.0, 7.5, 41)),
-        "long": (fluid_scale(_short_run(horizon=120.0), SMALL),  # 2 401 rows
+        "long": (fluid_scale(_short_run(horizon=120.0)),  # 2 401 rows
                  solve_fluid((0.0, 0.0), SMALL, horizon=120.0), None),
         "odd": (odd, None, None),
         "odd-fluid": (odd, odd_fluid, None),
@@ -404,6 +427,17 @@ def test_zero_workers_leaves_no_output_dir(tmp_path, capsys):
     out = tmp_path / "D"
     assert main(["sweep", "--preset", "fig2a", "--workers", "0", "--out", str(out)]) == 1
     assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_start_leaves_no_output_dir(tmp_path, capsys):
+    # run() builds the start of the run and of its reference before the
+    # output directory, also for outputs that simulate nothing
+    path = tmp_path / "cfg.json"
+    path.write_text(small_config(initial=(0, -5), outputs=("moments",)).to_json())
+    out = tmp_path / "D"
+    assert main(["diffusion", "--config", str(path), "--out", str(out)]) == 1
+    assert "pending count must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -318,9 +318,6 @@ def test_fluid_scale_arithmetic():
     assert sc.y[0] == pytest.approx(0.5)
     assert sc.x[0] == pytest.approx(0.3)
     assert sc.scale == "fluid-centered"
-    un = fluid_scale(_tiny_traj(0, 1000), centered=False)
-    assert un.x[0] == pytest.approx(1.0)
-    assert un.scale == "fluid-uncentered"
     cn = fluid_scale(_tiny_traj(0, 1000))
     assert cn.x[0] == pytest.approx(0.0)
 

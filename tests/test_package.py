@@ -34,10 +34,22 @@ def test_time_grid_built_in_one_module():
 
 
 def test_fluid_paths_never_interpolated():
-    # every fluid path is a closed form evaluated at the times asked for; an
-    # interpolation between samples would bring back a solver grid
-    fluid = Path(invitesim.__file__).parent / "fluid.py"
-    assert "np.interp" not in fluid.read_text()
+    # every fluid path and every moment path is a closed form evaluated at
+    # the times asked for; an interpolation between samples would bring back
+    # a solver grid
+    pkg = Path(invitesim.__file__).parent
+    for name in ("fluid.py", "diffusion.py"):
+        assert "np.interp" not in (pkg / name).read_text(), name
+
+
+def test_run_references_built_in_one_module():
+    # the fluid path a run is compared with comes from stats.fluid_reference,
+    # which maps the run's start into the view fluid_scale puts the run in; a
+    # second mapping elsewhere could start the reference somewhere else
+    pkg = Path(invitesim.__file__).parent
+    found = {p.name for p in pkg.glob("*.py") if "solve_fluid_tv(" in p.read_text()}
+    assert found == {"fluid.py", "stats.py"}
+    assert not re.search(r"\bsolve_fluid", (pkg / "cli.py").read_text())
 
 
 def test_thread_pool_built_in_one_module():

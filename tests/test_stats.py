@@ -74,7 +74,7 @@ def test_sup_deviation_against_simulated_path():
     # and the report's sup must match a direct recomputation
     traj = simulate_b(SystemState(0, 0), BASE, horizon=10.0,
                       stream=RandomStream(seed=12), sampling=GridSpec(dt=0.05))
-    scaled = fluid_scale(traj, BASE)
+    scaled = fluid_scale(traj)
     ref = solve_fluid((0.0, -1.0), BASE, horizon=10.0)
     grid = np.arange(0.0, 10.0001, 0.05)
     rep = sup_deviation(scaled, ref, grid)
@@ -138,7 +138,7 @@ def test_batch_means_rebinning_stability():
 def test_batch_means_scheme_b_mean_near_zero():
     traj = simulate_b(SystemState(0, 1000), BASE, horizon=600.0,
                       stream=RandomStream(seed=77), sampling=GridSpec(dt=0.05))
-    est = stationary_moments(traj, BASE, burn_in=100.0)
+    est = stationary_moments(traj, burn_in=100.0)
     # scaled mean of Y should be statistically indistinguishable from 0
     assert abs(est.mean[0]) <= est.mean_halfwidth[0]
     assert est.context["seed"] == 77
@@ -153,7 +153,7 @@ def test_stationary_moments_rejects_time_varying():
                       stream=RandomStream(seed=1), arrival=arr,
                       sampling=GridSpec(dt=0.05))
     with pytest.raises(StatsError):
-        stationary_moments(traj, BASE, burn_in=1.0)
+        stationary_moments(traj, burn_in=1.0)
 
 
 def test_gaussian_check_on_exact_gaussian_samples():
@@ -262,7 +262,7 @@ def test_scale_sweep_devs_match_independent_runs():
             sup_deviation(
                 fluid_scale(simulate_b(SystemState(0, 2 * r), p, horizon=5.0,
                                        stream=stream.child(i).child(j),
-                                       sampling=GridSpec(dt=0.05)), p),
+                                       sampling=GridSpec(dt=0.05))),
                 ref, grid).sup
             for j in range(3)
         ]
