@@ -21,9 +21,16 @@
  * reading on from where the last one stopped, and writes each window's
  * (y - y0, x - x0) to out; a resumed window rolls back like any other event.
  * No global state: concurrent calls on separate states are safe.
+ *
+ * format_rows writes CSV rows of int64, float64 and fixed-width bytes
+ * columns, each float as Python's format(v, '.10g') or format(v, '.12g')
+ * gives it, byte for byte (see fmt_g); it reads no global state either.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
 
 enum { K_DONE = 0, K_NEED_U = 1, K_LOG_FULL = 2, K_THIN_ERR = 3 };
 enum { ARR_NONE = 0, ARR_SINUSOID = 1, ARR_PIECEWISE = 2 };
@@ -249,4 +256,237 @@ int run_a(kstate *s)
     }
     fill_grid(s, INFINITY);
     return K_DONE;
+}
+
+/* ---- CSV rows ---- */
+
+typedef unsigned __int128 u128;
+
+enum { COL_INT = 0, COL_BYTES = 1, COL_G10 = 10, COL_G12 = 12 };
+
+/* one column of format_rows; the ctypes mirror is _csv's (kind, width, base,
+ * stride) rows of int64 */
+typedef struct {
+    int64_t kind;    /* COL_*; COL_G10 and COL_G12 are float64 at that precision */
+    int64_t width;   /* bytes per element of a COL_BYTES column */
+    int64_t base;    /* address of row 0 */
+    int64_t stride;  /* bytes from one row to the next */
+} column;
+
+/* the longest field a number can take: "-1.23456789012e-308" is 19 bytes and
+ * "-9223372036854775808" 20 */
+#define FIELD_MAX 24
+
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+    1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL,
+    6103515625ULL, 30517578125ULL, 152587890625ULL, 762939453125ULL,
+    3814697265625ULL, 19073486328125ULL, 95367431640625ULL, 476837158203125ULL,
+    2384185791015625ULL, 11920928955078125ULL, 59604644775390625ULL,
+    298023223876953125ULL, 1490116119384765625ULL, 7450580596923828125ULL};
+
+static const uint64_t POW10[13] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
+    1000000000000ULL};
+
+/* 10^k for k = -30 .. 30, to place |v| between two powers of ten */
+static const double P10[61] = {
+    1e-30, 1e-29, 1e-28, 1e-27, 1e-26, 1e-25, 1e-24, 1e-23, 1e-22, 1e-21,
+    1e-20, 1e-19, 1e-18, 1e-17, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11,
+    1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1,
+    1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14,
+    1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22, 1e23, 1e24, 1e25, 1e26,
+    1e27, 1e28, 1e29, 1e30};
+
+static int bitlen(u128 x)
+{
+    uint64_t hi = (uint64_t)(x >> 64), lo = (uint64_t)x;
+    return hi ? 128 - __builtin_clzll(hi) : lo ? 64 - __builtin_clzll(lo) : 0;
+}
+
+/* round_half_even(m * 2^q * 10^k), exact, into *d; 0 when a step would
+ * leave 128 bits.  With 10^k = 5^k * 2^k this is num / den for
+ * num = m * 5^max(k,0) * 2^max(q+k,0) and den = 5^max(-k,0) * 2^max(-q-k,0). */
+static int scale_round(uint64_t m, int q, int k, uint64_t *d)
+{
+    u128 num = m, den = 1, quot, rem;
+    int e2 = q + k;
+    if (k > 54 || k < -54)
+        return 0;
+    if (k != 0) {
+        int a = k > 0 ? k : -k;
+        u128 f = a <= 27 ? (u128)POW5[a] : (u128)POW5[27] * POW5[a - 27];
+        if (k > 0) {
+            if (bitlen(num) + bitlen(f) > 128)
+                return 0;
+            num *= f;
+        } else
+            den = f;
+    }
+    if (e2 >= 0) {
+        if (bitlen(num) + e2 > 128)
+            return 0;
+        num <<= e2;
+    } else {
+        if (bitlen(den) - e2 > 128)
+            return 0;
+        den <<= -e2;
+    }
+    /* a power of two, as den is for every |v| < 10^(p-1): shift, do not divide */
+    quot = den & (den - 1) ? num / den : num >> (bitlen(den) - 1);
+    rem = num - quot * den;
+    if (rem > den - rem || (rem == den - rem && (quot & 1)))
+        quot++;
+    *d = (uint64_t)quot;
+    return 1;
+}
+
+/* |v| rounded to p significant digits as d * 10^(E - p + 1), with
+ * 10^(p-1) <= d < 10^p; returns E.  Finite non-zero v only. */
+static int round_digits(double v, int p, uint64_t *d)
+{
+    uint64_t bits, m;
+    int be, E;
+    memcpy(&bits, &v, sizeof bits);
+    be = (int)(bits >> 52 & 0x7ff);
+    m = (bits & ((1ULL << 52) - 1)) | 1ULL << 52;
+    /* floor(log10|v|) from the binary exponent, which is cheaper than
+     * libm's log10: (be - 1023) * log10(2) is it or one below.  A d out of
+     * [10^(p-1), 10^p) moves E by one, as does a rounding that carries
+     * into a new digit. */
+    E = (be - 1023) * 78913 >> 18;
+    if (E >= -31 && E < 30 && fabs(v) >= P10[E + 31])
+        E++;
+    while (be != 0 && scale_round(m, be - 1075, p - 1 - E, d)) {
+        if (*d >= POW10[p])
+            E++;
+        else if (*d < POW10[p - 1])
+            E--;
+        else
+            return E;
+    }
+    /* subnormal, or too far from 1 for 128 bits: libc's %e rounds exactly
+     * too; the decimal point, whatever LC_NUMERIC makes it, is skipped */
+    char t[48], *c;
+    snprintf(t, sizeof t, "%.*e", p - 1, fabs(v));
+    *d = 0;
+    for (c = t; *c != 'e'; c++)
+        if (*c >= '0' && *c <= '9')
+            *d = *d * 10 + (uint64_t)(*c - '0');
+    return atoi(c + 1);
+}
+
+/* Python's format(v, '.{p}g') into s; returns the end of the text */
+static char *fmt_g(char *s, double v, int p)
+{
+    char dig[16];
+    uint64_t d;
+    int E, n, i;
+    if (isnan(v)) {
+        memcpy(s, "nan", 3);
+        return s + 3;
+    }
+    if (signbit(v))
+        *s++ = '-';
+    if (isinf(v)) {
+        memcpy(s, "inf", 3);
+        return s + 3;
+    }
+    if (v == 0.0) {
+        *s++ = '0';
+        return s;
+    }
+    E = round_digits(v, p, &d);
+    for (n = p; d % 10 == 0; n--)  /* trailing zeros go */
+        d /= 10;
+    for (i = n - 1; i >= 0; i--, d /= 10)
+        dig[i] = (char)('0' + d % 10);
+    if (E < -4 || E >= p) {
+        int a = E < 0 ? -E : E;
+        *s++ = dig[0];
+        if (n > 1) {
+            *s++ = '.';
+            memcpy(s, dig + 1, (size_t)(n - 1));
+            s += n - 1;
+        }
+        *s++ = 'e';
+        *s++ = E < 0 ? '-' : '+';
+        if (a >= 100)
+            *s++ = (char)('0' + a / 100);
+        *s++ = (char)('0' + a / 10 % 10);
+        *s++ = (char)('0' + a % 10);
+    } else if (E >= 0) {
+        for (i = 0; i <= E; i++)
+            *s++ = i < n ? dig[i] : '0';
+        if (n > E + 1) {
+            *s++ = '.';
+            memcpy(s, dig + E + 1, (size_t)(n - E - 1));
+            s += n - E - 1;
+        }
+    } else {
+        *s++ = '0';
+        *s++ = '.';
+        for (i = -1; i > E; i--)
+            *s++ = '0';
+        memcpy(s, dig, (size_t)n);
+        s += n;
+    }
+    return s;
+}
+
+static char *fmt_int(char *s, int64_t v)
+{
+    char t[20];
+    int n = 0;
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    if (v < 0)
+        *s++ = '-';
+    do {
+        t[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (n)
+        *s++ = t[--n];
+    return s;
+}
+
+/* rows r0 .. r1 - 1 of the columns into buf as CSV: fields joined by ',', a
+ * '\n' after each row, a bytes field up to its trailing NULs as numpy reads
+ * it.  Returns the bytes written, or -1 when a row might not fit in the cap
+ * bytes of buf. */
+int64_t format_rows(char *buf, int64_t cap, int64_t ncols, const column *cols,
+                     int64_t r0, int64_t r1)
+{
+    char *s = buf;
+    int64_t row_max = 0;
+    for (int64_t j = 0; j < ncols; j++)
+        row_max += (cols[j].kind == COL_BYTES ? cols[j].width : FIELD_MAX) + 1;
+    for (int64_t r = r0; r < r1; r++) {
+        if (s - buf + row_max > cap)
+            return -1;
+        for (int64_t j = 0; j < ncols; j++) {
+            const column *c = cols + j;
+            const char *e = (const char *)(intptr_t)c->base + r * c->stride;
+            double v;
+            int64_t iv, w;
+            switch (c->kind) {
+            case COL_INT:
+                memcpy(&iv, e, sizeof iv);
+                s = fmt_int(s, iv);
+                break;
+            case COL_BYTES:
+                for (w = c->width; w > 0 && e[w - 1] == 0; w--)
+                    ;
+                memcpy(s, e, (size_t)w);
+                s += w;
+                break;
+            default:
+                memcpy(&v, e, sizeof v);
+                s = fmt_g(s, v, (int)c->kind);
+            }
+            *s++ = j + 1 < ncols ? ',' : '\n';
+        }
+    }
+    return s - buf;
 }

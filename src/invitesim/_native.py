@@ -1,13 +1,16 @@
-"""Build and load the compiled event kernels in _kernel.c through ctypes.
+"""Build and load the compiled event kernels and CSV row formatter in
+_kernel.c through ctypes.
 
-The library is compiled on the first kernel call, never at import, into
+The library is compiled on the first kernel call or the first data file
+_csv.write_columns can format in C, never at import, into
 ``__pycache__/_kernel-<hash>.so`` next to this file; the hash covers the
 source and the compiler flags, so an edited source gets a new library.  The
 compiler writes to a temporary file that is renamed into place, so processes
 racing to build never load a half-written library, and a lock makes threads
 of one process build it once.  When no compiler is found, it fails, or the
-directory is not writable, ``library()`` returns None and the simulators run
-their Python loops, which give the same bits.
+directory is not writable, ``library()`` returns None: the simulators run
+their Python loops, which give the same bits, and write_columns its row
+loop, which gives the same bytes.
 
 ctypes releases the GIL for the length of each call, so kernels run in
 parallel on a thread pool.
@@ -96,11 +99,13 @@ def _build() -> ctypes.CDLL:
     for fn in (lib.run_b, lib.run_a):
         fn.argtypes = [ctypes.POINTER(KernelState)]
         fn.restype = ctypes.c_int
+    lib.format_rows.argtypes = [_p, _i, _i, _p, _i, _i]
+    lib.format_rows.restype = _i
     return lib
 
 
 def library() -> ctypes.CDLL | None:
-    """The compiled kernels, built on first use; None when they cannot be built."""
+    """The compiled library, built on first use; None when it cannot be built."""
     global _lib
     with _lock:
         if _lib is _UNTRIED:

@@ -28,8 +28,8 @@ from .ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_a, 
 from .diffusion import moment_ode
 from .params import InviteSimError
 from .presets import ConfigInvalid, ExperimentConfig, config_from_json, get_preset, presets
-from .stats import (fluid_reference, scale_sweep, stationary_moments, sup_deviation,
-                    gaussian_check)
+from .stats import (GridOutsideHorizon, fluid_reference, scale_sweep, stationary_moments,
+                    sup_deviation, gaussian_check)
 
 SWEEP_SCALES = (100, 300, 1000)
 SWEEP_REPLICATIONS = 8
@@ -85,35 +85,25 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def emit_plot_data(path, sim, fluid=None, grid=None) -> list[str]:
-    """Write overlay-ready columns; returns warnings for the manifest.
+def emit_plot_data(path, sim, fluid=None) -> None:
+    """Write overlay-ready columns at the run's samples.
 
     Columns are t,sim_y,sim_x plus fluid_y,fluid_x when a fluid trajectory
-    is supplied.  The fluid side is evaluated on the simulation grid; points
-    past the fluid horizon are dropped and flagged rather than extrapolated.
+    is supplied, evaluated at the same times; a fluid path that ends before
+    the run raises GridOutsideHorizon.
     """
-    warnings = []
-    t = np.asarray(sim.t if grid is None else grid, dtype=float)
-    sim_vals = np.column_stack([sim.y, sim.x]) if grid is None else sim.eval_on(t)
-    if fluid is None:
-        header = "t,sim_y,sim_x"
-        cols = [t, sim_vals[:, 0], sim_vals[:, 1]]
-    else:
-        fh = fluid.horizon
-        keep = t <= fh * (1 + 1e-12)
-        if not keep.all():
-            warnings.append(
-                f"misaligned grids: {int((~keep).sum())} sample(s) past the "
-                f"fluid horizon {fh} dropped from the overlay")
-            t = t[keep]
-            sim_vals = sim_vals[keep]
-        fluid_vals = fluid.eval_on(t)
-        header = "t,sim_y,sim_x,fluid_y,fluid_x"
-        cols = [t, sim_vals[:, 0], sim_vals[:, 1],
-                fluid_vals[:, 0], fluid_vals[:, 1]]
+    cols = [sim.t, sim.y, sim.x]
+    header = "t,sim_y,sim_x"
+    if fluid is not None:
+        if sim.t.max() > fluid.horizon * (1 + 1e-12):
+            raise GridOutsideHorizon(f"samples up to {sim.t.max()} run past the "
+                                     f"fluid horizon {fluid.horizon}")
+        vals = fluid.eval_on(sim.t)
+        header += ",fluid_y,fluid_x"
+        cols += [vals[:, 0], vals[:, 1]]
     # + 0.0 drops negative zeros
-    write_columns(path, header, ",".join(["{:.10g}"] * len(cols)), [c + 0.0 for c in cols])
-    return warnings
+    write_columns(path, header, ",".join(["{:.10g}"] * len(cols)),
+                  [c + 0.0 for c in cols])
 
 
 def _write_manifest(manifest: RunManifest, written: list[Path], out: Path,
@@ -193,7 +183,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
     if "deviation" in config.outputs:
         scaled = fluid_scale(traj)
         target = out / "overlay.csv"
-        manifest.warnings += emit_plot_data(target, scaled, fluid)
+        emit_plot_data(target, scaled, fluid)
         written.append(target)
         rep = sup_deviation(scaled, fluid, scaled.t,
                             context={"name": config.name, "seed": config.seed})

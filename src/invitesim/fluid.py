@@ -123,8 +123,12 @@ class FluidTrajectory:
         return self.states(np.array([t]))[0]
 
     def segment_kinds(self, ts) -> list[str]:
-        kinds = np.array([s.kind for s in self.segments])
-        return kinds[self._segment_index(np.asarray(ts, dtype=float))].tolist()
+        return self._kinds_at(ts).astype(str).tolist()
+
+    def _kinds_at(self, ts) -> np.ndarray:
+        """segment_kinds as a bytes array, which write_columns formats in C."""
+        kinds = np.array([s.kind for s in self.segments], dtype="S")
+        return kinds[self._segment_index(np.asarray(ts, dtype=float))]
 
     def eval_on(self, grid: np.ndarray) -> np.ndarray:
         return self.states(grid)
@@ -134,7 +138,7 @@ class FluidTrajectory:
         vals = self.states(ts)
         # + 0.0 drops negative zeros
         write_columns(path, "t,y,x,segment_kind", "{:.10g},{:.12g},{:.12g},{}",
-                      [ts, vals[:, 0] + 0.0, vals[:, 1] + 0.0, self.segment_kinds(ts)])
+                      [ts, vals[:, 0] + 0.0, vals[:, 1] + 0.0, self._kinds_at(ts)])
 
 
 def interior_solution(initial, dt: float, spec: SpectralData) -> FluidState:

@@ -1,13 +1,15 @@
 """Experiment runner: presets, config round-trips, manifests, exit codes."""
 import hashlib
 import json
+import shutil
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from invitesim import cli
+from conftest import over_backends
+from invitesim import _csv, _native, cli
 from invitesim.cli import (
     OutputDirUnwritable,
     emit_plot_data,
@@ -25,7 +27,7 @@ from invitesim.presets import (
     get_preset,
     presets,
 )
-from invitesim.stats import fluid_reference
+from invitesim.stats import GridOutsideHorizon, fluid_reference
 
 PRESET_NAMES = ["fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4a", "fig4b"]
 SMALL = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=2.0, epsilon=0.2)
@@ -159,6 +161,22 @@ def test_run_writes_manifest_and_files(tmp_path):
     assert all(len(f["sha256"]) == 64 for f in saved["files"])
 
 
+@pytest.mark.skipif(shutil.which(_native._CC) is None, reason="no C compiler")
+@pytest.mark.parametrize("name", ["fig2a", "fig3", "fig4a"])
+def test_run_writes_the_same_bytes_without_the_library(name, tmp_path, monkeypatch):
+    # every CSV of the run goes through the compiled formatter, and the row
+    # loop writes the same bytes
+    config = replace(get_preset(name), horizon=5.0)
+    compiled = []
+    write = _csv._write_compiled
+    monkeypatch.setattr(_csv, "_write_compiled",
+                        lambda lib, path, *a: compiled.append(path.name) or write(lib, path, *a))
+    files = run(config, tmp_path / "c").files
+    assert sorted(compiled) == sorted(f["path"] for f in files if f["path"].endswith(".csv"))
+    monkeypatch.setattr(_native, "_lib", None)
+    assert run(config, tmp_path / "python").files == files
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = small_config(outputs=("trajectory", "fluid", "deviation"))
     m1 = run(cfg, tmp_path / "a")
@@ -249,8 +267,7 @@ def test_emit_plot_data_aligned(tmp_path):
     scaled = fluid_scale(traj)
     fluid = solve_fluid((0.0, 0.0), SMALL, horizon=8.0)
     target = tmp_path / "overlay.csv"
-    warnings = emit_plot_data(target, scaled, fluid)
-    assert warnings == []
+    emit_plot_data(target, scaled, fluid)
     rows = target.read_text().splitlines()
     assert rows[0] == "t,sim_y,sim_x,fluid_y,fluid_x"
     assert len(rows) == len(scaled.t) + 1
@@ -259,32 +276,25 @@ def test_emit_plot_data_aligned(tmp_path):
 def test_emit_plot_data_trajectory_only(tmp_path):
     traj = _short_run()
     target = tmp_path / "solo.csv"
-    warnings = emit_plot_data(target, fluid_scale(traj))
-    assert warnings == []
+    emit_plot_data(target, fluid_scale(traj))
     assert target.read_text().splitlines()[0] == "t,sim_y,sim_x"
 
 
-def test_emit_plot_data_clips_past_fluid_horizon(tmp_path):
+def test_emit_plot_data_rejects_a_fluid_path_shorter_than_the_run(tmp_path):
     traj = _short_run(horizon=8.0)
-    scaled = fluid_scale(traj)
     fluid = solve_fluid((0.0, 0.0), SMALL, horizon=5.0)
-    target = tmp_path / "clip.csv"
-    warnings = emit_plot_data(target, scaled, fluid)
-    assert len(warnings) == 1 and "misaligned" in warnings[0]
-    rows = target.read_text().splitlines()
-    assert float(rows[-1].split(",")[0]) <= 5.0
+    with pytest.raises(GridOutsideHorizon, match="fluid horizon 5.0"):
+        emit_plot_data(tmp_path / "clip.csv", fluid_scale(traj), fluid)
 
 
-def _row_loop_overlay(path, sim, fluid=None, grid=None):
+def _row_loop_overlay(path, sim, fluid=None):
     """The row-at-a-time overlay writer, kept as the byte reference."""
-    t = np.asarray(sim.t if grid is None else grid, dtype=float)
-    sim_vals = np.column_stack([sim.y, sim.x]) if grid is None else sim.eval_on(t)
+    t = np.asarray(sim.t, dtype=float)
+    sim_vals = np.column_stack([sim.y, sim.x])
     if fluid is None:
         header = "t,sim_y,sim_x"
         cols = [t, sim_vals[:, 0], sim_vals[:, 1]]
     else:
-        keep = t <= fluid.horizon * (1 + 1e-12)
-        t, sim_vals = t[keep], sim_vals[keep]
         fluid_vals = fluid.eval_on(t)
         header = "t,sim_y,sim_x,fluid_y,fluid_x"
         cols = [t, sim_vals[:, 0], sim_vals[:, 1], fluid_vals[:, 0], fluid_vals[:, 1]]
@@ -303,30 +313,27 @@ def _overlay_cases():
     t = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1e-11])
     odd = SimpleNamespace(t=t, y=np.array([-0.0, 1.0, -2.5, 123456789012.5, 1 / 3]),
                           x=np.array([3, -0, 12345678901, -7, 0]))
-    odd_fluid = SimpleNamespace(horizon=0.25, eval_on=lambda g: np.column_stack(
+    odd_fluid = SimpleNamespace(horizon=0.5, eval_on=lambda g: np.column_stack(
         [-0.0 * g, np.pi * g - 0.0]))
     return {
-        "raw-int": (traj, None, None),
-        "scaled": (scaled, None, None),
-        "aligned": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0), None),
-        "past-horizon": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=5.0), None),
+        "raw-int": (traj, None),
+        "scaled": (scaled, None),
+        "aligned": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0)),
         "off-grid-tv": (fluid_scale(tv_traj),
-                        solve_fluid_tv((0.0, 1.0), arrival, SMALL, horizon=6.0),
-                        None),
-        "grid": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0),
-                 np.linspace(0.0, 7.5, 41)),
+                        solve_fluid_tv((0.0, 1.0), arrival, SMALL, horizon=6.0)),
         "long": (fluid_scale(_short_run(horizon=120.0)),  # 2 401 rows
-                 solve_fluid((0.0, 0.0), SMALL, horizon=120.0), None),
-        "odd": (odd, None, None),
-        "odd-fluid": (odd, odd_fluid, None),
+                 solve_fluid((0.0, 0.0), SMALL, horizon=120.0)),
+        "odd": (odd, None),
+        "odd-fluid": (odd, odd_fluid),
     }
 
 
-@pytest.mark.parametrize("case", list(_overlay_cases()))
-def test_emit_plot_data_bytes_match_row_loop(tmp_path, case):
-    sim, fluid, grid = _overlay_cases()[case]
-    emit_plot_data(tmp_path / "new.csv", sim, fluid, grid)
-    _row_loop_overlay(tmp_path / "old.csv", sim, fluid, grid)
+@pytest.mark.parametrize("case, backend", over_backends(list(_overlay_cases())),
+                         indirect=["backend"])
+def test_emit_plot_data_bytes_match_row_loop(tmp_path, case, backend):
+    sim, fluid = _overlay_cases()[case]
+    emit_plot_data(tmp_path / "new.csv", sim, fluid)
+    _row_loop_overlay(tmp_path / "old.csv", sim, fluid)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert b"-0," not in new and not new.endswith(b"-0\n")
@@ -341,8 +348,9 @@ def _row_loop_target_gap(path, traj, scale_r):
             fh.write(f"{tv:.10g},{gv:.10g}\n")
 
 
-@pytest.mark.parametrize("n", [None, 0, 1, 2048, 2049])
-def test_target_gap_bytes_match_row_loop(tmp_path, monkeypatch, n):
+@pytest.mark.parametrize("n, backend", over_backends([None, 0, 1, 2048, 2049]),
+                         indirect=["backend"])
+def test_target_gap_bytes_match_row_loop(tmp_path, monkeypatch, n, backend):
     # n=None is the simulated run; otherwise hand-made columns of n rows,
     # either side of the writers' block edge, go through the same cli.run
     params = replace(SMALL, beta_tilde=1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import over_backends
 from invitesim.acceptance import _euler_ensemble
 from invitesim.ctmc import RandomStream
 from invitesim.diffusion import (
@@ -410,8 +411,9 @@ def _moment_path_cases():
 
 
 @pytest.mark.parametrize("every", [1, 3])
-@pytest.mark.parametrize("case", list(_moment_path_cases()))
-def test_moment_csv_bytes_match_row_loop(tmp_path, case, every):
+@pytest.mark.parametrize("case, backend", over_backends(list(_moment_path_cases())),
+                         indirect=["backend"])
+def test_moment_csv_bytes_match_row_loop(tmp_path, case, every, backend):
     path = _moment_path_cases()[case]
     path.to_csv(tmp_path / "new.csv", dt=every * path.dt)
     _row_loop_moments_csv(tmp_path / "old.csv", path, every)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from conftest import over_backends
 from invitesim import fluid
 from invitesim.fluid import (
     BoundarySegment,
@@ -708,13 +709,15 @@ def _row_loop_fluid_csv(path, traj, dt):
             fh.write(f"{ts[i]:.10g},{vals[i, 0]:.12g},{vals[i, 1]:.12g},{kinds[i]}\n")
 
 
-@pytest.mark.parametrize("initial,horizon,dt", [
+@pytest.mark.parametrize("case, backend", over_backends([
     ((18.0, -0.9), 50.0, 0.5),     # interior, slide, interior
     ((18.0, -0.9), 50.0, 0.02),    # 2 501 rows: more than one block
     ((0.0, 0.0), 3.0, 0.3),        # rests at the origin: zeros of either sign
     ((1.0, 2.0), 7.0, 0.07),
-])
-def test_fluid_csv_bytes_match_row_loop(tmp_path, initial, horizon, dt):
+], ids=["initial0-50.0-0.5", "initial1-50.0-0.02", "initial2-3.0-0.3", "initial3-7.0-0.07"]),
+    indirect=["backend"])
+def test_fluid_csv_bytes_match_row_loop(tmp_path, case, backend):
+    initial, horizon, dt = case
     traj = solve_fluid(initial, BASE, horizon=horizon)
     traj.to_csv(tmp_path / "new.csv", dt=dt)
     _row_loop_fluid_csv(tmp_path / "old.csv", traj, dt)
@@ -723,8 +726,8 @@ def test_fluid_csv_bytes_match_row_loop(tmp_path, initial, horizon, dt):
     assert b",-0," not in new
 
 
-@pytest.mark.parametrize("every", [1, 3, 10])
-def test_tv_csv_bytes_match_row_loop(tmp_path, every):
+@pytest.mark.parametrize("every, backend", over_backends([1, 3, 10]), indirect=["backend"])
+def test_tv_csv_bytes_match_row_loop(tmp_path, every, backend):
     # slides, lifts off and meets the floor again: both kinds of row, and
     # x = 0 on the floor of the uncentred view
     arr = SinusoidArrival(base=1.0, amplitude=0.5, period=7.0)

@@ -5,6 +5,7 @@ and their Python loops otherwise; both must give the same bits.  Setting `_nativ
 forces the Python loop, the oracle here.
 """
 import ctypes
+import math
 import shutil
 import sys
 import threading
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from invitesim import _native, ctmc
+from invitesim._csv import write_columns
 from invitesim.ctmc import (
     GridSpec,
     RandomStream,
@@ -255,3 +257,50 @@ def test_pooled_sweep_equals_serial_while_threads_race_the_build(tmp_path, monke
     assert pooled == scale_sweep(*args)
     monkeypatch.setattr(_native, "_lib", None)
     assert pooled == scale_sweep(*args)
+
+
+def _format_columns():
+    """Columns for the formatter: row 0 the widest text of every kind, then
+    hand-picked values and random float64 bit patterns."""
+    rng = np.random.default_rng(2718)
+    powers = np.array([10.0 ** k for k in range(-30, 31)])
+    picked = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         1e-310, 1e300, -1e300, 1.7976931348623157e308, 1e22, 1e23, 1e-22, 1e-23,
+         9.9999999995, 99.9999999995, 123456789012.5, 12345678901.5, 0.125, 0.5, 2.5,
+         1e-5, 0.0001, 1e10, 1e12, math.inf, -math.inf, math.nan],
+        powers, np.nextafter(powers, math.inf), np.nextafter(powers, 0.0), -powers])
+    n = 200_000
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    near_one = (rng.integers(0, 2**52, n // 2, dtype=np.uint64)
+                | (rng.integers(1023 - 80, 1023 + 80, n // 2).astype(np.uint64) << 52)
+                ).view(np.float64)
+    g10 = np.concatenate([[-1.234567891e-300], picked, bits, near_one])
+    both = np.empty((len(g10), 2))  # the .12g column is a strided view
+    both[:, 0] = np.concatenate([[-1.23456789012e-300], picked[::-1], near_one, bits])
+    ints = rng.integers(-2**63, 2**63, len(g10), dtype=np.int64)
+    ints[:3] = [-2**63, 2**63 - 1, 0]
+    words = np.array([b"boundary", b"", b"a", b"interior"] * (len(g10) // 4 + 1),
+                     dtype="S12")[:len(g10)]
+    words[0] = b"x" * 12
+    ints32 = ints.astype(np.int32)
+    ints32[0] = -2**31
+    return [g10, both[:, 0], ints, ints32, words]
+
+
+@pytest.mark.parametrize("backend", ["c", "python"], indirect=True)
+def test_format_rows_matches_str_format(tmp_path, backend):
+    cols = _format_columns()
+    write_columns(tmp_path / "new.csv", "a,b,i,j,s", "{:.10g},{:.12g},{},{},{}", cols)
+    with open(tmp_path / "old.csv", "w") as fh:
+        fh.write("a,b,i,j,s\n")
+        for a, b, i, j, s in zip(*[c.tolist() for c in cols]):
+            fh.write(f"{a:.10g},{b:.12g},{i},{j},{s.decode()}\n")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    # the widest row alone gets a buffer of one row
+    write_columns(tmp_path / "one.csv", "a,b,i,j,s", "{:.10g},{:.12g},{},{},{}",
+                  [c[:1] for c in cols])
+    assert (tmp_path / "one.csv").read_bytes() == (
+        b"a,b,i,j,s\n-1.234567891e-300,-1.23456789012e-300,"
+        b"-9223372036854775808,-2147483648,xxxxxxxxxxxx\n")

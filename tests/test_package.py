@@ -73,8 +73,10 @@ def test_import_loads_no_scipy():
 
 
 def test_import_compiles_nothing(tmp_path):
-    # the event kernels are compiled on the first kernel call, never at import;
-    # the first call shows that the audit hook and the glob would see a build
+    # the library is compiled on the first kernel call or the first data file
+    # it can format, never at import; a fluid file, which runs no kernel,
+    # shows that the audit hook and the glob would see a build, and the
+    # kernel call after it loads the same library
     pkg = tmp_path / "invitesim"
     shutil.copytree(Path(invitesim.__file__).parent, pkg,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -88,12 +90,16 @@ sys.addaudithook(lambda event, args: event in (
 sys.path.insert(0, {str(tmp_path)!r})
 libs = lambda: [p.name for p in Path({str(pkg)!r}).glob("**/*.so")]
 import invitesim
-seen = [list(spawned), libs()]
-invitesim.simulate_b((0, 5), invitesim.ModelParams(1.0, 5.0, 1.0, 2.0, 0.2), 1.0,
-                     invitesim.RandomStream(1))
-print(json.dumps(seen + [bool(spawned), len(libs())]))
+seen = [list(spawned), libs(), invitesim._native._lib is invitesim._native._UNTRIED]
+params = invitesim.ModelParams(1.0, 5.0, 1.0, 2.0, 0.2)
+invitesim.solve_fluid((0.0, 0.0), params, 1.0).to_csv({str(tmp_path / "fluid.csv")!r})
+seen.append([len(spawned), len(libs())])
+invitesim.simulate_b((0, 5), params, 1.0, invitesim.RandomStream(1))
+print(json.dumps(seen + [[len(spawned), len(libs())]]))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True)
     built = shutil.which(invitesim._native._CC) is not None
-    assert json.loads(proc.stdout) == [[], [], built, int(built)]
+    *seen, first, again = json.loads(proc.stdout)
+    assert seen == [[], [], True]
+    assert (first[0] > 0, first[1]) == (built, int(built)) and again == first

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import over_backends
 from invitesim.ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_b
 from invitesim.fluid import solve_fluid
 from invitesim.params import ModelParams, SinusoidArrival
@@ -236,8 +237,9 @@ def _sweep_table_cases():
     return cases
 
 
-@pytest.mark.parametrize("case", list(_sweep_table_cases()))
-def test_sweep_csv_bytes_match_row_loop(tmp_path, case):
+@pytest.mark.parametrize("case, backend", over_backends(list(_sweep_table_cases())),
+                         indirect=["backend"])
+def test_sweep_csv_bytes_match_row_loop(tmp_path, case, backend):
     table = _sweep_table_cases()[case]
     table.to_csv(tmp_path / "new.csv")
     _row_loop_sweep_csv(tmp_path / "old.csv", table)
