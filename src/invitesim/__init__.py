@@ -17,6 +17,7 @@ from .params import (
     ModelParams,
     NonIntegerGamma,
     NonPositiveRate,
+    ReferenceRateMismatch,
     StabilityViolation,
     ConstantArrival,
     SinusoidArrival,

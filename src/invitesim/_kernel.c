@@ -9,18 +9,17 @@
  * fast-math: a fused multiply-add or a reassociation would change the last
  * bit.  log and sin are libm's, the functions math.log and math.sin call.
  *
- * A call runs until one of:
+ * The uniforms are read from the block u[0 .. n_u), which refill fills from
+ * the run's numpy bit generator, one next_double per slot in order, as
+ * Generator.random fills an array.  A call runs until one of:
  *   K_DONE      the run has ended and the grid is filled;
- *   K_NEED_U    an event needs a uniform past u[n_u - 1]; ui and t are rolled
- *               back to the start of that event, and no state it would change
- *               has changed except grid samples it rewrites the same way;
- *   K_LOG_FULL  the log chunk holds log_cap entries; the event is complete;
+ *   K_LOG_FULL  the log chunk holds log_cap entries; the event is complete,
+ *               and the caller swaps the chunk and calls again;
  *   K_THIN_ERR  the arrival rate err_lam at time t exceeds the declared bound.
- * The caller refills u or swaps the chunk and calls again with the same state.
  * run_b with n_reps > 0 runs n_reps windows [0, horizon] from (y0, x0), each
  * reading on from where the last one stopped, and writes each window's
- * (y - y0, x - x0) to out; a resumed window rolls back like any other event.
- * No global state: concurrent calls on separate states are safe.
+ * (y - y0, x - x0) to out.  No global state: concurrent calls on separate
+ * states are safe.
  *
  * format_rows writes CSV rows of int64, float64 and fixed-width bytes
  * columns, each float as Python's format(v, '.10g') or format(v, '.12g')
@@ -32,7 +31,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { K_DONE = 0, K_NEED_U = 1, K_LOG_FULL = 2, K_THIN_ERR = 3 };
+enum { K_DONE = 0, K_LOG_FULL = 1, K_THIN_ERR = 2 };
 enum { ARR_NONE = 0, ARR_SINUSOID = 1, ARR_PIECEWISE = 2 };
 
 /* Every field is 8 bytes wide, so the layout has no padding; the ctypes
@@ -50,9 +49,11 @@ typedef struct {
     int64_t n_grid;
     int64_t *ys, *xs;
     double *tgts;                 /* scheme A only */
-    /* uniforms */
-    const double *u;
+    /* uniforms, and the numpy bit generator's state and next_double */
+    double *u;
     int64_t n_u, ui;
+    void *bitgen;
+    double (*next_double)(void *);
     /* event log chunk */
     int64_t budget, logging, truncated;
     double *log_t;
@@ -83,16 +84,21 @@ static double rate_at(const kstate *s, double t)
     return s->bv[s->n_bp];
 }
 
-/* next uniform into v, or roll the event back and ask for more */
-#define DRAW(v)                                                          \
-    do {                                                                 \
-        if (s->ui >= s->n_u) {                                           \
-            s->ui = ui0;                                                 \
-            s->t = t0;                                                   \
-            return K_NEED_U;                                             \
-        }                                                                \
-        (v) = s->u[s->ui++];                                             \
-    } while (0)
+/* the next n_u draws of the bit generator into the block */
+static __attribute__((cold, noinline)) void refill(kstate *s)
+{
+    for (int64_t i = 0; i < s->n_u; i++)
+        s->u[i] = s->next_double(s->bitgen);
+    s->ui = 0;
+}
+
+/* the next uniform */
+static double draw(kstate *s)
+{
+    if (s->ui >= s->n_u)
+        refill(s);
+    return s->u[s->ui++];
+}
 
 /* post-event state into the log; 1 when the chunk is now full */
 static int log_event(kstate *s)
@@ -124,18 +130,17 @@ static void fill_grid(kstate *s, double tn)
     }
 }
 
-/* thinning test of an arrival candidate at s->t: 1 keep, 0 reject,
- * or a K_* code to return */
-#define THIN(keep)                                                       \
-    do {                                                                 \
-        double lam_t_ = rate_at(s, s->t), v_;                            \
-        if (lam_t_ > s->bound * (1.0 + 1e-9)) {                          \
-            s->err_lam = lam_t_;                                         \
-            return K_THIN_ERR;                                           \
-        }                                                                \
-        DRAW(v_);                                                        \
-        (keep) = v_ * s->bound < lam_t_;                                 \
-    } while (0)
+/* thinning test of an arrival candidate at s->t: 1 keep, 0 reject, -1 when
+ * the rate, then in err_lam, exceeds the declared bound */
+static int thin(kstate *s)
+{
+    double lam_t = rate_at(s, s->t);
+    if (lam_t > s->bound * (1.0 + 1e-9)) {
+        s->err_lam = lam_t;
+        return -1;
+    }
+    return draw(s) * s->bound < lam_t;
+}
 
 /* end of a run_b window: record its (dy, dx) and restart from (y0, x0) at
  * t = 0; 1 when no window is left, always so for n_reps = 0 */
@@ -156,8 +161,8 @@ static int end_window(kstate *s)
 int run_b(kstate *s)
 {
     for (;;) {
-        int64_t ui0 = s->ui, y = s->y, x = s->x, step;
-        double t0 = s->t, u, tn, pick;
+        int64_t y = s->y, x = s->x, step;
+        double tn, pick;
         double acc = s->beta * (double)x;
         double fb = s->eps * (double)(y > 0 ? y : -y);
         double total = s->bound_rate + acc + fb;
@@ -166,37 +171,28 @@ int run_b(kstate *s)
                 break;
             continue;
         }
-        DRAW(u);
-        tn = s->t + -log(1.0 - u) / total;
+        tn = s->t + -log(1.0 - draw(s)) / total;
         fill_grid(s, tn);
         if (tn > s->horizon) {
             if (end_window(s))
                 break;
             continue;
         }
-        DRAW(u);
         s->t = tn;
-        pick = u * total;
+        pick = draw(s) * total;
         if (pick < s->bound_rate) {
             if (s->arrival != ARR_NONE) {
-                int keep;
-                THIN(keep);
+                int keep = thin(s);
+                if (keep < 0)
+                    return K_THIN_ERR;
                 if (!keep)
                     continue;
             }
-            step = s->gamma_int;
-            if (s->rounding) {
-                DRAW(u);
-                step = s->g_lo + (u < s->g_frac ? 1 : 0);
-            }
+            step = s->rounding ? s->g_lo + (draw(s) < s->g_frac ? 1 : 0) : s->gamma_int;
             s->y = y - 1;
             s->x = x + step;
         } else if (pick < s->bound_rate + acc) {
-            step = s->gamma_int;
-            if (s->rounding) {
-                DRAW(u);
-                step = s->g_lo + (u < s->g_frac ? 1 : 0);
-            }
+            step = s->rounding ? s->g_lo + (draw(s) < s->g_frac ? 1 : 0) : s->gamma_int;
             s->y = y + 1;
             s->x = x - (x >= step ? step : x);
         } else if (x >= 1) {
@@ -214,25 +210,24 @@ int run_b(kstate *s)
 int run_a(kstate *s)
 {
     for (;;) {
-        int64_t ui0 = s->ui, y = s->y, x = s->x;
-        double t0 = s->t, u, tn, pick, v;
+        int64_t y = s->y, x = s->x;
+        double tn, pick, v;
         double acc = s->beta * (double)x;
         double rej = s->beta_t * (double)x;
         double total = s->bound_rate + acc + rej;
         if (total <= 0.0)
             break;
-        DRAW(u);
-        tn = s->t + -log(1.0 - u) / total;
+        tn = s->t + -log(1.0 - draw(s)) / total;
         fill_grid(s, tn);
         if (tn > s->horizon)
             break;
-        DRAW(u);
         s->t = tn;
-        pick = u * total;
+        pick = draw(s) * total;
         if (pick < s->bound_rate) {
             if (s->arrival != ARR_NONE) {
-                int keep;
-                THIN(keep);
+                int keep = thin(s);
+                if (keep < 0)
+                    return K_THIN_ERR;
                 if (!keep)
                     continue;
             }

@@ -12,6 +12,7 @@ directory is not writable, ``library()`` returns None: the simulators run
 their Python loops, which give the same bits, and write_columns its row
 loop, which gives the same bytes.
 
+A kernel refills its block of uniforms from the run's numpy bit generator.
 ctypes releases the GIL for the length of each call, so kernels run in
 parallel on a thread pool.
 """
@@ -32,7 +33,7 @@ _lib = _UNTRIED  # the loaded library, None when it cannot be built
 _lock = threading.Lock()
 
 # return codes and arrival kinds of _kernel.c
-K_DONE, K_NEED_U, K_LOG_FULL, K_THIN_ERR = range(4)
+K_DONE, K_LOG_FULL, K_THIN_ERR = range(3)
 ARR_NONE, ARR_SINUSOID, ARR_PIECEWISE = range(3)
 
 _d, _i, _p = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
@@ -50,6 +51,7 @@ class KernelState(ctypes.Structure):
         ("horizon", _d), ("dtg", _d), ("n_grid", _i),
         ("ys", _p), ("xs", _p), ("tgts", _p),
         ("u", _p), ("n_u", _i), ("ui", _i),
+        ("bitgen", _p), ("next_double", _p),
         ("budget", _i), ("logging", _i), ("truncated", _i),
         ("log_t", _p), ("log_y", _p), ("log_x", _p), ("log_cap", _i), ("log_n", _i),
         *((n, _d) for n in ("t", "tg", "target", "last_change", "err_lam")),

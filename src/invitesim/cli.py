@@ -46,7 +46,6 @@ class RunManifest:
     version: str
     wall_clock_s: float
     files: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
     acceptance_failures: int = 0
 
     def to_json_dict(self) -> dict:
@@ -56,7 +55,6 @@ class RunManifest:
             "version": self.version,
             "wall_clock_s": self.wall_clock_s,
             "files": self.files,
-            "warnings": self.warnings,
             "acceptance_failures": self.acceptance_failures,
         }
 

@@ -40,6 +40,7 @@ call releases the GIL.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -56,6 +57,7 @@ from .params import (
     PiecewiseConstantArrival,
     SinusoidArrival,
     _time_grid,
+    check_reference_rate,
     validate_params,
 )
 
@@ -255,9 +257,10 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
     when a thinned profile computes its rate by a method _kernel.c does not
     mirror (a subclass overriding __call__).  `fields` are KernelState fields,
     arrays among them passed by address; run_b's windows restart from (y, x).
-    Uniforms come in the blocks of _BUF the Python loop draws: when the kernel
-    asks for more, the unread tail is put in front of the next block, so the
-    stream it reads is unchanged.  The log fills buffers of _LOG_CHUNK entries.
+    The kernel reads its uniforms from a block of _BUF that it refills itself
+    from the stream's bit generator, so it reads the stream the Python loop
+    reads.  The log fills buffers of _LOG_CHUNK entries, and a full one is the
+    only return before the run ends.
     """
     lib = _native.library()
     if lib is None:
@@ -279,9 +282,11 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
         else:
             return None
     kernel = getattr(lib, name)
-    gen = stream.generator()
-    u = gen.random(_BUF)
-    ks.u, ks.n_u = u.ctypes.data, len(u)
+    bitgen = stream.generator().bit_generator  # alive while the kernel draws from it
+    u = np.empty(_BUF)  # ui = n_u: the first draw fills it
+    ks.u, ks.n_u, ks.ui = u.ctypes.data, _BUF, _BUF
+    ks.bitgen = bitgen.ctypes.state_address
+    ks.next_double = ctypes.cast(bitgen.ctypes.next_double, ctypes.c_void_p).value
     chunks = []
 
     def new_chunk():
@@ -296,10 +301,7 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
         code = kernel(ks)
         if code == _native.K_DONE:
             break
-        if code == _native.K_NEED_U:
-            u = np.concatenate((u[ks.ui:], gen.random(_BUF)))
-            ks.u, ks.n_u, ks.ui = u.ctypes.data, len(u), 0
-        elif code == _native.K_LOG_FULL:
+        if code == _native.K_LOG_FULL:
             new_chunk()
         else:
             raise ThinningBoundViolated(
@@ -488,7 +490,7 @@ def _run(kernel: str, loop, params: ModelParams, arrival: ArrivalRateFn | None,
     thinning = arrival is not None and not arrival.is_constant
     bound_rate = (params.lam if arrival is None else arrival.bound()) * r
     fields.update(beta=params.beta, eps=params.epsilon, bound_rate=bound_rate,
-                  bound=bound_rate / r if r else 0.0)
+                  bound=bound_rate / r)
     result = _run_compiled(kernel, arrival, thinning, stream, **fields)
     return loop(arrival, thinning, stream, **fields) if result is None else result
 
@@ -589,7 +591,9 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
 # ---------------------------------------------------------------------------
 
 def _rescale(traj: Trajectory, shift: float, root: float, scale: str) -> ScaledTrajectory:
-    """(y, x - shift) / root, the target mapped like x."""
+    """(y, x - shift) / root, the target mapped like x; a run at a constant
+    rate other than lambda, which no reference is computed at, raises."""
+    check_reference_rate(traj.params, traj.arrival)
     tgt = None if traj.x_target is None else (traj.x_target - shift) / root
     return ScaledTrajectory(t=traj.t, y=traj.y / root, x=(traj.x - shift) / root,
                             scale=scale, scale_r=traj.params.scale_r, x_target=tgt)

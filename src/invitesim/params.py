@@ -279,6 +279,18 @@ class PiecewiseConstantArrival:
 ArrivalRateFn = ConstantArrival | SinusoidArrival | PiecewiseConstantArrival
 
 
+class ReferenceRateMismatch(InviteSimError):
+    pass
+
+
+def check_reference_rate(params: ModelParams, arrival: ArrivalRateFn | None) -> None:
+    """Reject a constant arrival rate other than lambda: the fluid reference
+    and the centring at lam*r/beta are both computed at lambda."""
+    if isinstance(arrival, ConstantArrival) and arrival.rate != params.lam:
+        raise ReferenceRateMismatch(f"constant arrival rate {arrival.rate} differs from lambda "
+                                    f"{params.lam}, the rate of every reference")
+
+
 def arrival_from_spec(spec: dict | None) -> ArrivalRateFn | None:
     """Build an arrival profile from its JSON dict; None means constant lam."""
     if spec is None:

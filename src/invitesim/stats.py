@@ -21,7 +21,7 @@ import numpy as np
 from ._csv import write_columns
 from .ctmc import RandomStream, SystemState, fluid_scale, diffusion_scale, simulate_b, GridSpec
 from .fluid import FluidTrajectory, solve_fluid, solve_fluid_tv
-from .params import ArrivalRateFn, InviteSimError, ModelParams
+from .params import ArrivalRateFn, InviteSimError, ModelParams, check_reference_rate
 
 
 class StatsError(InviteSimError):
@@ -47,9 +47,10 @@ def fluid_reference(initial: SystemState, params: ModelParams, horizon: float,
 
     A scheme-A start (one with an x_target) starts X at the target, which
     the run tops X up to.  A time-varying rate takes the uncentred path of
-    solve_fluid_tv; a constant rate, which is lambda, the centred path of
-    solve_fluid.
+    solve_fluid_tv; a constant rate the centred path of solve_fluid, and
+    one other than lambda raises ReferenceRateMismatch.
     """
+    check_reference_rate(params, arrival)
     r = params.scale_r
     x = initial.x if initial.x_target is None else initial.x_target
     if arrival is not None and not arrival.is_constant:

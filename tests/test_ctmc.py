@@ -32,8 +32,10 @@ from invitesim.params import (
     ConstantArrival,
     ModelParams,
     PiecewiseConstantArrival,
+    ReferenceRateMismatch,
     SinusoidArrival,
 )
+from invitesim.stats import stationary_moments
 
 BASE = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
 
@@ -307,9 +309,9 @@ def test_randomized_rounding_keeps_integer_pool():
 # scalings
 # ---------------------------------------------------------------------------
 
-def _tiny_traj(y, x, scheme="B"):
+def _tiny_traj(y, x, scheme="B", arrival=None):
     return Trajectory(scheme=scheme, t=np.array([0.0]), y=np.array([y]),
-                      x=np.array([x]), x_target=None, params=BASE, arrival=None,
+                      x=np.array([x]), x_target=None, params=BASE, arrival=arrival,
                       stream=RandomStream(0), grid_dt=1.0, horizon=1.0, n_events=0)
 
 
@@ -336,6 +338,16 @@ def test_time_varying_runs_default_to_uncentered():
     sc = fluid_scale(traj)
     assert sc.scale == "fluid-uncentered"
     assert sc.x[0] == pytest.approx(1.0)
+
+
+def test_scalings_reject_a_constant_rate_other_than_lambda():
+    # lam*r/beta, the level every scaling centres on, is not this run's level;
+    # at lambda itself the constant rate is the default
+    for scale in (fluid_scale, diffusion_scale, stationary_moments):
+        with pytest.raises(ReferenceRateMismatch,
+                           match="constant arrival rate 2.0 differs from lambda 1.0"):
+            scale(_tiny_traj(0, 2000, arrival=ConstantArrival(2.0)))
+    assert fluid_scale(_tiny_traj(0, 2000, arrival=ConstantArrival(1.0))).x[0] == 1.0
 
 
 # ---------------------------------------------------------------------------

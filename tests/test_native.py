@@ -7,6 +7,7 @@ forces the Python loop, the oracle here.
 import ctypes
 import math
 import shutil
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -140,10 +141,11 @@ def test_compiled_log_crosses_chunks_and_blocks(budget, monkeypatch):
 @needs_cc
 @pytest.mark.parametrize("case", ["A", "B", "drift", "drift-thinned"])
 def test_compiled_resumes_at_every_draw(case, monkeypatch):
-    # three-uniform blocks and seven-entry log chunks make every event's
-    # draws (hold, pick, thin, round) run past a block end and every few
-    # events fill a chunk; in drift windows, the hold, pick and thin draws;
-    # the stream, and so the run, must not change
+    # three-uniform blocks make the kernel refill its block inside nearly
+    # every event, between any two of its draws (hold, pick, thin, round; in
+    # drift windows hold, pick and thin), and seven-entry log chunks make it
+    # return K_LOG_FULL every seven events and be called again; the stream,
+    # and so the run, must not change
     monkeypatch.setattr(ctmc, "_BUF", 3)
     monkeypatch.setattr(ctmc, "_LOG_CHUNK", 7)
     params = ModelParams(lam=1.0, scale_r=30.0, beta=1.0, gamma=1.5, epsilon=0.2,
@@ -200,24 +202,60 @@ def test_overridden_rate_runs_the_python_loop(scheme, monkeypatch):
     assert _fingerprint(traj) == _fingerprint(_simulate(*case, RandomStream(1)))
 
 
+def _spy_library(monkeypatch, on_call):
+    """Make _native.library() run on_call(name, ks) before each kernel call."""
+    lib = _native.library()
+
+    class Spy:
+        def __getattr__(self, name):
+            def call(ks):
+                on_call(name, ks)
+                return getattr(lib, name)(ks)
+            return call
+
+    monkeypatch.setattr(_native, "library", Spy)
+
+
+@needs_cc
+def test_unlogged_compiled_run_is_one_kernel_call(monkeypatch):
+    # the kernel refills its uniforms itself: with three-uniform blocks, an
+    # unlogged run still returns to Python only when it has ended
+    monkeypatch.setattr(ctmc, "_BUF", 3)
+    calls = []
+    _spy_library(monkeypatch, lambda name, ks: calls.append(name))
+    params = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=1.5, epsilon=0.2,
+                         beta_tilde=1.0)
+    b = simulate_b(SystemState(0, 50), params, 5.0, RandomStream(1),
+                   arrival=ARRIVALS["sinusoid"], randomized_rounding=True)
+    a = simulate_a(SystemState(0, 50, x_target=50.0), params, 5.0, RandomStream(2))
+    drift_replicates_b((0, 50), replace(params, gamma=2.0), 0.1, 200, RandomStream(3))
+    assert calls == ["run_b", "run_a", "run_b"]
+    assert min(b.n_events, a.n_events) > 100
+
+
+@needs_cc
+def test_kernel_compiles_without_warnings(tmp_path):
+    # the bit generator's function pointer and the draw and thin helpers
+    # must stay clean under the common warnings
+    done = subprocess.run([_native._CC, *_native._FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "_kernel.so"), str(_native._SOURCE), "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 @needs_cc
 def test_kernel_state_owns_its_cache_lines(monkeypatch):
     # the kernels write the run state on every event; a state sharing a 64-byte
     # line with another thread's made a two-thread sweep's kernels up to 1.8x
     # slower in CPU time (false sharing)
-    lib = _native.library()
     seen = []
 
-    class Spy:
-        def __getattr__(self, name):
-            def call(ks):
-                (buf,) = ks._objects.values()  # the buffer the state lives in
-                seen.append((ctypes.addressof(ks),
-                             ctypes.addressof(ctypes.c_char.from_buffer(buf)) + len(buf)))
-                return getattr(lib, name)(ks)
-            return call
+    def record(name, ks):
+        (buf,) = ks._objects.values()  # the buffer the state lives in
+        seen.append((ctypes.addressof(ks),
+                     ctypes.addressof(ctypes.c_char.from_buffer(buf)) + len(buf)))
 
-    monkeypatch.setattr(_native, "library", Spy)
+    _spy_library(monkeypatch, record)
     params = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=2.0, epsilon=0.2)
     for k in range(20):
         simulate_b(SystemState(0, 100), params, 2.0, RandomStream(k))
