@@ -17,9 +17,7 @@ from .params import (
     ModelParams,
     NonIntegerGamma,
     NonPositiveRate,
-    ReferenceRateMismatch,
     StabilityViolation,
-    ConstantArrival,
     SinusoidArrival,
     PiecewiseConstantArrival,
     drift_matrix,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -250,7 +250,7 @@ def criterion_fluid_model(n_states: int = 100) -> CriterionResult:
         x0 = rng.uniform(-P6.lam / P6.beta, 20.0)
         traj = solve_fluid((y0, x0), P6, horizon=50.0)
         worst["segments"] = max(worst["segments"], traj.boundary_segments)
-        rep = drift_check(traj, spec)
+        rep = drift_check(traj)
         if rep.interior_ratio_min is not None:
             worst["ratio_min"] = min(worst["ratio_min"], rep.interior_ratio_min)
             if rep.interior_ratio_min < spec.nu1 * (1 - 1e-6):

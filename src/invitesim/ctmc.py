@@ -44,7 +44,6 @@ import ctypes
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +56,6 @@ from .params import (
     PiecewiseConstantArrival,
     SinusoidArrival,
     _time_grid,
-    check_reference_rate,
     validate_params,
 )
 
@@ -108,7 +106,6 @@ class RandomStream:
 class SystemState:
     y: int
     x: int
-    t: float = 0.0
     x_target: float | None = None
 
     def __post_init__(self) -> None:
@@ -162,7 +159,7 @@ class Trajectory:
 
     @property
     def time_varying(self) -> bool:
-        return self.arrival is not None and not self.arrival.is_constant
+        return self.arrival is not None
 
     def to_csv(self, path) -> None:
         cols = [self.t, self.y, self.x]
@@ -198,15 +195,14 @@ class ScaledTrajectory:
         return out
 
 
-def transition_rates_b(state: SystemState, params: ModelParams,
-                       arrival: ArrivalRateFn | None = None) -> list[tuple[float, int, int]]:
-    """Enabled scheme-B events as (rate, dy, dx); zero-rate entries omitted.
+def transition_rates_b(state: SystemState, params: ModelParams) -> list[tuple[float, int, int]]:
+    """Enabled scheme-B events at the constant rate lam as (rate, dy, dx);
+    zero-rate entries omitted.
 
     The feedback event keeps its positive rate even when it cannot move the
     state (X = 0, Y > 0); it is then a null jump.
     """
-    lam_t = params.lam if arrival is None else arrival(state.t)
-    rate_arrival = lam_t * params.scale_r
+    rate_arrival = params.raw_arrival_rate
     gamma = int(params.gamma)
     out = []
     if rate_arrival > 0.0:
@@ -487,7 +483,7 @@ def _run(kernel: str, loop, params: ModelParams, arrival: ArrivalRateFn | None,
     schemes share, which come from `params` and `arrival`.
     """
     r = params.scale_r
-    thinning = arrival is not None and not arrival.is_constant
+    thinning = arrival is not None
     bound_rate = (params.lam if arrival is None else arrival.bound()) * r
     fields.update(beta=params.beta, eps=params.epsilon, bound_rate=bound_rate,
                   bound=bound_rate / r)
@@ -591,9 +587,7 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
 # ---------------------------------------------------------------------------
 
 def _rescale(traj: Trajectory, shift: float, root: float, scale: str) -> ScaledTrajectory:
-    """(y, x - shift) / root, the target mapped like x; a run at a constant
-    rate other than lambda, which no reference is computed at, raises."""
-    check_reference_rate(traj.params, traj.arrival)
+    """(y, x - shift) / root, the target mapped like x."""
     tgt = None if traj.x_target is None else (traj.x_target - shift) / root
     return ScaledTrajectory(t=traj.t, y=traj.y / root, x=(traj.x - shift) / root,
                             scale=scale, scale_r=traj.params.scale_r, x_target=tgt)

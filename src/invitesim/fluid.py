@@ -29,7 +29,6 @@ import numpy as np
 from ._csv import write_columns
 from .params import (
     ArrivalRateFn,
-    ConstantArrival,
     InviteSimError,
     ModelParams,
     PiecewiseConstantArrival,
@@ -231,6 +230,7 @@ def _scan(margin, curvature, t: float, t_end: float, h_max: float, tol: float):
 class _PieceFlow:
     """Closed forms of the fluid field while lam(t) = base + amp*sin(omega*t),
     in the view whose floor is x = floor (0 uncentred, -lam/beta centred).
+    An arrival of None is the constant piece base = params.lam.
 
     Off the floor the uncentred pair u = (y, x) follows u' = u A + lam(t) B
     with B = (-1, gamma).  A particular path is the fixed point (0, base/beta)
@@ -242,11 +242,13 @@ class _PieceFlow:
     """
 
     def __init__(self, params: ModelParams, spec: SpectralData,
-                 arrival: ArrivalRateFn, t0: float, floor: float):
-        if isinstance(arrival, SinusoidArrival):
+                 arrival: ArrivalRateFn | None, t0: float, floor: float):
+        if arrival is None:
+            self.base, self.amp, self.omega = params.lam, 0.0, 0.0
+        elif isinstance(arrival, SinusoidArrival):
             self.base, self.amp = arrival.base, arrival.amplitude
             self.omega = 2.0 * math.pi / arrival.period
-        elif isinstance(arrival, (ConstantArrival, PiecewiseConstantArrival)):
+        elif isinstance(arrival, PiecewiseConstantArrival):
             # right-continuous, so the rate at t0 holds until the next jump
             self.base, self.amp, self.omega = arrival(t0), 0.0, 0.0
         else:
@@ -356,8 +358,6 @@ def _solve(initial, arrival: ArrivalRateFn | None, params: ModelParams,
     validate_params(params, scheme="A")
     if horizon <= 0.0:
         raise FluidSolverError(f"horizon must be > 0, got {horizon}")
-    if arrival is None:
-        arrival = ConstantArrival(params.lam)
     spec = spectral_decompose(params)
     y, x = (initial.y, initial.x) if isinstance(initial, FluidState) else (
         float(initial[0]), float(initial[1]))
@@ -367,7 +367,8 @@ def _solve(initial, arrival: ArrivalRateFn | None, params: ModelParams,
 
     segments: list = []
     t = 0.0
-    for t_end in [*arrival.jump_times(0.0, horizon), horizon]:
+    jumps = [] if arrival is None else arrival.jump_times(0.0, horizon)
+    for t_end in [*jumps, horizon]:
         flow = _PieceFlow(params, spec, arrival, t, floor)
         at_floor = x <= floor + 1e-12 * max(1.0, abs(floor))
         if at_floor:
@@ -424,8 +425,7 @@ class DriftReport:
     grid_dt: float
 
 
-def drift_check(traj: FluidTrajectory, spec: SpectralData | None = None,
-                grid_dt: float = 0.01) -> DriftReport:
+def drift_check(traj: FluidTrajectory, grid_dt: float = 0.01) -> DriftReport:
     """Exact d/dt of the weighted norm n = |alpha|, alpha = u @ basis_inv,
     every grid_dt along each segment.
 
@@ -435,7 +435,7 @@ def drift_check(traj: FluidTrajectory, spec: SpectralData | None = None,
     n' = (alpha . alpha')/n with alpha' = (-lam, 0) @ basis_inv, which
     should be strictly negative.  Points with n = 0 are skipped.
     """
-    spec = spec or traj.spec
+    spec = traj.spec
     lam, beta = traj.params.lam, traj.params.beta
     slide = np.array([-lam, 0.0]) @ spec.basis_inv
     ratios: list[float] = []

@@ -4,12 +4,16 @@ The controlled system is linear away from its reflecting boundaries, with drift
 matrix A = [[0, -epsilon], [beta, -gamma*beta]] acting on row vectors (y, x).
 Everything downstream (fluid solver, diffusion moments, weighted norm) consumes
 the SpectralData computed here.
+
+A constant arrival rate has one representation, arrival=None, at params.lam:
+the rate of every fluid reference, centring and stationary estimate.  The
+profile classes all vary in time; a JSON "constant" arrival reads as None.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -190,28 +194,6 @@ class ArrivalProfileError(InviteSimError):
 
 
 @dataclass(frozen=True)
-class ConstantArrival:
-    """lam(t) = rate for all t."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if self.rate < 0.0 or not math.isfinite(self.rate):
-            raise ArrivalProfileError(f"constant rate must be >= 0, got {self.rate!r}")
-
-    is_constant = True
-
-    def __call__(self, t: float) -> float:
-        return self.rate
-
-    def bound(self) -> float:
-        return self.rate
-
-    def jump_times(self, t0: float, t1: float) -> list[float]:
-        return []
-
-
-@dataclass(frozen=True)
 class SinusoidArrival:
     """lam(t) = base + amplitude * sin(2*pi*t / period); must stay >= 0."""
 
@@ -225,8 +207,6 @@ class SinusoidArrival:
         if self.base - abs(self.amplitude) < 0.0:
             raise ArrivalProfileError(
                 f"sinusoid dips negative: base={self.base}, amplitude={self.amplitude}")
-
-    is_constant = False
 
     def __call__(self, t: float) -> float:
         return self.base + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
@@ -261,8 +241,6 @@ class PiecewiseConstantArrival:
         if any(v < 0.0 for v in vals):
             raise ArrivalProfileError("piecewise values must be >= 0")
 
-    is_constant = False
-
     def __call__(self, t: float) -> float:
         for b, v in zip(self.breakpoints, self.values):
             if t < b:
@@ -276,29 +254,24 @@ class PiecewiseConstantArrival:
         return [b for b in self.breakpoints if t0 < b < t1]
 
 
-ArrivalRateFn = ConstantArrival | SinusoidArrival | PiecewiseConstantArrival
+# every profile varies in time; a constant rate is arrival=None, at params.lam
+ArrivalRateFn = SinusoidArrival | PiecewiseConstantArrival
 
 
-class ReferenceRateMismatch(InviteSimError):
-    pass
+def arrival_from_spec(spec: dict | None, lam: float) -> ArrivalRateFn | None:
+    """Build an arrival profile from its JSON dict; None means constant lam.
 
-
-def check_reference_rate(params: ModelParams, arrival: ArrivalRateFn | None) -> None:
-    """Reject a constant arrival rate other than lambda: the fluid reference
-    and the centring at lam*r/beta are both computed at lambda."""
-    if isinstance(arrival, ConstantArrival) and arrival.rate != params.lam:
-        raise ReferenceRateMismatch(f"constant arrival rate {arrival.rate} differs from lambda "
-                                    f"{params.lam}, the rate of every reference")
-
-
-def arrival_from_spec(spec: dict | None) -> ArrivalRateFn | None:
-    """Build an arrival profile from its JSON dict; None means constant lam."""
+    A "constant" spec is lam itself: its base, when given, must equal lam.
+    """
     if spec is None:
         return None
     kind = spec.get("kind", "constant")
     if kind == "constant":
         base = spec.get("base")
-        return None if base is None else ConstantArrival(float(base))
+        if base is not None and float(base) != lam:
+            raise ArrivalProfileError(f"constant arrival rate {float(base)} differs from lambda "
+                                      f"{lam}; set lambda to run at another constant rate")
+        return None
     if kind == "sinusoid":
         return SinusoidArrival(base=float(spec["base"]),
                                amplitude=float(spec["amplitude"]),
@@ -312,8 +285,6 @@ def arrival_from_spec(spec: dict | None) -> ArrivalRateFn | None:
 def arrival_to_spec(arrival: ArrivalRateFn | None) -> dict | None:
     if arrival is None:
         return None
-    if isinstance(arrival, ConstantArrival):
-        return {"kind": "constant", "base": arrival.rate}
     if isinstance(arrival, SinusoidArrival):
         return {"kind": "sinusoid", "base": arrival.base,
                 "amplitude": arrival.amplitude, "period": arrival.period}
@@ -334,7 +305,7 @@ def params_from_json(doc: str | dict) -> tuple[ModelParams, ArrivalRateFn | None
         epsilon=float(data["epsilon"]),
         beta_tilde=float(data.get("beta_tilde", 0.0)),
     )
-    return params, arrival_from_spec(data.get("arrival"))
+    return params, arrival_from_spec(data.get("arrival"), params.lam)
 
 
 def params_to_json(params: ModelParams, arrival: ArrivalRateFn | None = None) -> dict:

@@ -21,7 +21,7 @@ import numpy as np
 from ._csv import write_columns
 from .ctmc import RandomStream, SystemState, fluid_scale, diffusion_scale, simulate_b, GridSpec
 from .fluid import FluidTrajectory, solve_fluid, solve_fluid_tv
-from .params import ArrivalRateFn, InviteSimError, ModelParams, check_reference_rate
+from .params import ArrivalRateFn, InviteSimError, ModelParams
 
 
 class StatsError(InviteSimError):
@@ -47,13 +47,12 @@ def fluid_reference(initial: SystemState, params: ModelParams, horizon: float,
 
     A scheme-A start (one with an x_target) starts X at the target, which
     the run tops X up to.  A time-varying rate takes the uncentred path of
-    solve_fluid_tv; a constant rate the centred path of solve_fluid, and
-    one other than lambda raises ReferenceRateMismatch.
+    solve_fluid_tv; the constant rate lam (arrival None) the centred path
+    of solve_fluid.
     """
-    check_reference_rate(params, arrival)
     r = params.scale_r
     x = initial.x if initial.x_target is None else initial.x_target
-    if arrival is not None and not arrival.is_constant:
+    if arrival is not None:
         return solve_fluid_tv((initial.y / r, x / r), arrival, params, horizon=horizon)
     return solve_fluid((initial.y / r, x / r - params.lam / params.beta), params,
                        horizon=horizon)
@@ -252,12 +251,12 @@ def stationary_moments(traj, burn_in: float = 100.0,
 # Gaussian moment check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianTolerances:
-    mean_abs: float = 0.02
-    cov_rel: float = 0.10
-    skew_abs: float = 0.10
-    exkurt_abs: float = 0.20
+# gaussian_check's tolerances: absolute for the means and shape moments,
+# relative to the reference for the covariance entries
+MEAN_TOL = 0.02
+COV_REL_TOL = 0.10
+SKEW_TOL = 0.10
+EXKURT_TOL = 0.20
 
 
 @dataclass(frozen=True)
@@ -287,8 +286,7 @@ class GaussianCheckReport:
         }
 
 
-def gaussian_check(est: StationaryEstimate, params: ModelParams,
-                   tolerances: GaussianTolerances | None = None) -> GaussianCheckReport:
+def gaussian_check(est: StationaryEstimate, params: ModelParams) -> GaussianCheckReport:
     """Entrywise comparison to the Gaussian limit: mean (0,0), the closed-form
     stationary covariance, and Gaussian shape moments of the first component.
 
@@ -297,7 +295,6 @@ def gaussian_check(est: StationaryEstimate, params: ModelParams,
     """
     from .diffusion import stationary_covariance
 
-    tol = tolerances or GaussianTolerances()
     ref_cov = stationary_covariance(params)
     entries = []
 
@@ -310,13 +307,13 @@ def gaussian_check(est: StationaryEstimate, params: ModelParams,
 
     names = ("y", "x")
     for i in range(2):
-        add(f"mean_{names[i]}", est.mean[i], 0.0, tol.mean_abs, est.mean_halfwidth[i])
+        add(f"mean_{names[i]}", est.mean[i], 0.0, MEAN_TOL, est.mean_halfwidth[i])
     for i in range(2):
         for j in range(i, 2):
             add(f"cov_{names[i]}{names[j]}", est.cov[i, j], ref_cov[i, j],
-                tol.cov_rel * abs(ref_cov[i, j]), est.cov_halfwidth[i, j])
-    add("skew_y", est.skew_y, 0.0, tol.skew_abs, est.skew_halfwidth)
-    add("exkurt_y", est.exkurt_y, 0.0, tol.exkurt_abs, est.exkurt_halfwidth)
+                COV_REL_TOL * abs(ref_cov[i, j]), est.cov_halfwidth[i, j])
+    add("skew_y", est.skew_y, 0.0, SKEW_TOL, est.skew_halfwidth)
+    add("exkurt_y", est.exkurt_y, 0.0, EXKURT_TOL, est.exkurt_halfwidth)
 
     return GaussianCheckReport(
         passed=all(e.ok for e in entries),

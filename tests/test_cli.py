@@ -137,7 +137,7 @@ def test_time_varying_scheme_a_leaves_no_output_dir(tmp_path, capsys):
 
 def test_constant_rate_at_lambda_writes_the_same_data(tmp_path):
     same = config_from_json(_constant_rate_doc(1.0))
-    assert same.arrival is not None
+    assert same.arrival is None
     plain = run(small_config(outputs=("trajectory", "fluid", "deviation")), tmp_path / "a")
     files = run(same, tmp_path / "b").files
     assert [(f["path"], f["sha256"]) for f in files] == [

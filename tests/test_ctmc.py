@@ -29,13 +29,10 @@ from invitesim.ctmc import (
     transition_rates_b,
 )
 from invitesim.params import (
-    ConstantArrival,
     ModelParams,
     PiecewiseConstantArrival,
-    ReferenceRateMismatch,
     SinusoidArrival,
 )
-from invitesim.stats import stationary_moments
 
 BASE = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
 
@@ -79,7 +76,7 @@ def _reference_run_b(y, x, params, horizon, stream, arrival=None):
     """
     gen = stream.generator()
     gamma = int(params.gamma)
-    thinning = arrival is not None and not arrival.is_constant
+    thinning = arrival is not None
     bound = params.lam if arrival is None else arrival.bound()
     bound_rate = bound * params.scale_r
     t = 0.0
@@ -199,7 +196,7 @@ def _reference_drift_b(initial, params, dt, n_replicates, stream, arrival=None):
     y0, x0 = initial
     bound_rate = (params.lam if arrival is None else arrival.bound()) * params.scale_r
     bound = bound_rate / params.scale_r
-    thinning = arrival is not None and not arrival.is_constant
+    thinning = arrival is not None
     gamma = int(params.gamma)
     gen = stream.generator()
     buf = gen.random(_BUF).tolist()
@@ -267,7 +264,7 @@ def test_drift_window_ends_where_no_event_is_enabled(backend):
     # with no arrivals, an acceptance from (-1, 1) reaches (0, 0), where every
     # rate is zero: that window ends there, mid-window, and the next one
     # starts from (-1, 1) at the following uniform
-    arrival = ConstantArrival(0.0)
+    arrival = PiecewiseConstantArrival((), (0.0,))
     got = drift_replicates_b((-1, 1), BASE, 2.0, 2000, RandomStream(74), arrival=arrival)
     assert np.array_equal(got, _reference_drift_b((-1, 1), BASE, 2.0, 2000,
                                                   RandomStream(74), arrival))
@@ -276,7 +273,7 @@ def test_drift_window_ends_where_no_event_is_enabled(backend):
 
 def test_drift_replicates_with_no_enabled_event():
     got = drift_replicates_b((0, 0), BASE, 0.5, 100, RandomStream(73),
-                             arrival=ConstantArrival(0.0))
+                             arrival=PiecewiseConstantArrival((), (0.0,)))
     assert got.shape == (100, 2) and not got.any()
 
 
@@ -338,16 +335,6 @@ def test_time_varying_runs_default_to_uncentered():
     sc = fluid_scale(traj)
     assert sc.scale == "fluid-uncentered"
     assert sc.x[0] == pytest.approx(1.0)
-
-
-def test_scalings_reject_a_constant_rate_other_than_lambda():
-    # lam*r/beta, the level every scaling centres on, is not this run's level;
-    # at lambda itself the constant rate is the default
-    for scale in (fluid_scale, diffusion_scale, stationary_moments):
-        with pytest.raises(ReferenceRateMismatch,
-                           match="constant arrival rate 2.0 differs from lambda 1.0"):
-            scale(_tiny_traj(0, 2000, arrival=ConstantArrival(2.0)))
-    assert fluid_scale(_tiny_traj(0, 2000, arrival=ConstantArrival(1.0))).x[0] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from invitesim.fluid import (
     solve_fluid_tv,
 )
 from invitesim.params import (
-    ConstantArrival,
     ModelParams,
     PiecewiseConstantArrival,
     SinusoidArrival,
@@ -375,10 +374,17 @@ def test_hit_time_matches_grid_scan():
 
 # --- time-varying rates -----------------------------------------------------
 
+def _profile(arrival, params):
+    """The rate function of `arrival` for the oracles: None, the constant rate
+    lam, is the one-piece step at lam."""
+    return PiecewiseConstantArrival((), (params.lam,)) if arrival is None else arrival
+
+
 def _tv_hybrid_reference(initial, arrival, params, horizon, grid):
     """solve_ivp with terminal floor and lift-off events, restarted at every
     switch and at the jumps of a piecewise profile.  Independent of
     solve_fluid_tv."""
+    arrival = _profile(arrival, params)
     beta, gamma, eps = params.beta, params.gamma, params.epsilon
     grid = np.asarray(grid, dtype=float)
     out = np.full((grid.size, 2), np.nan)
@@ -477,6 +483,7 @@ def _grid_solve_tv(initial, arrival, params, horizon, dt=1e-3, chunk=16384):
     Switches are detected at grid points and at jump times, then bisected
     60 times on the closed form; an exact tie that keeps the modes trading
     places falls back to one clamped interior step."""
+    arrival = _profile(arrival, params)
     spec = spectral_decompose(params)
     ts_out = np.arange(int(math.floor(horizon / dt * (1.0 + 1e-12))) + 1) * dt
     n = len(ts_out)
@@ -566,7 +573,7 @@ def _seeded_tv_cases(seed, n):
         lam = rng.uniform(0.2, 3.0)
         params = ModelParams(lam=lam, scale_r=100.0, beta=beta, gamma=gamma, epsilon=eps)
         if k % 3 == 0:
-            arrival = ConstantArrival(lam)
+            arrival = None
         elif k % 3 == 1:
             m = int(rng.integers(1, 4))
             arrival = PiecewiseConstantArrival(tuple(np.sort(rng.uniform(0.5, 19.5, m))),
@@ -577,7 +584,7 @@ def _seeded_tv_cases(seed, n):
                                       rng.uniform(1.0, 40.0))
         start = [(rng.uniform(-30.0, 40.0), rng.uniform(0.0, 20.0)),
                  (rng.uniform(-30.0, 40.0), 0.0),
-                 (gamma * arrival(0.0) / eps, 0.0),
+                 (gamma * _profile(arrival, params)(0.0) / eps, 0.0),
                  (rng.uniform(10.0, 60.0), rng.uniform(0.0, 0.5))][k // 3 % 4]
         cases.append((params, arrival, start))
     return cases
@@ -600,8 +607,8 @@ def test_tv_segments_match_grid_solver():
         slides = [s for s in traj.segments if s.kind == "boundary"]
         ends = np.array([s.t0 + s.duration for s in slides])
         counts["slides"] += bool(slides)
-        counts["jumps on the floor"] += any(
-            np.any(np.abs(ends - j) < 1e-9) for j in arrival.jump_times(0.0, 20.0))
+        jumps = _profile(arrival, params).jump_times(0.0, 20.0)
+        counts["jumps on the floor"] += any(np.any(np.abs(ends - j) < 1e-9) for j in jumps)
         counts["sinusoid floor contacts"] += isinstance(arrival, SinusoidArrival) and any(
             s.t0 > 0.0 for s in slides)
     # 60 of the cases start at an exact tie; the other branches are seen often
@@ -612,7 +619,7 @@ def test_tv_constant_rate_matches_closed_form():
     # uncentered coordinates shift the floor to 0; both paths come from the
     # same closed forms, and they agree to 0.0 here
     shift = BASE.lam / BASE.beta
-    tv = solve_fluid_tv((18.0, -0.9 + shift), ConstantArrival(1.0), BASE, horizon=12.0)
+    tv = solve_fluid_tv((18.0, -0.9 + shift), None, BASE, horizon=12.0)
     cf = solve_fluid((18.0, -0.9), BASE, horizon=12.0)
     ts = np.linspace(0.0, 12.0, 49)
     got = tv.states(ts)
@@ -626,7 +633,7 @@ def test_tv_constant_rate_matches_closed_form():
 def test_tv_on_floor_slide_duration():
     # agrees to 0.0 with the centred path here
     shift = BASE.lam / BASE.beta
-    tv = solve_fluid_tv((30.0, 0.0), ConstantArrival(1.0), BASE, horizon=30.0)
+    tv = solve_fluid_tv((30.0, 0.0), None, BASE, horizon=30.0)
     cf = solve_fluid((30.0, -shift), BASE, horizon=30.0)
     ts = np.linspace(0.0, 30.0, 121)
     want = cf.states(ts)
@@ -774,9 +781,8 @@ def test_tv_exact_tie_start_returns():
     # x = 0 and gamma*lam(0) = epsilon*y0: the floor and the interior tie;
     # a falling rate pulls the path straight back onto the floor
     ts = np.linspace(0.0, 10.0, 401)
-    for arrival in (ConstantArrival(1.0), SinusoidArrival(1.0, 0.5, 7.0),
-                    SinusoidArrival(1.0, -0.5, 7.0)):
-        y0 = BASE.gamma * arrival(0.0) / BASE.epsilon
+    for arrival in (None, SinusoidArrival(1.0, 0.5, 7.0), SinusoidArrival(1.0, -0.5, 7.0)):
+        y0 = BASE.gamma * _profile(arrival, BASE)(0.0) / BASE.epsilon
         tv = solve_fluid_tv((y0, 0.0), arrival, BASE, horizon=10.0)
         _reaches_horizon(tv, 10.0)
         ref = _tv_hybrid_reference((y0, 0.0), arrival, BASE, 10.0, ts)

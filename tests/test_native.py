@@ -27,7 +27,6 @@ from invitesim.ctmc import (
     simulate_b,
 )
 from invitesim.params import (
-    ConstantArrival,
     ModelParams,
     PiecewiseConstantArrival,
     SinusoidArrival,
@@ -39,7 +38,7 @@ needs_cc = pytest.mark.skipif(shutil.which(_native._CC) is None,
 
 ARRIVALS = {
     "none": None,
-    "constant": ConstantArrival(1.3),
+    "constant": None,  # _random_case sets lam = 1.3: a constant rate other than 1.0
     "sinusoid": SinusoidArrival(1.0, 0.6, 2.5),
     "piecewise": PiecewiseConstantArrival((0.7, 1.9, 3.1), (1.0, 1.8, 0.3, 1.2)),
 }
@@ -52,7 +51,8 @@ def _random_case(k: int):
     arrival = list(ARRIVALS)[(k // 2) % 4]
     gamma = (1.0, 2.0, 0.5, 1.5, 2.25, 3.0)[k % 6]
     beta = float(rng.uniform(0.5, 2.0))
-    params = ModelParams(lam=1.0, scale_r=float(rng.choice([5.0, 40.0, 200.0])), beta=beta,
+    params = ModelParams(lam=1.3 if arrival == "constant" else 1.0,
+                         scale_r=float(rng.choice([5.0, 40.0, 200.0])), beta=beta,
                          gamma=gamma,
                          epsilon=float(rng.uniform(0.05, 0.9)) * gamma ** 2 * beta / 4.0,
                          beta_tilde=float(rng.choice([0.0, 0.5, 3.0])))

@@ -1,4 +1,5 @@
-"""Package-level contracts: public module names and import-time cost."""
+"""Package-level contracts: public module names, import hygiene and import-time cost."""
+import ast
 import json
 import re
 import shutil
@@ -50,6 +51,37 @@ def test_run_references_built_in_one_module():
     found = {p.name for p in pkg.glob("*.py") if "solve_fluid_tv(" in p.read_text()}
     assert found == {"fluid.py", "stats.py"}
     assert not re.search(r"\bsolve_fluid", (pkg / "cli.py").read_text())
+
+
+def test_no_constant_arrival_profile():
+    # a constant rate is arrival=None at params.lam, the rate of every
+    # reference; a second spelling could run at one rate and be compared at
+    # another
+    pkg = Path(invitesim.__file__).parent
+    rule = re.compile(r"\b(ConstantArrival|is_constant|check_reference_rate|ReferenceRateMismatch)\b")
+    found = {p.name for p in [*pkg.glob("*.py"), pkg / "_kernel.c"] if rule.search(p.read_text())}
+    assert found == set()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that `path` imports and never reads, in order of import."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; every other module reads what it imports
+    pkg = Path(invitesim.__file__).parent
+    found = {f"{p.stem}.{name}" for p in sorted(pkg.glob("*.py"))
+             if p.name != "__init__.py" for name in _unused_imports(p)}
+    assert found == set()
 
 
 def test_thread_pool_built_in_one_module():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invitesim.params import (
-    ConstantArrival,
     ModelParams,
     NonIntegerGamma,
     NonPositiveRate,
@@ -184,8 +183,6 @@ def test_arrival_profiles_validate_nonnegativity():
     with pytest.raises(ArrivalProfileError):
         SinusoidArrival(base=1.0, amplitude=1.5, period=120.0)
     with pytest.raises(ArrivalProfileError):
-        ConstantArrival(-0.5)
-    with pytest.raises(ArrivalProfileError):
         PiecewiseConstantArrival(breakpoints=(1.0,), values=(1.0, -2.0))
     with pytest.raises(ArrivalProfileError):
         PiecewiseConstantArrival(breakpoints=(2.0, 1.0), values=(1.0, 1.0, 1.0))
@@ -201,6 +198,15 @@ def test_arrival_profile_evaluation_and_bounds():
     assert pw.bound() == 3.0
     assert pw.jump_times(0.0, 20.0) == [5.0, 10.0]
     assert pw.jump_times(6.0, 9.0) == []
-    assert arrival_from_spec({"kind": "constant", "base": 2.0}) == ConstantArrival(2.0)
-    assert arrival_from_spec(None) is None
-    assert arrival_from_spec({"kind": "constant"}) is None
+    assert arrival_from_spec(None, 1.0) is None
+
+
+def test_params_json_constant_arrival_is_lambda():
+    # a constant rate is lambda itself: no base, or a base equal to lambda,
+    # reads as None; any other base would run off every reference
+    doc = params_to_json(BASE)
+    for spec in ({"kind": "constant"}, {"kind": "constant", "base": 1.0}, {"base": 1}):
+        assert params_from_json({**doc, "arrival": spec}) == (BASE, None)
+    with pytest.raises(ArrivalProfileError,
+                       match="constant arrival rate 2.0 differs from lambda 1.0"):
+        params_from_json({**doc, "arrival": {"kind": "constant", "base": 2.0}})

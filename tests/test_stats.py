@@ -7,10 +7,8 @@ import pytest
 from conftest import over_backends
 from invitesim.ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_b
 from invitesim.fluid import solve_fluid
-from invitesim.params import (ConstantArrival, ModelParams, ReferenceRateMismatch,
-                              SinusoidArrival)
+from invitesim.params import ModelParams, SinusoidArrival
 from invitesim.stats import (
-    GaussianTolerances,
     GridOutsideHorizon,
     InsufficientData,
     StatsError,
@@ -181,7 +179,7 @@ def test_gaussian_check_flags_wrong_covariance():
     v = rng.normal(size=(n, 2)) @ np.linalg.cholesky(2.5 * V_INF).T
     t = np.linspace(0.0, 1000.0, n)
     est = batch_means((t, v), burn_in=0.0, n_batches=20)
-    rep = gaussian_check(est, BASE, GaussianTolerances())
+    rep = gaussian_check(est, BASE)
     assert not rep.passed
     bad = {e.name for e in rep.entries if not e.ok}
     assert {"cov_yy", "cov_yx", "cov_xx"} <= bad
@@ -295,14 +293,3 @@ def test_scale_sweep_validation():
     with pytest.raises(StatsError, match="workers"):
         scale_sweep([100], lambda r: (0, 0), BASE, horizon=5.0,
                     replications=2, stream=RandomStream(seed=1), workers=0)
-
-
-def test_fluid_reference_rejects_a_constant_rate_other_than_lambda():
-    # the reference is the path at lambda; at lambda itself the constant rate
-    # is the default
-    start, ts = SystemState(0, 2000), np.linspace(0.0, 20.0, 9)
-    with pytest.raises(ReferenceRateMismatch,
-                       match="constant arrival rate 2.0 differs from lambda 1.0"):
-        fluid_reference(start, BASE, 20.0, ConstantArrival(2.0))
-    assert np.array_equal(fluid_reference(start, BASE, 20.0, ConstantArrival(1.0)).states(ts),
-                          fluid_reference(start, BASE, 20.0).states(ts))
