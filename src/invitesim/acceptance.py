@@ -177,63 +177,67 @@ def criterion_fluid_convergence(replications: int = 20) -> CriterionResult:
 # 3. fluid model properties
 # ---------------------------------------------------------------------------
 
-def _hybrid_reference(initial, params: ModelParams, horizon: float, grid):
-    """Adaptive interior integration with event-detected floor contact,
-    exact linear slide, and restart at lift-off.  Independent of solve_fluid."""
-    from scipy.integrate import solve_ivp
+def _fluid_fields(arrival, params: ModelParams, t: float):
+    """(interior, slide, lift, w) on the arrival piece that holds t, linear in
+    z = (y, x, 1, sin wt, cos wt) of the uncentred view: z' = interior @ z off
+    the floor, z' = slide @ z on it, and lift @ z = gamma*lam(t) - epsilon*y.
+    None and piecewise pieces have amplitude 0."""
+    if isinstance(arrival, SinusoidArrival):
+        base, amp, w = arrival.base, arrival.amplitude, 2.0 * math.pi / arrival.period
+    else:
+        base, amp, w = params.lam if arrival is None else arrival(t), 0.0, 0.0
+    rate = np.array([0.0, 0.0, base, amp, 0.0])  # rate @ z = lam(t)
+    lift = params.gamma * rate - [params.epsilon, 0.0, 0.0, 0.0, 0.0]
+    slide = np.zeros((5, 5))
+    slide[0], slide[3, 4], slide[4, 3] = -rate, w, -w
+    interior = slide.copy()
+    interior[0, 1], interior[1], interior[1, 1] = params.beta, lift, -params.gamma * params.beta
+    return interior, slide, lift, w
 
-    lam, beta, gamma, eps = params.lam, params.beta, params.gamma, params.epsilon
-    floor = -lam / beta
-    exit_y = gamma * lam / eps
 
-    def rhs(t, u):
-        return [beta * u[1], -eps * u[0] - gamma * beta * u[1]]
-
-    def floor_ev(t, u):
-        return u[1] - floor + 1e-12
-
-    floor_ev.terminal = True
-    floor_ev.direction = -1.0
+def _exact_fluid_path(initial, arrival, params: ModelParams, horizon: float, grid):
+    """The fluid path of the uncentred view (floor at x = 0) at the evenly
+    spaced times of grid in [0, horizon], and its number of floor visits.
+    On and off the floor the path is expm(M*s) @ z for a matrix M of
+    _fluid_fields, so one step matrix walks the grid; a switch seen at a grid
+    point is rechecked with a direct expm and placed by brentq inside its
+    interval.  Independent of solve_fluid.  A floor visit that starts and
+    ends between two grid points is missed."""
+    from scipy.linalg import expm
+    from scipy.optimize import brentq
 
     grid = np.asarray(grid, dtype=float)
-    out = np.empty((grid.size, 2))
-    t_cur = 0.0
-    y, x = float(initial[0]), float(initial[1])
-    on_floor = x <= floor + 1e-9 and y > exit_y
-    guard = 0
-    while t_cur < horizon - 1e-12:
-        guard += 1
-        if guard > 6:
-            raise RuntimeError("reference walker failed to terminate")
-        mask = (grid >= t_cur - 1e-12) & (grid <= horizon + 1e-12)
-        if on_floor:
-            dur = min((y - exit_y) / lam, horizon - t_cur)
-            seg = mask & (grid <= t_cur + dur + 1e-12)
-            tau = grid[seg] - t_cur
-            out[seg, 0] = y - lam * tau
-            out[seg, 1] = floor
-            y -= lam * dur
-            t_cur += dur
-            x = floor
-            on_floor = False
-        else:
-            sol = solve_ivp(rhs, (0.0, horizon - t_cur), [y, max(x, floor)],
-                            events=floor_ev, dense_output=True,
-                            rtol=1e-10, atol=1e-12)
-            t_end = sol.t[-1]
-            seg = mask & (grid <= t_cur + t_end + 1e-12)
-            vals = sol.sol(grid[seg] - t_cur)
-            out[seg, 0] = vals[0]
-            out[seg, 1] = vals[1]
-            if sol.t_events[0].size:
-                y = float(sol.y_events[0][0][0])
-                x = floor
-                on_floor = y > exit_y
-                if not on_floor:
-                    # grazing touch: nudge off the floor and keep going
-                    x = floor + 1e-13
-            t_cur += t_end
-    return out
+    out, h = np.empty((grid.size, 2)), grid[1] - grid[0]
+    t, z, i, visits = 0.0, np.asarray(initial, dtype=float), 0, 0
+    jumps = [] if arrival is None else arrival.jump_times(0.0, horizon)
+    for stop in [*jumps, horizon]:
+        interior, slide, lift, w = _fluid_fields(arrival, params, t)
+        z = np.array([z[0], z[1], 1.0, math.sin(w * t), math.cos(w * t)])
+        on_floor = bool(z[1] <= 0.0 and lift @ z <= 0.0)
+        while t < stop:
+            m, gap = (slide, -lift) if on_floor else (interior, np.eye(5)[1])
+
+            def held(tau):  # > 0 while the current mode holds, tau after t
+                return gap @ expm(m * tau) @ z
+            j = int(np.searchsorted(grid, stop))
+            ts = np.append(grid[i:j], stop) - t  # the grid points in [t, stop), then stop
+            zs, step = (expm(m * ts[0]) @ z)[:, None], expm(m * h)
+            while zs.shape[1] < j - i:  # step^k @ zs[:, 0], k < 2^n, by doubling
+                zs, step = np.hstack([zs, step @ zs]), step @ step
+            zs = np.column_stack([zs[:, :j - i], expm(m * ts[-1]) @ z])
+            k = next((k for k in np.flatnonzero(gap @ zs < 0.0) if held(ts[k]) < 0.0), None)
+            if k is None:
+                visits += on_floor
+                out[i:j], i, t, z = zs[:2, :-1].T, j, stop, zs[:, -1]
+                break
+            a = ts[k - 1] if k else 0.0
+            s = a if held(a) <= 0.0 else brentq(held, a, ts[k], xtol=1e-15)
+            visits += bool(on_floor and s > 0.0)
+            out[i:i + k], i = zs[:2, :k].T, i + k
+            z, t, on_floor = expm(m * s) @ z, t + s, not on_floor
+            z[1] = 0.0
+    out[i:] = z[:2]
+    return out, visits
 
 
 def criterion_fluid_model(n_states: int = 100) -> CriterionResult:
@@ -241,32 +245,27 @@ def criterion_fluid_model(n_states: int = 100) -> CriterionResult:
     spec = spectral_decompose(P6)
     rng = np.random.default_rng(303)
     grid = _time_grid(50.0, 0.05)
-    horizon_d = 50.0 / spec.nu1
+    shift = np.array([0.0, P6.lam / P6.beta])  # the reference's view puts the floor at 0
     worst = {"segments": 0, "ratio_min": float("inf"), "bdry_max": -float("inf"),
-             "final_norm": 0.0, "ref_sup": 0.0}
-    ok = True
+             "final_norm": 0.0, "ref_sup": 0.0, "contacts_off": 0}
     for _ in range(n_states):
         y0 = rng.uniform(-20.0, 20.0)
         x0 = rng.uniform(-P6.lam / P6.beta, 20.0)
         traj = solve_fluid((y0, x0), P6, horizon=50.0)
-        worst["segments"] = max(worst["segments"], traj.boundary_segments)
         rep = drift_check(traj)
+        far = solve_fluid((y0, x0), P6, horizon=50.0 / spec.nu1)
+        ref, contacts = _exact_fluid_path((y0, x0) + shift, None, P6, 50.0, grid)
+        worst["segments"] = max(worst["segments"], traj.boundary_segments)
         if rep.interior_ratio_min is not None:
             worst["ratio_min"] = min(worst["ratio_min"], rep.interior_ratio_min)
-            if rep.interior_ratio_min < spec.nu1 * (1 - 1e-6):
-                ok = False
         if rep.boundary_drift_max is not None:
             worst["bdry_max"] = max(worst["bdry_max"], rep.boundary_drift_max)
-            if rep.boundary_drift_max >= 0.0:
-                ok = False
-        far = solve_fluid((y0, x0), P6, horizon=horizon_d)
-        fn = star_norm(far.state(horizon_d), spec)
-        worst["final_norm"] = max(worst["final_norm"], fn)
-        ref = _hybrid_reference((y0, x0), P6, 50.0, grid)
-        sup = float(np.abs(traj.states(grid) - ref).max())
-        worst["ref_sup"] = max(worst["ref_sup"], sup)
-    if worst["segments"] > 1 or worst["final_norm"] > 1e-3 or worst["ref_sup"] > 1e-6:
-        ok = False
+        worst["final_norm"] = max(worst["final_norm"], star_norm(far.state(far.horizon), spec))
+        worst["ref_sup"] = max(worst["ref_sup"], np.abs(traj.states(grid) + shift - ref).max())
+        worst["contacts_off"] += contacts != traj.boundary_segments
+    ok = (worst["segments"] <= 1 and worst["ratio_min"] >= spec.nu1 * (1 - 1e-6)
+          and worst["bdry_max"] < 0.0 and worst["final_norm"] <= 1e-3
+          and worst["ref_sup"] <= 1e-6 and worst["contacts_off"] == 0)
     return _finish(
         "fluid-model", ok,
         {"max_boundary_segments": worst["segments"],
@@ -274,15 +273,16 @@ def criterion_fluid_model(n_states: int = 100) -> CriterionResult:
          "max_boundary_drift": None if worst["bdry_max"] == -float("inf")
                                else worst["bdry_max"],
          "max_final_star_norm": worst["final_norm"],
-         "max_sup_vs_reference": worst["ref_sup"], "states": n_states},
+         "max_sup_vs_reference": float(worst["ref_sup"]),
+         "floor_contact_count_mismatches": worst["contacts_off"], "states": n_states},
         {"max_boundary_segments": 1,
          "min_interior_decay_ratio": spec.nu1 * (1 - 1e-6),
          "max_boundary_drift": 0.0, "max_final_star_norm": 1e-3,
-         "max_sup_vs_reference": 1e-6}, t0,
+         "max_sup_vs_reference": 1e-6, "floor_contact_count_mismatches": 0}, t0,
         f"{n_states} states: ≤{worst['segments']} boundary seg, decay ratio "
-        f"≥{worst['ratio_min']:.6f} (ν1={spec.nu1:.6f}), ref sup "
-        f"{worst['ref_sup']:.2e} (≤1e-6), norm at t=50/ν1 "
-        f"{worst['final_norm']:.2e} (≤1e-3)")
+        f"≥{worst['ratio_min']:.6f} (ν1={spec.nu1:.6f}), ref sup {worst['ref_sup']:.2e} "
+        f"(≤1e-6), {worst['contacts_off']} floor-contact count mismatches (0), "
+        f"norm at t=50/ν1 {worst['final_norm']:.2e} (≤1e-3)")
 
 
 # ---------------------------------------------------------------------------

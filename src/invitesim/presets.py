@@ -104,8 +104,10 @@ def config_from_json(doc: str | dict) -> ExperimentConfig:
         )
     except ConfigInvalid:
         raise
-    except (KeyError, TypeError, ValueError, InviteSimError) as exc:
-        raise ConfigInvalid(f"bad config: {exc!r}") from exc
+    except KeyError as exc:
+        raise ConfigInvalid(f"missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, InviteSimError) as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
 
 _BASE = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)

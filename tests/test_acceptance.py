@@ -7,6 +7,8 @@ they are expected to stay red until the thresholds change, and their tests
 fail honestly rather than masking the gap.  The printed lines give the
 measured values either way.
 """
+from dataclasses import replace
+
 import pytest
 
 from invitesim import acceptance
@@ -28,6 +30,17 @@ def test_criterion_fluid_convergence():
 
 def test_criterion_fluid_model():
     _report(acceptance.criterion_fluid_model())
+
+
+def test_fluid_model_reference_catches_a_wrong_solver(monkeypatch):
+    # a solver whose rate is off lambda by a relative 1e-5 puts the floor and
+    # the lift-off level off by about as much; the exact reference sees it
+    solve = acceptance.solve_fluid
+    monkeypatch.setattr(acceptance, "solve_fluid", lambda initial, params, horizon: solve(
+        initial, replace(params, lam=params.lam * (1 + 1e-5)), horizon))
+    result = acceptance.criterion_fluid_model(n_states=10)
+    assert not result.passed
+    assert result.measured["max_sup_vs_reference"] > result.thresholds["max_sup_vs_reference"]
 
 
 def test_criterion_stationary_mean():

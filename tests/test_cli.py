@@ -109,6 +109,25 @@ def test_constant_rate_off_lambda_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("model"), "missing key 'model'"),
+    (lambda doc: doc["model"].update(arrival={"kind": "constant", "base": 0.5}),
+     "constant arrival rate 0.5 differs from lambda 1.0; set lambda to run at another "
+     "constant rate"),
+    (lambda doc: doc.update(horizon="abc"), "could not convert string to float: 'abc'"),
+], ids=["missing-key", "off-lambda", "not-a-number"])
+def test_config_error_prints_its_message(tmp_path, capsys, edit, message):
+    # the message itself, not the repr of the exception behind it
+    doc = small_config().to_json_dict()
+    edit(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "D"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def _scheme_a_sinusoid_doc():
     doc = small_config(scheme="A", initial=(0, 0, 50.0), params=replace(SMALL, beta_tilde=1.0),
                        outputs=("trajectory", "fluid", "deviation")).to_json_dict()

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from conftest import over_backends
 from invitesim import fluid
+from invitesim.acceptance import _exact_fluid_path, _fluid_fields
 from invitesim.fluid import (
     BoundarySegment,
     DriftReport,
@@ -24,6 +25,7 @@ from invitesim.params import (
     ModelParams,
     PiecewiseConstantArrival,
     SinusoidArrival,
+    _time_grid,
     spectral_decompose,
 )
 
@@ -43,13 +45,12 @@ BDUR = 7.943805223476492
 EXIT_T = 8.002892939470561
 
 
-def _reference_ivp(initial, t_end, params=BASE):
-    def rhs(t, u):
-        y, x = u
-        return [params.beta * x, -params.epsilon * y - params.gamma * params.beta * x]
-
-    return solve_ivp(rhs, (0.0, t_end), list(initial), rtol=1e-12, atol=1e-14,
-                     dense_output=True)
+def _centred_reference(initial, horizon, params=BASE, dt=0.05):
+    """The grid k*dt up to horizon and the exact reference path of the
+    acceptance suite on it, moved into the centred view (floor at -lam/beta)."""
+    shift = np.array([0.0, params.lam / params.beta])
+    ts = _time_grid(horizon, dt)
+    return ts, _exact_fluid_path(np.add(initial, shift), None, params, horizon, ts)[0] - shift
 
 
 def test_interior_solution_frozen_values():
@@ -61,13 +62,10 @@ def test_interior_solution_frozen_values():
     assert s5.x == pytest.approx(INTERIOR_T5[1], abs=1e-10)
 
 
-def test_interior_matches_adaptive_reference():
-    sol = _reference_ivp((0.0, 2.0), 30.0)
-    ts = np.linspace(0.0, 30.0, 121)
+def test_interior_matches_exact_reference():
+    ts, want = _centred_reference((0.0, 2.0), 30.0, dt=0.25)
     traj = solve_fluid((0.0, 2.0), BASE, horizon=30.0)
-    got = traj.states(ts)
-    want = sol.sol(ts).T
-    assert np.max(np.abs(got - want)) < 1e-9
+    assert np.max(np.abs(traj.states(ts) - want)) < 1e-10
 
 
 def test_no_hit_from_small_state():
@@ -101,13 +99,10 @@ def test_three_segment_structure():
     mid = traj.state(4.0)
     assert mid[0] == pytest.approx(HIT_Y - BASE.lam * (4.0 - HIT_T), abs=1e-8)
     assert mid[1] == -1.0
-    # after lift-off the tail agrees with the adaptive reference restarted
-    # from the exit corner
-    tail = _reference_ivp((BASE.boundary_exit_y, -1.0), 50.0 - EXIT_T)
-    for dt_after in (1.0, 5.0, 20.0):
-        got = traj.state(EXIT_T + dt_after)
-        want = tail.sol(dt_after)
-        assert np.allclose(got, want, atol=1e-6)
+    # after lift-off the tail agrees with the exact reference restarted from
+    # the exit corner
+    ts, tail = _centred_reference((BASE.boundary_exit_y, -1.0), 50.0 - EXIT_T)
+    assert np.max(np.abs(traj.states(EXIT_T + ts) - tail)) < 1e-10
 
 
 def test_horizon_truncates_boundary_segment():
@@ -124,17 +119,16 @@ def test_on_floor_start_slides_then_lifts():
     # slide time (15 - 10)/lam exactly
     assert traj.segments[0].duration == pytest.approx(5.0, abs=1e-12)
     assert np.allclose(traj.state(3.0), [12.0, -1.0], atol=1e-12)
-    tail = _reference_ivp((10.0, -1.0), 15.0)
-    assert np.allclose(traj.state(8.0), tail.sol(3.0), atol=1e-8)
+    ts, tail = _centred_reference((10.0, -1.0), 15.0)
+    assert np.max(np.abs(traj.states(5.0 + ts) - tail)) < 1e-10
 
 
 def test_on_floor_start_below_exit_lifts_immediately():
     # at (5, -1) the inflow already dominates, so no slide happens
     traj = solve_fluid((5.0, -1.0), BASE, horizon=30.0)
     assert traj.boundary_segments == 0
-    ref = _reference_ivp((5.0, -1.0), 30.0)
-    ts = np.linspace(0.5, 30.0, 60)
-    assert np.max(np.abs(traj.states(ts) - ref.sol(ts).T)) < 1e-8
+    ts, ref = _centred_reference((5.0, -1.0), 30.0, dt=0.5)
+    assert np.max(np.abs(traj.states(ts) - ref)) < 1e-10
 
 
 def test_invalid_initial_below_floor():
@@ -292,9 +286,8 @@ def test_tangential_liftoff_after_slide():
     assert [s.kind for s in traj.segments] == ["boundary", "interior"]
     t_exit = (10.0 - exit_y) / LIFTOFF.lam
     assert traj.segments[0].duration == pytest.approx(t_exit, abs=1e-12)
-    tail = _reference_ivp((exit_y, floor), 30.0 - t_exit, LIFTOFF)
-    for dt_after in (0.01, 1.0, 10.0):
-        assert np.allclose(traj.state(t_exit + dt_after), tail.sol(dt_after), atol=1e-9)
+    ts, tail = _centred_reference((exit_y, floor), 30.0 - t_exit, LIFTOFF, dt=0.01)
+    assert np.max(np.abs(traj.states(t_exit + ts) - tail)) < 1e-10
 
 
 def _scan_hit_time(initial, params, spec):
@@ -378,53 +371,6 @@ def _profile(arrival, params):
     """The rate function of `arrival` for the oracles: None, the constant rate
     lam, is the one-piece step at lam."""
     return PiecewiseConstantArrival((), (params.lam,)) if arrival is None else arrival
-
-
-def _tv_hybrid_reference(initial, arrival, params, horizon, grid):
-    """solve_ivp with terminal floor and lift-off events, restarted at every
-    switch and at the jumps of a piecewise profile.  Independent of
-    solve_fluid_tv."""
-    arrival = _profile(arrival, params)
-    beta, gamma, eps = params.beta, params.gamma, params.epsilon
-    grid = np.asarray(grid, dtype=float)
-    out = np.full((grid.size, 2), np.nan)
-    t, (y, x) = 0.0, initial
-    on_floor = x <= 0.0 and gamma * arrival(0.0) - eps * y <= 0.0
-    jumps = arrival.jump_times(0.0, horizon)
-    for begin, stop in zip([0.0, *jumps], [*jumps, horizon]):
-        # the rate of the piece, read at its start: a rate jump at the end of
-        # the piece must not leak into its last step, nor a switch just
-        # before the jump carry the old rate into the next piece
-        lam = arrival if isinstance(arrival, SinusoidArrival) else (
-            lambda s, v=arrival(begin): v)
-
-        def interior(s, u):
-            return [beta * u[1] - lam(s), gamma * lam(s) - gamma * beta * u[1] - eps * u[0]]
-
-        def slide(s, u):
-            return [-lam(s), 0.0]
-
-        def hit(s, u):
-            return u[1]
-
-        def lift(s, u):
-            return gamma * lam(s) - eps * u[0]
-
-        hit.terminal, hit.direction = True, -1.0
-        lift.terminal, lift.direction = True, 1.0
-        if on_floor and lift(t, (y, x)) > 0.0:
-            on_floor = False
-        while t < stop - 1e-12:
-            sol = solve_ivp(slide if on_floor else interior, (t, stop), [y, x],
-                            method="DOP853", events=lift if on_floor else hit,
-                            dense_output=True, rtol=1e-12, atol=1e-13)
-            seg = (grid >= t - 1e-12) & (grid <= sol.t[-1] + 1e-12)
-            out[seg] = sol.sol(grid[seg]).T
-            t, y, x = float(sol.t[-1]), float(sol.y[0, -1]), float(sol.y[1, -1])
-            if sol.t_events[0].size:
-                x, on_floor = 0.0, not on_floor
-    assert not np.isnan(out).any()
-    return out
 
 
 # --- the grid solver that the segment solver replaced, kept as its oracle ---
@@ -645,43 +591,23 @@ def test_tv_on_floor_slide_duration():
     assert tv.segments[0].duration == pytest.approx(20.0, abs=1e-12)
 
 
-def test_tv_smooth_sinusoid_against_adaptive_reference():
+def test_tv_smooth_sinusoid_against_exact_reference():
     arr = SinusoidArrival(base=1.0, amplitude=0.2, period=120.0)
-    params = BASE
-
-    def rhs(t, u):
-        y, x = u
-        lt = arr(t)
-        return [params.beta * x - lt,
-                params.gamma * lt - params.gamma * params.beta * x - params.epsilon * y]
-
-    sol = solve_ivp(rhs, (0.0, 200.0), [0.0, 1.0], rtol=1e-11, atol=1e-12,
-                    dense_output=True)
-    assert sol.sol(np.linspace(0, 200, 500))[1].min() > 0.1  # stays interior
-    tv = solve_fluid_tv((0.0, 1.0), arr, params, horizon=200.0)
-    assert [s.kind for s in tv.segments] == ["interior"]
     ts = np.linspace(0.0, 200.0, 401)
-    err = np.abs(tv.states(ts) - sol.sol(ts).T)
-    assert err.max() < 1e-6
+    ref, visits = _exact_fluid_path((0.0, 1.0), arr, BASE, 200.0, ts)
+    assert visits == 0 and ref[:, 1].min() > 0.1  # stays interior
+    tv = solve_fluid_tv((0.0, 1.0), arr, BASE, horizon=200.0)
+    assert [s.kind for s in tv.segments] == ["interior"]
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10
 
 
 def test_tv_piecewise_jump_is_sharp():
     arr = PiecewiseConstantArrival(breakpoints=(5.0,), values=(1.0, 3.0))
     tv = solve_fluid_tv((0.0, 1.0), arr, BASE, horizon=10.0)
-
-    def rhs(t, u):
-        y, x = u
-        lt = arr(t)
-        return [BASE.beta * x - lt, BASE.gamma * lt - BASE.gamma * BASE.beta * x
-                - BASE.epsilon * y]
-
-    sol_a = solve_ivp(rhs, (0.0, 5.0), [0.0, 1.0], rtol=1e-11, atol=1e-12,
-                      dense_output=True)
-    sol_b = solve_ivp(rhs, (5.0 + 1e-12, 10.0), list(sol_a.sol(5.0)),
-                      rtol=1e-11, atol=1e-12, dense_output=True)
-    for t in (2.0, 4.999, 5.001, 7.0, 10.0):
-        want = sol_a.sol(t) if t <= 5.0 else sol_b.sol(t)
-        assert np.allclose(tv.state(t), want, atol=1e-6), t
+    # 4.999 and 5.001 sit on the grid, either side of the jump
+    ts = _time_grid(10.0, 1e-3)
+    ref, _ = _exact_fluid_path((0.0, 1.0), arr, BASE, 10.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10
     assert [s.t0 for s in tv.segments] == [0.0, 5.0]
 
 
@@ -753,8 +679,8 @@ def test_tv_sinusoid_slide_then_liftoff_matches_hybrid_reference():
     tv = solve_fluid_tv((30.0, 0.0), arr, BASE, horizon=40.0)
     assert tv.segment_kinds([0.0, 40.0]) == ["boundary", "interior"]
     ts = np.linspace(0.0, 40.0, 801)
-    ref = _tv_hybrid_reference((30.0, 0.0), arr, BASE, 40.0, ts)
-    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
+    ref, _ = _exact_fluid_path((30.0, 0.0), arr, BASE, 40.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10
 
 
 def test_tv_piecewise_jump_on_the_floor_matches_hybrid_reference():
@@ -767,8 +693,8 @@ def test_tv_piecewise_jump_on_the_floor_matches_hybrid_reference():
     assert [s.kind for s in tv.segments[:3]] == ["boundary", "boundary", "interior"]
     assert tv.segments[2].t0 == pytest.approx(4.5, abs=1e-12)
     ts = np.linspace(0.0, 20.0, 801)
-    ref = _tv_hybrid_reference((25.0, 0.0), arr, BASE, 20.0, ts)
-    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
+    ref, _ = _exact_fluid_path((25.0, 0.0), arr, BASE, 20.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10
 
 
 def _reaches_horizon(traj, horizon):
@@ -785,8 +711,8 @@ def test_tv_exact_tie_start_returns():
         y0 = BASE.gamma * _profile(arrival, BASE)(0.0) / BASE.epsilon
         tv = solve_fluid_tv((y0, 0.0), arrival, BASE, horizon=10.0)
         _reaches_horizon(tv, 10.0)
-        ref = _tv_hybrid_reference((y0, 0.0), arrival, BASE, 10.0, ts)
-        assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6, arrival
+        ref, _ = _exact_fluid_path((y0, 0.0), arrival, BASE, 10.0, ts)
+        assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10, arrival
     # at constant rate: the centred path, to rounding
     y0, shift = BASE.gamma * BASE.lam / BASE.epsilon, BASE.lam / BASE.beta
     want = solve_fluid((y0, -shift), BASE, horizon=10.0).states(ts)
@@ -804,21 +730,20 @@ def test_tv_liftoff_on_a_jump_time():
     _reaches_horizon(tv, 10.0)
     assert [(s.kind, s.t0) for s in tv.segments] == [("boundary", 0.0), ("interior", 4.0)]
     ts = np.linspace(0.0, 10.0, 401)
-    ref = _tv_hybrid_reference((14.0, 0.0), arr, BASE, 10.0, ts)
-    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
+    ref, _ = _exact_fluid_path((14.0, 0.0), arr, BASE, 10.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10
 
 
 def _interior_start(arrival, t_back, y_back, x_back):
-    """State at t = 0 of the interior path through (y_back, x_back) at
-    t_back, integrated backwards, with its smallest x on a grid of [0, t_back]."""
-    def rhs(t, u):
-        lt = arrival(t)
-        return [BASE.beta * u[1] - lt,
-                BASE.gamma * lt - BASE.gamma * BASE.beta * u[1] - BASE.epsilon * u[0]]
-
-    sol = solve_ivp(rhs, (t_back, 0.0), [y_back, x_back], method="DOP853",
-                    rtol=1e-13, atol=1e-14, dense_output=True)
-    return tuple(sol.y[:, -1]), sol.sol(np.linspace(0.0, t_back, 2001)[:-1])[1].min()
+    """State at t = 0 of the interior path through (y_back, x_back) at t_back,
+    by the interior field's expm at -t_back, and the smallest x of the exact
+    reference from there on a grid of [0, t_back): it reads 0 if the path
+    meets the floor before t_back."""
+    interior, _, _, w = _fluid_fields(arrival, BASE, t_back)
+    z = expm(-t_back * interior) @ [y_back, x_back, 1.0, math.sin(w * t_back),
+                                    math.cos(w * t_back)]
+    ts = np.linspace(0.0, t_back, 2001)
+    return tuple(z[:2]), _exact_fluid_path(z[:2], arrival, BASE, t_back, ts)[0][:-1, 1].min()
 
 
 def test_tv_tangential_sinusoid_contact():
@@ -835,8 +760,8 @@ def test_tv_tangential_sinusoid_contact():
     assert not [s for s in tv.segments if 1.0 < s.t0 < 2.3]
     assert tv.segment_kinds([1.9, 2.0, 2.1, 5.0]) == ["interior"] * 3 + ["boundary"]
     ts = np.linspace(0.0, 20.0, 801)
-    ref = _tv_hybrid_reference(start, arr, BASE, 20.0, ts)
-    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
+    ref, _ = _exact_fluid_path(start, arr, BASE, 20.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10
 
 
 def test_tv_floor_visit_shorter_than_the_scan_step():
@@ -857,5 +782,5 @@ def test_tv_floor_visit_shorter_than_the_scan_step():
     assert tv.segments[1].t0 == pytest.approx(t_off - visit, abs=1e-9)
     assert tv.segments[1].duration == pytest.approx(visit, abs=1e-9)
     ts = np.linspace(0.0, 20.0, 801)
-    ref = _tv_hybrid_reference(start, arr, BASE, 20.0, ts)
-    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-6
+    ref, _ = _exact_fluid_path(start, arr, BASE, 20.0, ts)
+    assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import invitesim
 
 
@@ -93,11 +95,35 @@ def test_thread_pool_built_in_one_module():
     assert found == {"stats.py"}
 
 
-def test_import_loads_no_scipy():
+def _import_paths(path: Path) -> set[tuple[str, ...]]:
+    """The dotted names that `path` imports, split at the dots; a from-import
+    counts as its module followed by the name."""
+    paths = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            paths |= {tuple(a.name.split(".")) for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            paths |= {(*node.module.split("."), a.name) for a in node.names}
+    return paths
+
+
+def test_no_module_imports_an_ode_integrator():
+    # every fluid path is a closed form, and the acceptance reference it is
+    # checked against is a matrix exponential; an integrator would bring back
+    # step-size tolerances on both sides
+    pkg = Path(invitesim.__file__).parent
+    found = {p.name for p in pkg.glob("*.py")
+             if any(parts[:2] == ("scipy", "integrate") for parts in _import_paths(p))}
+    assert found == set()
+
+
+@pytest.mark.parametrize("module", ["invitesim", "invitesim.cli"])
+def test_import_loads_no_scipy(module):
     # the closed-form solvers need numpy only; scipy would add to every
-    # command's start-up time
+    # command's start-up time.  The console entry point imports the
+    # acceptance suites, whose exact reference loads scipy only when it runs
     src = str(Path(invitesim.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import invitesim; "
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
             "print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True)
