@@ -3,11 +3,13 @@
  * statement.
  *
  * Each kernel reads the same uniforms in the same order as the Python loop
- * (hold, pick, thin if the pick is an arrival candidate, round if enabled)
  * and evaluates the same double expressions, so the grids, the event log and
- * the event count agree bit for bit.  Build with -ffp-contract=off and without
- * fast-math: a fused multiply-add or a reassociation would change the last
- * bit.  log and sin are libm's, the functions math.log and math.sin call.
+ * the event count agree bit for bit.  Per event run_b reads hold, pick, thin
+ * if the pick is an arrival candidate of a time-varying rate, and round if
+ * enabled; run_a, which runs at the constant rate only, reads hold and pick.
+ * Build with -ffp-contract=off and without fast-math: a fused multiply-add or
+ * a reassociation would change the last bit.  log and sin are libm's, the
+ * functions math.log and math.sin call.
  *
  * The uniforms are read from the block u[0 .. n_u), which refill fills from
  * the run's numpy bit generator, one next_double per slot in order, as
@@ -130,18 +132,6 @@ static void fill_grid(kstate *s, double tn)
     }
 }
 
-/* thinning test of an arrival candidate at s->t: 1 keep, 0 reject, -1 when
- * the rate, then in err_lam, exceeds the declared bound */
-static int thin(kstate *s)
-{
-    double lam_t = rate_at(s, s->t);
-    if (lam_t > s->bound * (1.0 + 1e-9)) {
-        s->err_lam = lam_t;
-        return -1;
-    }
-    return draw(s) * s->bound < lam_t;
-}
-
 /* end of a run_b window: record its (dy, dx) and restart from (y0, x0) at
  * t = 0; 1 when no window is left, always so for n_reps = 0 */
 static int end_window(kstate *s)
@@ -166,11 +156,10 @@ int run_b(kstate *s)
         double acc = s->beta * (double)x;
         double fb = s->eps * (double)(y > 0 ? y : -y);
         double total = s->bound_rate + acc + fb;
-        if (total <= 0.0) {
-            if (end_window(s))
-                break;
-            continue;
-        }
+        /* no event is enabled: only a plain run under an all-zero rate gets
+         * here, as drift windows run at bound_rate = lam*r > 0 */
+        if (total <= 0.0)
+            break;
         tn = s->t + -log(1.0 - draw(s)) / total;
         fill_grid(s, tn);
         if (tn > s->horizon) {
@@ -182,10 +171,12 @@ int run_b(kstate *s)
         pick = draw(s) * total;
         if (pick < s->bound_rate) {
             if (s->arrival != ARR_NONE) {
-                int keep = thin(s);
-                if (keep < 0)
+                double lam_t = rate_at(s, s->t);
+                if (lam_t > s->bound * (1.0 + 1e-9)) {
+                    s->err_lam = lam_t;
                     return K_THIN_ERR;
-                if (!keep)
+                }
+                if (!(draw(s) * s->bound < lam_t))
                     continue;
             }
             step = s->rounding ? s->g_lo + (draw(s) < s->g_frac ? 1 : 0) : s->gamma_int;
@@ -224,13 +215,6 @@ int run_a(kstate *s)
         s->t = tn;
         pick = draw(s) * total;
         if (pick < s->bound_rate) {
-            if (s->arrival != ARR_NONE) {
-                int keep = thin(s);
-                if (keep < 0)
-                    return K_THIN_ERR;
-                if (!keep)
-                    continue;
-            }
             v = s->target + s->gamma - s->eps * (double)y * (s->t - s->last_change);
             s->target = v > 0.0 ? v : 0.0;  /* max(0.0, v), signed zeros included */
             s->last_change = s->t;

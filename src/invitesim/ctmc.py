@@ -9,11 +9,13 @@ scheme A   a real-valued target is updated at queue changes and X is topped
            up to ceil(target) whenever it falls below; invitations are never
            withdrawn.
 
-Holding times use competing exponential clocks; time-varying arrival rates are
-handled by thinning against the profile's declared bound.  Per event the
-uniform stream is consumed in a fixed order (hold, pick, thin-if-candidate,
-round-if-enabled), which keeps seeded runs reproducible bit for bit.  The
-simulators read it one value at a time from blocks of _BUF draws.
+Holding times use competing exponential clocks.  A scheme-B run under a
+time-varying arrival rate thins against the profile's declared bound;
+scheme A and the drift windows run at the constant rate lam.  Per event the
+uniform stream is consumed in a fixed order (scheme B: hold, pick,
+thin-if-candidate, round-if-enabled; scheme A: hold, pick), which keeps
+seeded runs reproducible bit for bit.  The simulators read it one value at
+a time from blocks of _BUF draws.
 
 Event logs are rebuilt after the run from the post-event states: dy and dx
 are their differences, and the kind follows from them (scheme B: dy = -1
@@ -55,6 +57,7 @@ from .params import (
     ModelParams,
     PiecewiseConstantArrival,
     SinusoidArrival,
+    _closed_form,
     _time_grid,
     validate_params,
 )
@@ -265,11 +268,11 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
                               for k, v in fields.items()})
     ks.y0, ks.x0 = ks.y, ks.x
     if thinning:
-        call = type(arrival).__call__
-        if call is SinusoidArrival.__call__:
+        kind = _closed_form(arrival)
+        if kind is SinusoidArrival:
             ks.arrival = _native.ARR_SINUSOID
             ks.a_base, ks.a_amp, ks.a_period = arrival.base, arrival.amplitude, arrival.period
-        elif call is PiecewiseConstantArrival.__call__:
+        elif kind is PiecewiseConstantArrival:
             ks.arrival = _native.ARR_PIECEWISE
             steps = (np.array(arrival.breakpoints, dtype=float),
                      np.array(arrival.values, dtype=float))
@@ -391,15 +394,16 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
     return n_events, truncated, (ev_t, ev_y, ev_x)
 
 
-def _loop_a(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream, *,
+def _loop_a(arrival: None, thinning: bool, stream: RandomStream, *,
             beta: float, eps: float, beta_t: float, gamma: float, bound_rate: float,
             bound: float, horizon: float, y: int, x: int, target: float, dtg: float,
             n_grid: int, ys: np.ndarray, xs: np.ndarray, tgts: np.ndarray,
             budget: int, logging: bool):
     """run_a of _kernel.c in Python: the scheme-A event loop, same arguments and result.
 
-    Runs [0, horizon] from (y, x) and the target, filling the grid and
-    logging up to `budget` post-event states.
+    Runs [0, horizon] from (y, x) and the target at the constant rate, so
+    `arrival` is None and `thinning` False, filling the grid and logging up
+    to `budget` post-event states.
     """
     ev_t: list[float] = []
     ev_y: list[int] = []
@@ -414,7 +418,6 @@ def _loop_a(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
     ceil = math.ceil
     t = last_change = 0.0
     n_events = 0
-    lam_fn = arrival
 
     while True:
         acc = beta * x
@@ -434,13 +437,6 @@ def _loop_a(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
         t = tn
         pick = draw() * total
         if pick < bound_rate:
-            if thinning:
-                lam_t = lam_fn(t)
-                if lam_t > bound * (1.0 + 1e-9):
-                    raise ThinningBoundViolated(
-                        f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
-                if not draw() * bound < lam_t:
-                    continue
             elapsed = t - last_change
             y_pre = y
             y -= 1
@@ -539,15 +535,15 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
 
 
 def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelParams,
-                       dt: float, n_replicates: int, stream: RandomStream,
-                       arrival: ArrivalRateFn | None = None) -> np.ndarray:
+                       dt: float, n_replicates: int, stream: RandomStream) -> np.ndarray:
     """(dY, dX) totals over [0, dt] for n_replicates independent restarts.
 
     Each replicate is a window of the scheme-B loop: a run over [0, dt] from
-    `initial` without a grid.  One generator serves all of them, each
-    starting at the uniform after the previous replicate's last.  A quiet
-    replicate, whose first holding time already exceeds dt, consumes that one
-    uniform and leaves its row at (0, 0).  Used by the generator drift check.
+    `initial` at the constant rate lam, without a grid.  One generator serves
+    all of them, each starting at the uniform after the previous replicate's
+    last.  A quiet replicate, whose first holding time already exceeds dt,
+    consumes that one uniform and leaves its row at (0, 0).  Used by the
+    generator drift check.
     """
     if dt <= 0.0:
         raise HorizonZero(f"dt must be > 0, got {dt}")
@@ -555,16 +551,16 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
     if isinstance(initial, tuple):
         initial = SystemState(y=initial[0], x=initial[1])
     out = np.zeros((n_replicates, 2), dtype=np.int64)
-    _run("run_b", _loop_b, params, arrival, stream, gamma_int=int(params.gamma),
+    _run("run_b", _loop_b, params, None, stream, gamma_int=int(params.gamma),
          horizon=dt, tg=math.inf, y=int(initial.y), x=int(initial.x),
          n_reps=n_replicates, out=out)
     return out
 
 
 def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
-               stream: RandomStream, arrival: ArrivalRateFn | None = None,
-               sampling: GridSpec | None = None) -> Trajectory:
-    """Run scheme A (invitation targets with ceiling replenishment).
+               stream: RandomStream, sampling: GridSpec | None = None) -> Trajectory:
+    """Run scheme A (invitation targets with ceiling replenishment) at the
+    constant arrival rate lam.
 
     The target moves at queue changes by -gamma*dY - epsilon*Y*elapsed, with Y
     its pre-change value and elapsed the time since the previous queue change;
@@ -577,7 +573,7 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
     validate_params(params, scheme="A")
     if initial.x_target is None:
         raise SimulationError("scheme A needs an initial x_target")
-    return _sample("A", params, arrival, stream, horizon, sampling, int(initial.y),
+    return _sample("A", params, None, stream, horizon, sampling, int(initial.y),
                    int(initial.x), beta_t=params.beta_tilde, gamma=params.gamma,
                    target=float(initial.x_target))
 

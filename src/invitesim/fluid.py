@@ -34,6 +34,7 @@ from .params import (
     PiecewiseConstantArrival,
     SinusoidArrival,
     SpectralData,
+    _closed_form,
     _time_grid,
     drift_matrix,
     spectral_decompose,
@@ -245,10 +246,10 @@ class _PieceFlow:
                  arrival: ArrivalRateFn | None, t0: float, floor: float):
         if arrival is None:
             self.base, self.amp, self.omega = params.lam, 0.0, 0.0
-        elif isinstance(arrival, SinusoidArrival):
+        elif _closed_form(arrival) is SinusoidArrival:
             self.base, self.amp = arrival.base, arrival.amplitude
             self.omega = 2.0 * math.pi / arrival.period
-        elif isinstance(arrival, PiecewiseConstantArrival):
+        elif _closed_form(arrival) is PiecewiseConstantArrival:
             # right-continuous, so the rate at t0 holds until the next jump
             self.base, self.amp, self.omega = arrival(t0), 0.0, 0.0
         else:

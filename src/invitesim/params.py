@@ -85,6 +85,8 @@ def validate_params(params: ModelParams, scheme: str = "B",
         value = getattr(params, name)
         if not (value > 0.0) or not math.isfinite(value):
             raise NonPositiveRate(f"{name} must be positive and finite, got {value!r}")
+    if not params.lam * params.scale_r > 0.0:  # the event loops' arrival rate
+        raise NonPositiveRate(f"lam*r underflows to 0: lam={params.lam!r}, r={params.scale_r!r}")
     if params.beta_tilde < 0.0 or not math.isfinite(params.beta_tilde):
         raise NonPositiveRate(f"beta_tilde must be >= 0, got {params.beta_tilde!r}")
     if not (params.epsilon < params.gamma ** 2 * params.beta / 4.0):
@@ -256,6 +258,14 @@ class PiecewiseConstantArrival:
 
 # every profile varies in time; a constant rate is arrival=None, at params.lam
 ArrivalRateFn = SinusoidArrival | PiecewiseConstantArrival
+
+
+def _closed_form(arrival: ArrivalRateFn) -> type | None:
+    """The profile class whose __call__ computes the rate of `arrival`, or
+    None for a subclass that overrides __call__: the compiled kernels and
+    the fluid solver evaluate only the library's own rate functions."""
+    return next((kind for kind in (SinusoidArrival, PiecewiseConstantArrival)
+                 if type(arrival).__call__ is kind.__call__), None)
 
 
 def arrival_from_spec(spec: dict | None, lam: float) -> ArrivalRateFn | None:

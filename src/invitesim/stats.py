@@ -46,13 +46,16 @@ def fluid_reference(initial: SystemState, params: ModelParams, horizon: float,
     converges to, in the view fluid_scale puts that run in.
 
     A scheme-A start (one with an x_target) starts X at the target, which
-    the run tops X up to.  A time-varying rate takes the uncentred path of
-    solve_fluid_tv; the constant rate lam (arrival None) the centred path
-    of solve_fluid.
+    the run tops X up to; it raises StatsError with a time-varying rate,
+    as scheme A runs at the constant rate lam only.  A time-varying
+    rate takes the uncentred path of solve_fluid_tv; the constant rate lam
+    (arrival None) the centred path of solve_fluid.
     """
     r = params.scale_r
     x = initial.x if initial.x_target is None else initial.x_target
     if arrival is not None:
+        if initial.x_target is not None:
+            raise StatsError("scheme A runs at the constant rate lam only")
         return solve_fluid_tv((initial.y / r, x / r), arrival, params, horizon=horizon)
     return solve_fluid((initial.y / r, x / r - params.lam / params.beta), params,
                        horizon=horizon)

@@ -1,9 +1,18 @@
-"""The backend fixture: run a test on the compiled kernels or on the Python loops."""
+"""The backend fixture: run a test on the compiled kernels or on the Python
+loops; a profile whose rate no closed form of the library computes."""
 import shutil
 
 import pytest
 
 from invitesim import _native
+from invitesim.params import SinusoidArrival
+
+
+class Shifted(SinusoidArrival):
+    """A sinusoid whose __call__ reads the rate 0.25 time units ahead."""
+
+    def __call__(self, t):
+        return super().__call__(t + 0.25)
 
 
 def over_backends(values, ids=None):

@@ -191,12 +191,10 @@ def test_drift_replicates_match_single_runs():
         assert deltas[0, 1] == traj.x[-1] - 5
 
 
-def _reference_drift_b(initial, params, dt, n_replicates, stream, arrival=None):
-    """drift_replicates_b as one plain event loop per replicate."""
+def _reference_drift_b(initial, params, dt, n_replicates, stream):
+    """drift_replicates_b as one plain event loop per replicate, at rate lam."""
     y0, x0 = initial
-    bound_rate = (params.lam if arrival is None else arrival.bound()) * params.scale_r
-    bound = bound_rate / params.scale_r
-    thinning = arrival is not None
+    bound_rate = params.lam * params.scale_r
     gamma = int(params.gamma)
     gen = stream.generator()
     buf = gen.random(_BUF).tolist()
@@ -216,15 +214,11 @@ def _reference_drift_b(initial, params, dt, n_replicates, stream, arrival=None):
         while True:
             acc = params.beta * x
             total = bound_rate + acc + params.epsilon * abs(y)
-            if total <= 0.0:
-                break
             t += -math.log(1.0 - draw()) / total
             if t > dt:
                 break
             pick = draw() * total
             if pick < bound_rate:
-                if thinning and not draw() * bound < arrival(t):
-                    continue
                 y, x = y - 1, x + gamma
             elif pick < bound_rate + acc:
                 y, x = y + 1, x - min(gamma, x)
@@ -245,36 +239,29 @@ def test_drift_replicates_match_reference_on_generator_states(dt, backend):
         assert np.array_equal(got, _reference_drift_b(state, BASE, dt, 2000, stream))
 
 
-@pytest.mark.parametrize("arrival, backend", over_backends([
-    None,
-    SinusoidArrival(1.0, 0.4, 4e-3),
-    PiecewiseConstantArrival((3e-4, 7e-4), (1.0, 1.4, 0.3)),
-], ids=["None", "arrival1", "arrival2"]), indirect=["backend"])
-def test_drift_replicates_match_reference_across_blocks(arrival, backend):
+@pytest.mark.parametrize("backend", ["c", "python"], indirect=True)
+def test_drift_replicates_match_reference_across_blocks(backend):
     # more replicates than uniforms in a block, with multi-event windows, so
     # refills fall inside windows as well as between them
     n = 70_000
     stream = RandomStream(72)
-    got = drift_replicates_b((2, 5), BASE, 1e-3, n, stream, arrival=arrival)
-    assert np.array_equal(got, _reference_drift_b((2, 5), BASE, 1e-3, n, stream, arrival))
+    got = drift_replicates_b((2, 5), BASE, 1e-3, n, stream)
+    assert np.array_equal(got, _reference_drift_b((2, 5), BASE, 1e-3, n, stream))
 
 
 @pytest.mark.parametrize("backend", ["c", "python"], indirect=True)
-def test_drift_window_ends_where_no_event_is_enabled(backend):
+def test_run_ends_where_no_event_is_enabled(backend):
     # with no arrivals, an acceptance from (-1, 1) reaches (0, 0), where every
-    # rate is zero: that window ends there, mid-window, and the next one
-    # starts from (-1, 1) at the following uniform
+    # rate is zero: the run ends there and the grid holds (0, 0) to the horizon
     arrival = PiecewiseConstantArrival((), (0.0,))
-    got = drift_replicates_b((-1, 1), BASE, 2.0, 2000, RandomStream(74), arrival=arrival)
-    assert np.array_equal(got, _reference_drift_b((-1, 1), BASE, 2.0, 2000,
-                                                  RandomStream(74), arrival))
-    assert (got == (1, -1)).all(axis=1).sum() > 100
-
-
-def test_drift_replicates_with_no_enabled_event():
-    got = drift_replicates_b((0, 0), BASE, 0.5, 100, RandomStream(73),
-                             arrival=PiecewiseConstantArrival((), (0.0,)))
-    assert got.shape == (100, 2) and not got.any()
+    stream = RandomStream(74)
+    traj = simulate_b((-1, 1), BASE, 5.0, stream, arrival=arrival,
+                      sampling=GridSpec(dt=0.5, record_events=True))
+    ref, kinds = _reference_run_b(-1, 1, BASE, 5.0, stream, arrival)
+    assert ref[-1][1:] == (0, 0)
+    assert np.array_equal(traj.events.t, [s[0] for s in ref[1:]])
+    assert np.array_equal(traj.events.kind, kinds)
+    assert np.array_equal(np.stack([traj.y, traj.x], axis=1), _grid_from_path(ref, 5.0, 0.5))
 
 
 def test_thinning_bound_violation_detected():
@@ -282,12 +269,8 @@ def test_thinning_bound_violation_detected():
         def bound(self):
             return self.base  # declares less than the true peak
 
-    arrival = LyingSinusoid(1.0, 0.2, 10.0)
     with pytest.raises(ThinningBoundViolated):
-        simulate_b((0, 0), BASE, 10.0, RandomStream(3), arrival=arrival)
-    # a drift window runs the same event loop, check included
-    with pytest.raises(ThinningBoundViolated):
-        drift_replicates_b((0, 0), BASE, 1e-4, 1000, RandomStream(3), arrival=arrival)
+        simulate_b((0, 0), BASE, 10.0, RandomStream(3), arrival=LyingSinusoid(1.0, 0.2, 10.0))
 
 
 def test_randomized_rounding_keeps_integer_pool():

@@ -44,7 +44,7 @@ def test_noise_vector_degeneracy():
 
 
 def test_stationary_covariance_values():
-    assert np.allclose(stationary_covariance(BASE), V_INF, atol=1e-15)
+    assert np.allclose(stationary_covariance(BASE), V_INF, rtol=0, atol=1e-15)
     # every entry is linear in lam
     doubled = stationary_covariance(
         ModelParams(lam=2.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from conftest import over_backends
+from conftest import Shifted, over_backends
 from invitesim import fluid
 from invitesim.acceptance import _exact_fluid_path, _fluid_fields
 from invitesim.fluid import (
@@ -118,7 +118,7 @@ def test_on_floor_start_slides_then_lifts():
     assert traj.segments[0].kind == "boundary"
     # slide time (15 - 10)/lam exactly
     assert traj.segments[0].duration == pytest.approx(5.0, abs=1e-12)
-    assert np.allclose(traj.state(3.0), [12.0, -1.0], atol=1e-12)
+    assert np.allclose(traj.state(3.0), [12.0, -1.0], rtol=0, atol=1e-12)
     ts, tail = _centred_reference((10.0, -1.0), 15.0)
     assert np.max(np.abs(traj.states(5.0 + ts) - tail)) < 1e-10
 
@@ -616,6 +616,13 @@ def test_tv_rejects_bad_inputs():
         solve_fluid_tv((0.0, -0.5), None, BASE, horizon=1.0)
     with pytest.raises(FluidSolverError):
         solve_fluid_tv((0.0, 1.0), None, BASE, horizon=0.0)
+
+
+def test_tv_rejects_a_rate_without_closed_form():
+    # a sinusoid subclass with its own __call__ is not the sinusoid the
+    # closed form solves for; it must not get the unshifted path
+    with pytest.raises(FluidSolverError):
+        solve_fluid_tv((0.0, 1.0), Shifted(1.0, 0.5, 30.0), BASE, horizon=5.0)
 
 
 def test_tv_csv(tmp_path):

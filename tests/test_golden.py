@@ -1,8 +1,8 @@
 """Golden-stream pins: seeded kernel outputs fixed bit for bit.
 
-Each run below exercises one branch of the event kernels (plain, thinned,
-randomized rounding, event logging with budget truncation, scheme A's
-rejections and ceiling top-up, drift replicates).  Any change to the order
+Each run below exercises one branch of the event kernels (plain, thinned
+scheme B, randomized rounding, event logging with budget truncation, scheme
+A's rejections and ceiling top-up, drift replicates).  Any change to the order
 in which a kernel consumes uniforms (hold, pick, thin, round) or to a
 transition changes a digest here.  Only integer arrays and `trajectory.csv`
 (integers plus `.10g` times and pure-Python targets) are hashed, so the pins
@@ -110,9 +110,6 @@ KERNEL_RUNS = {
                                     arrival=STEPS, sampling=_logged()),
     "scheme-a": lambda: simulate_a(SystemState(0, 50, x_target=50.5), P_A, 2.0,
                                    RandomStream(37), sampling=_logged()),
-    "scheme-a-thinned": lambda: simulate_a(SystemState(3, 40, x_target=40.0), P_A, 3.0,
-                                           RandomStream(38), arrival=SINE,
-                                           sampling=_logged()),
 }
 
 KERNEL_PINS = {  # n_events, logged, truncated, log digest, grid digest
@@ -120,7 +117,6 @@ KERNEL_PINS = {  # n_events, logged, truncated, log digest, grid digest
     "piecewise": (799, 799, False, "e1e808ecac92ade8", "7f405ee1cc70f11a"),
     "rounding": (1979, 1979, False, "a1c6e6d5c67572f4", "5e999ea7401f1a0c"),
     "scheme-a": (798, 798, False, "7220f07ef32bf075", "25a19b3ba809e96d"),
-    "scheme-a-thinned": (956, 956, False, "7499045e39d03472", "76688d1e67d1e5a5"),
     "sinusoid": (1273, 1273, False, "3362d69da942ad56", "ba7d3fea46a44f8f"),
 }
 
@@ -157,13 +153,12 @@ def test_kernel_pinned_when_the_build_fails(failure, tmp_path, monkeypatch):
     assert list(tmp_path.glob("**/*.so")) == []
 
 
-DRIFT_RUNS = {  # state, params, window, arrival, replicates, stream path
-    "origin": ((0, 0), P, 0.2, None, 3_000, 1),
-    "interior": ((2, 5), P, 0.2, None, 3_000, 2),
-    "empty-pool": ((-3, 0), replace(P, scale_r=5.0), 0.5, None, 3_000, 3),
-    "null-feedback": ((4, 0), replace(P, scale_r=5.0), 0.5, None, 3_000, 4),
-    "thinned": ((1, 3), P, 0.2, SINE, 3_000, 5),
-    "quiet": ((0, 1000), replace(P, scale_r=1000.0), 1e-4, None, 70_000, 6),
+DRIFT_RUNS = {  # state, params, window, replicates, stream path
+    "origin": ((0, 0), P, 0.2, 3_000, 1),
+    "interior": ((2, 5), P, 0.2, 3_000, 2),
+    "empty-pool": ((-3, 0), replace(P, scale_r=5.0), 0.5, 3_000, 3),
+    "null-feedback": ((4, 0), replace(P, scale_r=5.0), 0.5, 3_000, 4),
+    "quiet": ((0, 1000), replace(P, scale_r=1000.0), 1e-4, 70_000, 6),
 }
 
 DRIFT_PINS = {
@@ -172,15 +167,13 @@ DRIFT_PINS = {
     "null-feedback": "858e2594736879aa",
     "origin": "c6a0a82c9b46c0c6",
     "quiet": "0f88db3c275c1301",
-    "thinned": "a8c6080d5417d7b1",
 }
 
 
 @pytest.mark.parametrize("name, backend", over_backends(sorted(DRIFT_RUNS)),
                          indirect=["backend"])
 def test_drift_replicates_pinned(name, backend):
-    state, params, dt, arrival, n, path = DRIFT_RUNS[name]
-    out = drift_replicates_b(state, params, dt, n, RandomStream(61, (path,)),
-                             arrival=arrival)
+    state, params, dt, n, path = DRIFT_RUNS[name]
+    out = drift_replicates_b(state, params, dt, n, RandomStream(61, (path,)))
     assert out.dtype == np.int64 and out.shape == (n, 2)
     assert _digest(out) == DRIFT_PINS[name]

@@ -6,6 +6,7 @@ forces the Python loop, the oracle here.
 """
 import ctypes
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import Shifted
 from invitesim import _native, ctmc
 from invitesim._csv import write_columns
 from invitesim.ctmc import (
@@ -45,7 +47,10 @@ ARRIVALS = {
 
 
 def _random_case(k: int):
-    """Seeded run description k: scheme, params, start, horizon, arrival, sampling."""
+    """Seeded run description k: scheme, params, start, horizon, arrival, sampling.
+
+    Scheme A runs at the constant rate lam: its cases get the arrival None.
+    """
     rng = np.random.default_rng([2024, k])
     scheme = "AB"[k % 2]
     arrival = list(ARRIVALS)[(k // 2) % 4]
@@ -62,12 +67,14 @@ def _random_case(k: int):
     sampling = GridSpec(dt=float(rng.choice([0.01, 0.07, 0.3, 1.0])),
                         record_events=bool(k % 3),
                         event_budget=int(rng.choice([10, 100, 5_000_000])))
-    return scheme, params, start, float(rng.uniform(0.5, 5.0)), ARRIVALS[arrival], sampling
+    return (scheme, params, start, float(rng.uniform(0.5, 5.0)),
+            ARRIVALS[arrival] if scheme == "B" else None, sampling)
 
 
 def _simulate(scheme, params, start, horizon, arrival, sampling, stream):
     if scheme == "A":
-        return simulate_a(start, params, horizon, stream, arrival=arrival, sampling=sampling)
+        assert arrival is None
+        return simulate_a(start, params, horizon, stream, sampling=sampling)
     return simulate_b(start, params, horizon, stream, arrival=arrival, sampling=sampling,
                       randomized_rounding=not float(params.gamma).is_integer())
 
@@ -139,36 +146,35 @@ def test_compiled_log_crosses_chunks_and_blocks(budget, monkeypatch):
 
 
 @needs_cc
-@pytest.mark.parametrize("case", ["A", "B", "drift", "drift-thinned"])
+@pytest.mark.parametrize("case", ["A", "B", "drift"])
 def test_compiled_resumes_at_every_draw(case, monkeypatch):
     # three-uniform blocks make the kernel refill its block inside nearly
-    # every event, between any two of its draws (hold, pick, thin, round; in
-    # drift windows hold, pick and thin), and seven-entry log chunks make it
-    # return K_LOG_FULL every seven events and be called again; the stream,
-    # and so the run, must not change
+    # every event, between any two of its draws (scheme B: hold, pick, thin,
+    # round; scheme A and drift windows: hold, pick), and seven-entry log
+    # chunks make it return K_LOG_FULL every seven events and be called
+    # again; the stream, and so the run, must not change
     monkeypatch.setattr(ctmc, "_BUF", 3)
     monkeypatch.setattr(ctmc, "_LOG_CHUNK", 7)
     params = ModelParams(lam=1.0, scale_r=30.0, beta=1.0, gamma=1.5, epsilon=0.2,
                          beta_tilde=1.0)
     if case in ("A", "B"):
         sim = (case, params, SystemState(2, 30, x_target=30.5), 3.0,
-               ARRIVALS["sinusoid"], GridSpec(dt=0.1, record_events=True))
+               ARRIVALS["sinusoid"] if case == "B" else None,
+               GridSpec(dt=0.1, record_events=True))
 
         def run():
             return _fingerprint(_simulate(*sim, RandomStream(5)))
     else:
-        arrival = ARRIVALS["sinusoid"] if case == "drift-thinned" else None
-
         def run():
             return drift_replicates_b((2, 30), replace(params, gamma=2.0), 0.1, 300,
-                                      RandomStream(5), arrival=arrival).tolist()
+                                      RandomStream(5)).tolist()
     native, oracle = _both_backends(monkeypatch, run)
     monkeypatch.undo()
     assert native == oracle == run()
 
 
 @needs_cc
-@pytest.mark.parametrize("scheme", "AB")
+@pytest.mark.parametrize("scheme", "B")
 def test_compiled_thinning_violation_same_message(scheme, monkeypatch):
     class LyingSinusoid(SinusoidArrival):
         def bound(self):
@@ -186,13 +192,9 @@ def test_compiled_thinning_violation_same_message(scheme, monkeypatch):
     assert native == oracle
 
 
-@pytest.mark.parametrize("scheme", "AB")
+@pytest.mark.parametrize("scheme", "B")
 def test_overridden_rate_runs_the_python_loop(scheme, monkeypatch):
     # _kernel.c mirrors only the library's own rate functions
-    class Shifted(SinusoidArrival):
-        def __call__(self, t):
-            return super().__call__(t + 0.25)
-
     case = (scheme, replace(LONG_B[0], scale_r=10.0), SystemState(0, 10, x_target=10.0), 2.0,
             Shifted(1.0, 0.5, 1.0), GridSpec(record_events=True))
     ran = _spy_compiled(monkeypatch)
@@ -233,10 +235,30 @@ def test_unlogged_compiled_run_is_one_kernel_call(monkeypatch):
     assert min(b.n_events, a.n_events) > 100
 
 
+def _kstate_fields() -> list[str]:
+    """Field names of _kernel.c's `typedef struct { ... } kstate;`, in order."""
+    source = _native._SOURCE.read_text()
+    body = re.search(r"typedef struct \{(.*?)\} kstate;", source, re.S).group(1)
+    names = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";"):
+        pointer_to_function = re.search(r"\(\*(\w+)\)", decl)
+        if pointer_to_function:
+            names.append(pointer_to_function.group(1))
+        elif decl.strip():
+            names += [re.findall(r"\w+", part)[-1] for part in decl.split(",")]
+    return names
+
+
+def test_kernel_state_fields_match_by_name():
+    # every field is 8 bytes wide, so the size check at load time cannot see
+    # two fields swapped in one of the two declarations
+    assert _kstate_fields() == [name for name, _ in _native.KernelState._fields_]
+
+
 @needs_cc
 def test_kernel_compiles_without_warnings(tmp_path):
-    # the bit generator's function pointer and the draw and thin helpers
-    # must stay clean under the common warnings
+    # the bit generator's function pointer, the draw helper and the thinning
+    # test must stay clean under the common warnings
     done = subprocess.run([_native._CC, *_native._FLAGS, "-Wall", "-Wextra", "-Werror",
                            "-o", str(tmp_path / "_kernel.so"), str(_native._SOURCE), "-lm"],
                           capture_output=True, text=True, timeout=120)

@@ -47,6 +47,10 @@ def test_validate_rejects_nonpositive_rates():
     with pytest.raises(NonPositiveRate):
         validate_params(ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0,
                                     epsilon=0.2, beta_tilde=-0.5))
+    # each positive, but the arrival rate lam*r of the event loops is 0.0
+    with pytest.raises(NonPositiveRate):
+        validate_params(ModelParams(lam=1e-200, scale_r=1e-200, beta=1.0, gamma=2.0,
+                                    epsilon=0.2))
 
 
 def test_validate_gamma_integrality_scheme_b():
@@ -123,15 +127,15 @@ def test_star_coords_frozen_example():
     # oracle: direct 2x2 solve of alpha @ basis = u
     expected = np.linalg.solve(spec.basis.T, np.array([0.0, 2.0]))
     got = star_coords((0.0, 2.0), spec)
-    assert np.allclose(got, expected, atol=1e-12)
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
     assert got[0] == pytest.approx(0.11803398874989485, abs=1e-9)
     assert got[1] == pytest.approx(-2.118033988749895, abs=1e-9)
 
 
 def test_star_coords_eigenvector_units():
     spec = spectral_decompose(BASE)
-    assert np.allclose(star_coords(spec.v1, spec), [1.0, 0.0], atol=1e-12)
-    assert np.allclose(star_coords(spec.v2, spec), [0.0, 1.0], atol=1e-12)
+    assert np.allclose(star_coords(spec.v1, spec), [1.0, 0.0], rtol=0, atol=1e-12)
+    assert np.allclose(star_coords(spec.v2, spec), [0.0, 1.0], rtol=0, atol=1e-12)
     assert np.allclose(star_coords((0.0, 0.0), spec), [0.0, 0.0])
 
 

@@ -88,7 +88,7 @@ def test_batch_means_constant_series():
     t = np.linspace(0.0, 100.0, 1001)
     v = np.full((1001, 2), 3.5)
     est = batch_means((t, v), burn_in=10.0, n_batches=20)
-    assert np.allclose(est.mean, 3.5, atol=0.0)
+    assert np.allclose(est.mean, 3.5, rtol=0, atol=0.0)
     assert np.all(est.cov == 0.0)
     assert np.all(est.mean_halfwidth == 0.0)
     assert np.all(est.cov_halfwidth == 0.0)
@@ -155,6 +155,13 @@ def test_stationary_moments_rejects_time_varying():
                       sampling=GridSpec(dt=0.05))
     with pytest.raises(StatsError):
         stationary_moments(traj, burn_in=1.0)
+
+
+def test_fluid_reference_rejects_time_varying_scheme_a():
+    # scheme A runs at the constant rate lam only: no limit to compare with
+    arr = SinusoidArrival(base=1.0, amplitude=0.2, period=120.0)
+    with pytest.raises(StatsError):
+        fluid_reference(SystemState(0, 1000, x_target=1000.0), BASE, 5.0, arr)
 
 
 def test_gaussian_check_on_exact_gaussian_samples():
