@@ -1,15 +1,29 @@
 /* Compiled event kernels for invitesim.ctmc: the scheme-B loop behind
  * simulate_b and drift_replicates_b, and the simulate_a loop, statement for
- * statement.
+ * statement, with one stated exception, run_b's squeeze, that changes no
+ * output.
  *
  * Each kernel reads the same uniforms in the same order as the Python loop
- * and evaluates the same double expressions, so the grids, the event log and
- * the event count agree bit for bit.  Per event run_b reads hold, pick, thin
- * if the pick is an arrival candidate of a time-varying rate, and round if
- * enabled; run_a, which runs at the constant rate only, reads hold and pick.
- * Build with -ffp-contract=off and without fast-math: a fused multiply-add or
- * a reassociation would change the last bit.  log and sin are libm's, the
- * functions math.log and math.sin call.
+ * and takes the same branches on the same double values, so the grids, the
+ * event log and the event count agree bit for bit.  Per event run_b reads
+ * hold, pick, thin if the pick is an arrival candidate of a time-varying
+ * rate, and round if enabled; run_a, which runs at the constant rate only,
+ * reads hold and pick.  Both log each event's (t, kind, dy, dx) from the
+ * branch it took.  Build with -ffp-contract=off and without fast-math: a
+ * fused multiply-add or a reassociation would change the last bit.  log and
+ * sin are libm's, the functions math.log and math.sin call.
+ *
+ * The squeeze skips a libm call whose result cannot change a branch, in
+ * two places, each with a bound widened far beyond the rounding of either
+ * side of the comparison it replaces:
+ *   thinning      a sinusoid candidate is kept or dropped against bounds on
+ *                 its rate from the last exactly evaluated one, and sin runs
+ *                 only between them (thin_keep);
+ *   quiet windows a drift window whose first hold outlasts it is told by
+ *                 comparing its first uniform with a threshold, without log
+ *                 (quiet_threshold, skip_quiet).
+ * A profile whose bound() may understate its rate keeps the exact bound
+ * test on every candidate (thinning_at).
  *
  * The uniforms are read from the block u[0 .. n_u), which refill fills from
  * the run's numpy bit generator, one next_double per slot in order, as
@@ -18,9 +32,9 @@
  *   K_LOG_FULL  the log chunk holds log_cap entries; the event is complete,
  *               and the caller swaps the chunk and calls again;
  *   K_THIN_ERR  the arrival rate err_lam at time t exceeds the declared bound.
- * run_b with n_reps > 0 runs n_reps windows [0, horizon] from (y0, x0), each
- * reading on from where the last one stopped, and writes each window's
- * (y - y0, x - x0) to out.  No global state: concurrent calls on separate
+ * run_b with n_reps > 0 runs n_reps windows [0, horizon] from (y0, x0) at
+ * the constant rate (ARR_NONE) and with no grid, each reading on from where
+ * the last one stopped, and writes each window's (y - y0, x - x0) to out.  No global state: concurrent calls on separate
  * states are safe.
  *
  * format_rows writes CSV rows of int64, float64 and fixed-width bytes
@@ -35,6 +49,9 @@
 
 enum { K_DONE = 0, K_LOG_FULL = 1, K_THIN_ERR = 2 };
 enum { ARR_NONE = 0, ARR_SINUSOID = 1, ARR_PIECEWISE = 2 };
+/* event kinds of the log, ctmc's K_ARRIVAL .. K_REJECT */
+enum { EV_ARRIVAL = 0, EV_ACCEPT = 1, EV_FEEDBACK_UP = 2, EV_FEEDBACK_DOWN = 3,
+       EV_REJECT = 4 };
 
 /* Every field is 8 bytes wide, so the layout has no padding; the ctypes
  * mirror in invitesim/_native.py lists the same fields in the same order. */
@@ -56,10 +73,11 @@ typedef struct {
     int64_t n_u, ui;
     void *bitgen;
     double (*next_double)(void *);
-    /* event log chunk */
+    /* event log chunk: each event's time, kind, dy and dx */
     int64_t budget, logging, truncated;
     double *log_t;
-    int64_t *log_y, *log_x;
+    int8_t *log_kind, *log_dy;
+    int32_t *log_dx;
     int64_t log_cap, log_n;
     /* run state */
     double t, tg, target, last_change, err_lam;
@@ -75,6 +93,14 @@ int64_t kstate_size(void)
     return (int64_t)sizeof(kstate);
 }
 
+/* run_b's thinning state for one call */
+typedef struct {
+    int checked;        /* the profile may exceed the bound: test every candidate */
+    double ta, la;      /* the last exactly evaluated rate: la at time ta */
+    double slope;       /* |amp| * 2pi/period, widened: the rate's Lipschitz constant */
+    double slack0, slack1;  /* rounding slack slack0 + slack1 * t */
+} thinning;
+
 /* ArrivalRateFn.__call__ of SinusoidArrival and PiecewiseConstantArrival */
 static double rate_at(const kstate *s, double t)
 {
@@ -84,6 +110,30 @@ static double rate_at(const kstate *s, double t)
         if (t < s->bp[i])
             return s->bv[i];
     return s->bv[s->n_bp];
+}
+
+/* the thinning state at time t: a profile whose peak passes the per-candidate
+ * bound test can never fail it, and then skips it */
+static thinning thinning_at(const kstate *s, double t)
+{
+    thinning th = {0};
+    double peak = s->a_base + fabs(s->a_amp);
+    if (s->arrival == ARR_PIECEWISE) {
+        peak = s->bv[0];
+        for (int64_t i = 1; i <= s->n_bp; i++)
+            if (s->bv[i] > peak)
+                peak = s->bv[i];
+    }
+    th.checked = !(peak <= s->bound * (1.0 + 1e-9));
+    th.ta = t;
+    th.la = rate_at(s, t);
+    if (s->arrival == ARR_SINUSOID) {
+        double w = 2.0 * 3.141592653589793 / s->a_period;
+        th.slope = fabs(s->a_amp) * w * (1.0 + 1e-12);
+        th.slack0 = 1e-12 * (s->a_base + 2.0 * fabs(s->a_amp));
+        th.slack1 = 1e-12 * fabs(s->a_amp) * w;
+    }
+    return th;
 }
 
 /* the next n_u draws of the bit generator into the block */
@@ -102,9 +152,42 @@ static double draw(kstate *s)
     return s->u[s->ui++];
 }
 
-/* post-event state into the log; 1 when the chunk is now full */
-static int log_event(kstate *s)
+/* Thin the arrival candidate at s->t: 1 keep, 0 drop, -1 the rate exceeds
+ * the bound (only when th->checked).  The candidate is kept when
+ * v = u * bound < rate(t).  A sinusoid's computed rate differs from the
+ * anchor la by at most slope * (t - ta) + slack(t): slack, 1e-12 of the
+ * rate's scale and of its argument, covers the rounding of the argument,
+ * of sin and of the sums at t and at ta, which is below 1e-15 of them.
+ * Outside that bracket around la the answer is known without sin. */
+static int thin_keep(kstate *s, thinning *th)
 {
+    double t = s->t, v, lam_t;
+    if (th->checked) {
+        lam_t = rate_at(s, t);
+        if (lam_t > s->bound * (1.0 + 1e-9)) {
+            s->err_lam = lam_t;
+            return -1;
+        }
+        return draw(s) * s->bound < lam_t;
+    }
+    v = draw(s) * s->bound;
+    if (s->arrival == ARR_SINUSOID) {
+        double d = th->slope * (t - th->ta) + th->slack0 + th->slack1 * t;
+        if (v < th->la - d)
+            return 1;
+        if (v >= th->la + d)
+            return 0;
+    }
+    lam_t = rate_at(s, t);
+    th->ta = t;
+    th->la = lam_t;
+    return v < lam_t;
+}
+
+/* one event into the log; 1 when the chunk is now full */
+static int log_event(kstate *s, int kind, int dy, int64_t dx)
+{
+    int64_t n;
     s->n_events++;
     if (!s->logging)
         return 0;
@@ -113,10 +196,12 @@ static int log_event(kstate *s)
         s->logging = 0;
         return 0;
     }
-    s->log_t[s->log_n] = s->t;
-    s->log_y[s->log_n] = s->y;
-    s->log_x[s->log_n] = s->x;
-    return ++s->log_n == s->log_cap;
+    n = s->log_n;
+    s->log_t[n] = s->t;
+    s->log_kind[n] = (int8_t)kind;
+    s->log_dy[n] = (int8_t)dy;
+    s->log_dx[n] = (int32_t)dx;
+    return (s->log_n = n + 1) == s->log_cap;
 }
 
 /* grid samples up to the first grid time at or after tn */
@@ -148,10 +233,43 @@ static int end_window(kstate *s)
     return 0;
 }
 
+/* Each drift window starts at t = 0 from (y0, x0), at the rate total0.  Its
+ * first hold, -log(1 - u) / total0, outlasts the window exactly when
+ * u > -expm1(-horizon * total0); above that threshold, widened by 1e-12 of
+ * it and by 1e-300 for a product that underflows, the window is quiet
+ * without log.  At or above 1 no uniform is. */
+static double quiet_threshold(const kstate *s)
+{
+    double total0 = s->bound_rate + s->beta * (double)s->x0
+                    + s->eps * (double)(s->y0 > 0 ? s->y0 : -s->y0);
+    return -expm1(-s->horizon * total0) * (1.0 + 1e-12) + 1e-300;
+}
+
+/* at the start of a window: end every quiet window from here on; 1 when no
+ * window is left.  The uniform that ends the scan is the next window's first
+ * hold, and is put back to be read again. */
+static int skip_quiet(kstate *s, double quiet)
+{
+    while (draw(s) > quiet)
+        if (end_window(s))
+            return 1;
+    s->ui--;
+    return 0;
+}
+
 int run_b(kstate *s)
 {
+    thinning th = {0};
+    double quiet = quiet_threshold(s);  /* read at window starts only */
+    if (s->arrival != ARR_NONE)
+        th = thinning_at(s, s->t);
+    /* drift windows log nothing, so their run is one call from the start of
+     * the first window */
+    if (s->n_reps > 0 && skip_quiet(s, quiet))
+        return K_DONE;
     for (;;) {
-        int64_t y = s->y, x = s->x, step;
+        int64_t y = s->y, x = s->x, step, dx;
+        int kind, dy;
         double tn, pick;
         double acc = s->beta * (double)x;
         double fb = s->eps * (double)(y > 0 ? y : -y);
@@ -163,7 +281,7 @@ int run_b(kstate *s)
         tn = s->t + -log(1.0 - draw(s)) / total;
         fill_grid(s, tn);
         if (tn > s->horizon) {
-            if (end_window(s))
+            if (end_window(s) || skip_quiet(s, quiet))
                 break;
             continue;
         }
@@ -171,27 +289,30 @@ int run_b(kstate *s)
         pick = draw(s) * total;
         if (pick < s->bound_rate) {
             if (s->arrival != ARR_NONE) {
-                double lam_t = rate_at(s, s->t);
-                if (lam_t > s->bound * (1.0 + 1e-9)) {
-                    s->err_lam = lam_t;
+                int keep = thin_keep(s, &th);
+                if (keep < 0)
                     return K_THIN_ERR;
-                }
-                if (!(draw(s) * s->bound < lam_t))
+                if (!keep)
                     continue;
             }
-            step = s->rounding ? s->g_lo + (draw(s) < s->g_frac ? 1 : 0) : s->gamma_int;
-            s->y = y - 1;
-            s->x = x + step;
+            kind = EV_ARRIVAL;
+            dy = -1;
+            dx = s->rounding ? s->g_lo + (draw(s) < s->g_frac ? 1 : 0) : s->gamma_int;
         } else if (pick < s->bound_rate + acc) {
             step = s->rounding ? s->g_lo + (draw(s) < s->g_frac ? 1 : 0) : s->gamma_int;
-            s->y = y + 1;
-            s->x = x - (x >= step ? step : x);
-        } else if (x >= 1) {
-            s->x = x + (y > 0 ? -1 : 1);
-        } else if (y < 0) {
-            s->x = x + 1;
+            kind = EV_ACCEPT;
+            dy = 1;
+            dx = -(x >= step ? step : x);
+        } else {
+            /* feedback: one more invitation when Y < 0, one fewer when
+             * Y > 0, none at X = 0 with Y >= 0 (a null withdrawal) */
+            dy = 0;
+            dx = x >= 1 ? (y > 0 ? -1 : 1) : (y < 0 ? 1 : 0);
+            kind = dx == 1 ? EV_FEEDBACK_UP : EV_FEEDBACK_DOWN;
         }
-        if (log_event(s))
+        s->y = y + dy;
+        s->x = x + dx;
+        if (log_event(s, kind, dy, dx))
             return K_LOG_FULL;
     }
     fill_grid(s, INFINITY);
@@ -202,6 +323,7 @@ int run_a(kstate *s)
 {
     for (;;) {
         int64_t y = s->y, x = s->x;
+        int kind, dy;
         double tn, pick, v;
         double acc = s->beta * (double)x;
         double rej = s->beta_t * (double)x;
@@ -218,19 +340,24 @@ int run_a(kstate *s)
             v = s->target + s->gamma - s->eps * (double)y * (s->t - s->last_change);
             s->target = v > 0.0 ? v : 0.0;  /* max(0.0, v), signed zeros included */
             s->last_change = s->t;
-            s->y = y - 1;
+            kind = EV_ARRIVAL;
+            dy = -1;
         } else if (pick < s->bound_rate + acc) {
             v = s->target - s->gamma - s->eps * (double)y * (s->t - s->last_change);
             s->target = v > 0.0 ? v : 0.0;
             s->last_change = s->t;
-            s->y = y + 1;
-            s->x = --x;
+            kind = EV_ACCEPT;
+            dy = 1;
+            s->x = x - 1;
         } else {
-            s->x = --x;
+            kind = EV_REJECT;
+            dy = 0;
+            s->x = x - 1;
         }
+        s->y = y + dy;
         if ((double)s->x < s->target)
             s->x = (int64_t)ceil(s->target);
-        if (log_event(s))
+        if (log_event(s, kind, dy, s->x - x))
             return K_LOG_FULL;
     }
     fill_grid(s, INFINITY);

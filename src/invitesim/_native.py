@@ -53,7 +53,8 @@ class KernelState(ctypes.Structure):
         ("u", _p), ("n_u", _i), ("ui", _i),
         ("bitgen", _p), ("next_double", _p),
         ("budget", _i), ("logging", _i), ("truncated", _i),
-        ("log_t", _p), ("log_y", _p), ("log_x", _p), ("log_cap", _i), ("log_n", _i),
+        ("log_t", _p), ("log_kind", _p), ("log_dy", _p), ("log_dx", _p),
+        ("log_cap", _i), ("log_n", _i),
         *((n, _d) for n in ("t", "tg", "target", "last_change", "err_lam")),
         *((n, _i) for n in ("y", "x", "gi", "n_events", "n_reps", "rep", "y0", "x0")),
         ("out", _p),

@@ -32,9 +32,9 @@ from .diffusion import (
     moment_ode,
     stationary_covariance,
 )
-from .fluid import drift_check, solve_fluid
-from .params import (ModelParams, SinusoidArrival, _time_grid, spectral_decompose,
-                     star_norm, validate_params)
+from .fluid import FluidSolverError, drift_check, solve_fluid
+from .params import (ModelParams, PiecewiseConstantArrival, SinusoidArrival, _closed_form,
+                     _time_grid, spectral_decompose, star_norm, validate_params)
 from .stats import (batch_means, fluid_reference, replicate, scale_sweep,
                     stationary_moments, sup_deviation)
 
@@ -181,11 +181,15 @@ def _fluid_fields(arrival, params: ModelParams, t: float):
     """(interior, slide, lift, w) on the arrival piece that holds t, linear in
     z = (y, x, 1, sin wt, cos wt) of the uncentred view: z' = interior @ z off
     the floor, z' = slide @ z on it, and lift @ z = gamma*lam(t) - epsilon*y.
-    None and piecewise pieces have amplitude 0."""
-    if isinstance(arrival, SinusoidArrival):
+    None and piecewise pieces have amplitude 0.  A profile class that
+    overrides __call__ has no closed form here, as in solve_fluid_tv."""
+    kind = None if arrival is None else _closed_form(arrival)
+    if kind is SinusoidArrival:
         base, amp, w = arrival.base, arrival.amplitude, 2.0 * math.pi / arrival.period
-    else:
+    elif arrival is None or kind is PiecewiseConstantArrival:
         base, amp, w = params.lam if arrival is None else arrival(t), 0.0, 0.0
+    else:
+        raise FluidSolverError(f"no closed form for the arrival profile {arrival!r}")
     rate = np.array([0.0, 0.0, base, amp, 0.0])  # rate @ z = lam(t)
     lift = params.gamma * rate - [params.epsilon, 0.0, 0.0, 0.0, 0.0]
     slide = np.zeros((5, 5))

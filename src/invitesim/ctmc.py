@@ -17,10 +17,9 @@ thin-if-candidate, round-if-enabled; scheme A: hold, pick), which keeps
 seeded runs reproducible bit for bit.  The simulators read it one value at
 a time from blocks of _BUF draws.
 
-Event logs are rebuilt after the run from the post-event states: dy and dx
-are their differences, and the kind follows from them (scheme B: dy = -1
-arrival, +1 accept, else dx = +1 feedback up and any other move feedback
-down; scheme A: dy = -1, +1, 0 for arrival, accept, reject).
+Each loop logs an event's (t, kind, dy, dx) from the branch it took, into
+arrays of the dtypes _LOG_DTYPES; dx is the whole move of X, scheme A's
+top-up included.
 
 Each scheme's transitions live in one loop: run_b in C and _loop_b in Python
 for scheme B, run_a and _loop_a for scheme A, whose rates, transitions and
@@ -35,10 +34,14 @@ Both loops run in C (_kernel.c, built on the first call and loaded through
 ctypes by _native) when the library builds, and in Python otherwise.  The C
 loops are the Python ones statement for statement: same uniforms in the same
 order, same double expressions, so the two backends give the same grids,
-event logs, event counts and drift replicates, bit for bit.  The C code
-evaluates the rates of SinusoidArrival and PiecewiseConstantArrival itself;
-a profile class that overrides __call__ runs the Python loop.  A compiled
-call releases the GIL.
+event logs, event counts and drift replicates, bit for bit.  The one stated
+exception is run_b's squeeze: it skips libm calls whose result cannot change
+a branch (the sin of a thinning candidate whose fate bounds on the rate
+already settle, and the log of a drift window whose first hold outlasts it),
+so it still takes the Python loop's branches; _loop_b is the exact oracle.
+The C code evaluates the rates of SinusoidArrival and
+PiecewiseConstantArrival itself; a profile class that overrides __call__
+runs the Python loop.  A compiled call releases the GIL.
 """
 from __future__ import annotations
 
@@ -88,6 +91,9 @@ K_REJECT = 4         # scheme A only
 
 _BUF = 1 << 16
 _LOG_CHUNK = 1 << 16  # event-log entries per buffer of a compiled run
+# dtypes of an EventLog's t, kind, dy and dx, which _kernel.c's kstate log
+# pointers point to
+_LOG_DTYPES = (np.float64, np.int8, np.int8, np.int32)
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class EventLog:
+    """One entry per logged event: its time, kind (K_*) and the moves of Y and X."""
+
     t: np.ndarray
     kind: np.ndarray
     dy: np.ndarray
@@ -229,28 +237,15 @@ def _uniform_feed(gen: np.random.Generator):
     return chain.from_iterable(iter(lambda: gen.random(_BUF).tolist(), None)).__next__
 
 
-def _state_log(t, y, x, y0: int, x0: int, kind_rule, truncated: bool) -> EventLog:
-    """Event log from the post-event states (lists or arrays); increments are
-    differences from (y0, x0)."""
-    dy = np.diff(np.asarray(y, dtype=np.int64), prepend=y0)
-    dx = np.diff(np.asarray(x, dtype=np.int64), prepend=x0)
-    return EventLog(t=np.asarray(t, dtype=float), kind=kind_rule(dy, dx).astype(np.int8),
-                    dy=dy.astype(np.int8), dx=dx.astype(np.int32), truncated=truncated)
-
-
-def _kinds_b(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    # every dy = 0 move other than +1 is a withdrawal, the null jump at X = 0 included
-    return np.select([dy == -1, dy == 1, dx == 1], [K_ARRIVAL, K_ACCEPT, K_FEEDBACK_UP],
-                     K_FEEDBACK_DOWN)
-
-
-def _kinds_a(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    return np.select([dy == -1, dy == 1], [K_ARRIVAL, K_ACCEPT], K_REJECT)
+def _log_arrays(entries: list) -> tuple:
+    """The Python loops' log entries (t, kind, dy, dx) as arrays of _LOG_DTYPES."""
+    cols = list(zip(*entries)) or [()] * 4
+    return tuple(np.array(c, dtype=d) for c, d in zip(cols, _LOG_DTYPES))
 
 
 def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
                   stream: RandomStream, **fields):
-    """Run the compiled kernel `name`; (n_events, truncated, logged (t, y, x)).
+    """Run the compiled kernel `name`; (n_events, truncated, log (t, kind, dy, dx)).
 
     Returns None, to run the Python loop, when the library cannot be built or
     when a thinned profile computes its rate by a method _kernel.c does not
@@ -289,9 +284,8 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
     chunks = []
 
     def new_chunk():
-        chunks.append((np.empty(_LOG_CHUNK), np.empty(_LOG_CHUNK, dtype=np.int64),
-                       np.empty(_LOG_CHUNK, dtype=np.int64)))
-        ks.log_t, ks.log_y, ks.log_x = (a.ctypes.data for a in chunks[-1])
+        chunks.append([np.empty(_LOG_CHUNK, dtype=d) for d in _LOG_DTYPES])
+        ks.log_t, ks.log_kind, ks.log_dy, ks.log_dx = (a.ctypes.data for a in chunks[-1])
         ks.log_cap, ks.log_n = _LOG_CHUNK, 0
 
     if ks.logging:
@@ -305,10 +299,10 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
         else:
             raise ThinningBoundViolated(
                 f"arrival rate {ks.err_lam} exceeds declared bound {ks.bound} at t={ks.t}")
-    logged = ((), (), ())
+    logged = ()
     if chunks:
         logged = tuple(np.concatenate([c[k] for c in chunks[:-1]] + [chunks[-1][k][:ks.log_n]])
-                       for k in range(3))
+                       for k in range(4))
     return ks.n_events, bool(ks.truncated), logged
 
 
@@ -322,15 +316,14 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
     """run_b of _kernel.c in Python: the scheme-B event loop, same arguments and result.
 
     Runs [0, horizon] from (y, x), filling the grid from tg on and logging up
-    to `budget` post-event states.  With n_reps > 0 it runs n_reps such
-    windows, each from (y, x) at t = 0 and reading on from where the last
-    one stopped, and writes window i's (dY, dX) to out[i].
+    to `budget` events.  With n_reps > 0 it runs n_reps such windows, each
+    from (y, x) at t = 0 and reading on from where the last one stopped, and
+    writes window i's (dY, dX) to out[i].  It evaluates every thinning
+    candidate's rate and every hold's log: the exact oracle of run_b.
     """
     y0, x0 = y, x
-    ev_t: list[float] = []
-    ev_y: list[int] = []
-    ev_x: list[int] = []
-    log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
+    entries: list[tuple] = []
+    log_event = entries.append
     truncated = False
     gi = 0
 
@@ -365,22 +358,23 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
                             f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
                     if not draw() * bound < lam_t:
                         continue
-                y -= 1
-                x += g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
+                kind, dy = K_ARRIVAL, -1
+                dx = g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
             elif pick < bound_rate + acc:
                 step = g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
-                y += 1
-                x -= step if x >= step else x
-            elif x >= 1:
-                x += -1 if y > 0 else 1
-            elif y < 0:
-                x += 1
+                kind, dy, dx = K_ACCEPT, 1, -(step if x >= step else x)
+            else:
+                # one more invitation when Y < 0, one fewer when Y > 0, none
+                # at X = 0 with Y >= 0 (a null withdrawal)
+                dy = 0
+                dx = (-1 if y > 0 else 1) if x >= 1 else (1 if y < 0 else 0)
+                kind = K_FEEDBACK_UP if dx == 1 else K_FEEDBACK_DOWN
+            y += dy
+            x += dx
             n_events += 1
             if logging:
                 if n_events <= budget:
-                    log_t(t)
-                    log_y(y)
-                    log_x(x)
+                    log_event((t, kind, dy, dx))
                 else:
                     truncated = True
                     logging = False
@@ -391,7 +385,7 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
         ys[gi] = y
         xs[gi] = x
         gi += 1
-    return n_events, truncated, (ev_t, ev_y, ev_x)
+    return n_events, truncated, _log_arrays(entries)
 
 
 def _loop_a(arrival: None, thinning: bool, stream: RandomStream, *,
@@ -403,12 +397,10 @@ def _loop_a(arrival: None, thinning: bool, stream: RandomStream, *,
 
     Runs [0, horizon] from (y, x) and the target at the constant rate, so
     `arrival` is None and `thinning` False, filling the grid and logging up
-    to `budget` post-event states.
+    to `budget` events.
     """
-    ev_t: list[float] = []
-    ev_y: list[int] = []
-    ev_x: list[int] = []
-    log_t, log_y, log_x = ev_t.append, ev_y.append, ev_x.append
+    entries: list[tuple] = []
+    log_event = entries.append
     truncated = False
     gi = 0
     tg = 0.0  # gi * dtg, or inf once the grid is full
@@ -435,30 +427,27 @@ def _loop_a(arrival: None, thinning: bool, stream: RandomStream, *,
         if tn > horizon:
             break
         t = tn
+        x_pre = x
         pick = draw() * total
         if pick < bound_rate:
-            elapsed = t - last_change
-            y_pre = y
-            y -= 1
-            target = max(0.0, target + gamma - eps * y_pre * elapsed)
+            kind, dy = K_ARRIVAL, -1
+            target = max(0.0, target + gamma - eps * y * (t - last_change))
             last_change = t
         elif pick < bound_rate + acc:
-            elapsed = t - last_change
-            y_pre = y
-            y += 1
+            kind, dy = K_ACCEPT, 1
             x -= 1
-            target = max(0.0, target - gamma - eps * y_pre * elapsed)
+            target = max(0.0, target - gamma - eps * y * (t - last_change))
             last_change = t
         else:
+            kind, dy = K_REJECT, 0
             x -= 1
+        y += dy
         if x < target:
             x = ceil(target)
         n_events += 1
         if logging:
             if n_events <= budget:
-                log_t(t)
-                log_y(y)
-                log_x(x)
+                log_event((t, kind, dy, x - x_pre))
             else:
                 truncated = True
                 logging = False
@@ -468,7 +457,7 @@ def _loop_a(arrival: None, thinning: bool, stream: RandomStream, *,
         xs[gi] = x
         tgts[gi] = target
         gi += 1
-    return n_events, truncated, (ev_t, ev_y, ev_x)
+    return n_events, truncated, _log_arrays(entries)
 
 
 def _run(kernel: str, loop, params: ModelParams, arrival: ArrivalRateFn | None,
@@ -496,8 +485,7 @@ def _sample(scheme: str, params: ModelParams, arrival: ArrivalRateFn | None,
     samples the target.
     """
     sampling = sampling or GridSpec()
-    kernel, loop, kinds = ("run_a", _loop_a, _kinds_a) if scheme == "A" else (
-        "run_b", _loop_b, _kinds_b)
+    kernel, loop = ("run_a", _loop_a) if scheme == "A" else ("run_b", _loop_b)
     ts = _time_grid(horizon, sampling.dt)
     ys = np.empty(len(ts), dtype=np.int64)
     xs = np.empty(len(ts), dtype=np.int64)
@@ -507,9 +495,7 @@ def _sample(scheme: str, params: ModelParams, arrival: ArrivalRateFn | None,
         kernel, loop, params, arrival, stream, horizon=horizon, dtg=sampling.dt,
         n_grid=len(ts), ys=ys, xs=xs, budget=sampling.event_budget,
         logging=sampling.record_events, y=y, x=x, **fields)
-    events = None
-    if sampling.record_events:
-        events = _state_log(*logged, y, x, kinds, truncated)
+    events = EventLog(*logged, truncated=truncated) if sampling.record_events else None
     return Trajectory(scheme=scheme, t=ts, y=ys, x=xs, x_target=fields.get("tgts"),
                       params=params, arrival=arrival, stream=stream,
                       grid_dt=sampling.dt, horizon=horizon, n_events=n_events,
@@ -550,7 +536,7 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
     validate_params(params, scheme="B")
     if isinstance(initial, tuple):
         initial = SystemState(y=initial[0], x=initial[1])
-    out = np.zeros((n_replicates, 2), dtype=np.int64)
+    out = np.empty((n_replicates, 2), dtype=np.int64)  # both loops write every row
     _run("run_b", _loop_b, params, None, stream, gamma_int=int(params.gamma),
          horizon=dt, tg=math.inf, y=int(initial.y), x=int(initial.x),
          n_reps=n_replicates, out=out)
@@ -611,7 +597,8 @@ def diffusion_scale(traj: Trajectory) -> ScaledTrajectory:
 # pathwise replay through the reflection map
 # ---------------------------------------------------------------------------
 
-_DY_BY_KIND = {K_ARRIVAL: -1, K_ACCEPT: 1, K_FEEDBACK_UP: 0, K_FEEDBACK_DOWN: 0}
+# dy of each scheme-B kind, indexed by K_*
+_KIND_DY = np.array([-1, 1, 0, 0], dtype=np.int8)
 
 
 def reflect_representation(initial: SystemState | tuple[int, int], events: EventLog,
@@ -629,19 +616,17 @@ def reflect_representation(initial: SystemState | tuple[int, int], events: Event
     if not float(params.gamma).is_integer():
         raise SimulationError("pathwise replay needs integer gamma")
     gamma = int(params.gamma)
-    kinds = events.kind.astype(np.int64)
+    kinds = events.kind
     if kinds.size and (kinds.min() < K_ARRIVAL or kinds.max() > K_FEEDBACK_DOWN):
         raise DriverMismatch("replay supports scheme-B event kinds only")
-    dy_expected = np.array([_DY_BY_KIND[k] for k in (K_ARRIVAL, K_ACCEPT,
-                                                     K_FEEDBACK_UP, K_FEEDBACK_DOWN)])
-    if kinds.size and not np.array_equal(dy_expected[kinds], events.dy.astype(np.int64)):
+    if not np.array_equal(_KIND_DY[kinds], events.dy):
         raise DriverMismatch("queue increments inconsistent with event kinds")
-    z_step = np.zeros(len(kinds), dtype=np.int64)
-    z_step[kinds == K_ARRIVAL] = gamma
-    z_step[kinds == K_ACCEPT] = -gamma
-    z_step[kinds == K_FEEDBACK_UP] = 1
-    z_step[kinds == K_FEEDBACK_DOWN] = -1
-    z = int(initial.x) + np.cumsum(z_step)
-    run_min = np.minimum.accumulate(np.minimum(z, int(initial.x)))
-    regulator = np.maximum(-run_min, 0)
-    return z + regulator
+    # the free walk's step of each kind, indexed by K_*
+    z = np.cumsum(np.array([gamma, -gamma, 1, -1], dtype=np.int64)[kinds])
+    z += int(initial.x)
+    # X0 >= 0, so the regulator max(0, -min(X0, running min of Z)) is
+    # -min(0, running min of Z)
+    low = np.minimum.accumulate(z)
+    np.minimum(low, 0, out=low)
+    z -= low
+    return z

@@ -625,6 +625,15 @@ def test_tv_rejects_a_rate_without_closed_form():
         solve_fluid_tv((0.0, 1.0), Shifted(1.0, 0.5, 30.0), BASE, horizon=5.0)
 
 
+def test_exact_reference_rejects_a_rate_without_closed_form():
+    # the reference picks its closed form by the rule solve_fluid_tv uses:
+    # it gave Shifted the unshifted sinusoid's path when it went by isinstance
+    with pytest.raises(FluidSolverError, match="no closed form"):
+        _exact_fluid_path((0.0, 1.0), Shifted(1.0, 0.5, 30.0), BASE, 5.0,
+                          np.linspace(0.0, 5.0, 11))
+    assert _fluid_fields(SinusoidArrival(1.0, 0.5, 30.0), BASE, 0.0)[3] > 0.0
+
+
 def test_tv_csv(tmp_path):
     tv = solve_fluid_tv((30.0, 0.0), None, BASE, horizon=2.0)
     out = tmp_path / "tv.csv"

@@ -173,23 +173,114 @@ def test_compiled_resumes_at_every_draw(case, monkeypatch):
     assert native == oracle == run()
 
 
-@needs_cc
-@pytest.mark.parametrize("scheme", "B")
-def test_compiled_thinning_violation_same_message(scheme, monkeypatch):
-    class LyingSinusoid(SinusoidArrival):
-        def bound(self):
-            return self.base  # declares less than the true peak
+class LyingSinusoid(SinusoidArrival):
+    def bound(self):
+        return self.base  # declares less than the true peak
 
-    case = (scheme, LONG_B[0], SystemState(0, 0, x_target=0.0), 10.0,
-            LyingSinusoid(1.0, 0.2, 10.0), GridSpec())
+
+class LyingSteps(PiecewiseConstantArrival):
+    def bound(self):
+        return self.values[0]  # declares less than the true peak
+
+
+class OverstatedSinusoid(SinusoidArrival):
+    def bound(self):
+        # 1e-10 above the peak, inside the kernel's 1e-9 tolerance: the squeeze is on
+        return (self.base + abs(self.amplitude)) * (1.0 + 1e-10)
+
+
+def _violation_messages(monkeypatch, arrival):
+    """The ThinningBoundViolated message of one run, compiled and Python."""
+    case = ("B", LONG_B[0], SystemState(0, 0, x_target=0.0), 10.0, arrival, GridSpec())
 
     def message():
         with pytest.raises(ThinningBoundViolated) as info:
             _simulate(*case, RandomStream(3))
         return str(info.value)
 
-    native, oracle = _both_backends(monkeypatch, message)
+    return _both_backends(monkeypatch, message)
+
+
+@needs_cc
+@pytest.mark.parametrize("scheme", "B")
+def test_compiled_thinning_violation_same_message(scheme, monkeypatch):
+    # a profile whose peak exceeds its declared bound gets the bound test on
+    # every candidate, and fails at the same candidate on both backends
+    native, oracle = _violation_messages(monkeypatch, LyingSinusoid(1.0, 0.2, 10.0))
+    assert native == oracle and " at t=" in native
+
+
+@needs_cc
+def test_compiled_piecewise_violation_same_message(monkeypatch):
+    native, oracle = _violation_messages(monkeypatch, LyingSteps((2.0,), (1.0, 1.5)))
+    assert native == oracle and " at t=2." in native
+
+
+SQUEEZE_CASES = {  # arrival, r, horizon, gamma
+    # the rate touches 0 once a period
+    "touches-zero": (SinusoidArrival(1.0, 1.0, 2.0), 50.0, 10.0, 2.0),
+    "touches-zero-negative": (SinusoidArrival(1.0, -1.0, 2.0), 50.0, 10.0, 1.5),
+    # sin changes faster than the candidates come: mostly evaluated exactly
+    "short-period": (SinusoidArrival(1.0, 0.5, 1e-3), 50.0, 5.0, 2.0),
+    # 2*pi*t/period reaches 1.3e5, where the argument's rounding is largest
+    "large-argument": (SinusoidArrival(1.0, 0.3, 1e-3), 50.0, 20.0, 2.0),
+    "overstated-bound": (OverstatedSinusoid(1.0, 0.2, 3.0), 200.0, 5.0, 2.0),
+    # fig4's profile: the squeeze settles nearly every candidate
+    "slow": (SinusoidArrival(1.0, 0.2, 120.0), 1000.0, 10.0, 2.0),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(SQUEEZE_CASES))
+def test_thinning_squeeze_matches_python_loop(name, monkeypatch):
+    # the compiled kernel keeps or drops most sinusoid candidates without
+    # sin; the Python loop evaluates every one
+    arrival, r, horizon, gamma = SQUEEZE_CASES[name]
+    params = ModelParams(lam=1.0, scale_r=r, beta=1.0, gamma=gamma, epsilon=0.2)
+    case = ("B", params, SystemState(0, int(r)), horizon, arrival,
+            GridSpec(dt=0.05, record_events=True))
+    native, oracle = _both_backends(
+        monkeypatch, lambda: _fingerprint(_simulate(*case, RandomStream(17))))
     assert native == oracle
+
+
+MANY_STEPS = PiecewiseConstantArrival(
+    tuple(0.05 * k for k in range(1, 201)),
+    tuple(float(v) for v in np.random.default_rng(4).uniform(0.0, 2.0, 201)))
+
+
+@needs_cc
+@pytest.mark.parametrize("arrival", [MANY_STEPS, SinusoidArrival(1.0, 0.4, 0.7)],
+                         ids=["piecewise-200", "sinusoid"])
+def test_thinning_state_survives_log_full_returns(arrival, monkeypatch):
+    # 16-entry log chunks: the kernel returns K_LOG_FULL over a hundred
+    # times, and each call starts its squeeze anchor anew at the current
+    # time
+    monkeypatch.setattr(ctmc, "_LOG_CHUNK", 16)
+    params = ModelParams(lam=1.0, scale_r=100.0, beta=1.0, gamma=2.0, epsilon=0.2)
+    case = ("B", params, SystemState(0, 100), 12.0, arrival,
+            GridSpec(dt=0.05, record_events=True))
+    native, oracle = _both_backends(
+        monkeypatch, lambda: _fingerprint(_simulate(*case, RandomStream(23))))
+    assert native == oracle and native[6] > 100 * 16
+
+
+@needs_cc
+@pytest.mark.parametrize("product", [1e-14, 1e-10, 0.1, 40.0, 800.0])
+def test_quiet_windows_match_python_loop(product, monkeypatch):
+    # drift windows with dt * total = product at the start state: the
+    # compiled kernel ends a window whose first uniform lies above the quiet
+    # threshold without log; nearly every window is quiet at 1e-14 and
+    # 1e-10, about 90% at 0.1, and none at 40 and 800
+    params = ModelParams(lam=1.0, scale_r=20.0, beta=1.0, gamma=2.0, epsilon=0.2)
+    y, x = 3, 10
+    dt = product / (params.lam * params.scale_r + params.beta * x + params.epsilon * y)
+    n = 20_000 if product < 1.0 else 40
+    native, oracle = _both_backends(monkeypatch, lambda: drift_replicates_b(
+        (y, x), params, dt, n, RandomStream(8)).tolist())
+    assert native == oracle
+    if product == 0.1:
+        assert 0.85 * n < native.count([0, 0]) < 0.95 * n
 
 
 @pytest.mark.parametrize("scheme", "B")
@@ -253,6 +344,33 @@ def test_kernel_state_fields_match_by_name():
     # every field is 8 bytes wide, so the size check at load time cannot see
     # two fields swapped in one of the two declarations
     assert _kstate_fields() == [name for name, _ in _native.KernelState._fields_]
+
+
+@needs_cc
+def test_kernel_log_pointers_match_event_log_dtypes(monkeypatch):
+    # the kernel writes the log through typed pointers into arrays that
+    # _run_compiled allocates and EventLog keeps as they are; a type that
+    # differs would write the wrong bytes, not fail
+    source = _native._SOURCE.read_text()
+    body = re.search(r"typedef struct \{(.*?)\} kstate;", source, re.S).group(1)
+    pointee = {}
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";"):
+        ctype, _, names = decl.strip().partition(" ")
+        for name in re.findall(r"\*\s*(log_\w+)", names):
+            pointee[name] = ctype
+    numpy_of = {"double": np.float64, "int8_t": np.int8, "int32_t": np.int32}
+    kinds = [numpy_of[pointee[f"log_{n}"]] for n in ("t", "kind", "dy", "dx")]
+    assert kinds == list(ctmc._LOG_DTYPES)
+    ran = _spy_compiled(monkeypatch)
+    ev = simulate_b((0, 50), LONG_B[0], 0.5, RandomStream(2),
+                    sampling=GridSpec(record_events=True)).events
+    assert ran == [True] and len(ev) > 100
+    assert [a.dtype for a in (ev.t, ev.kind, ev.dy, ev.dx)] == kinds
+    # and the kernel's event kinds are ctmc's
+    codes = dict(re.findall(r"EV_(\w+) = (\d+)", source))
+    assert {k: int(v) for k, v in codes.items()} == {
+        k: getattr(ctmc, f"K_{k}") for k in
+        ("ARRIVAL", "ACCEPT", "FEEDBACK_UP", "FEEDBACK_DOWN", "REJECT")}
 
 
 @needs_cc
