@@ -6,12 +6,12 @@
  * Each kernel reads the same uniforms in the same order as the Python loop
  * and takes the same branches on the same double values, so the grids, the
  * event log and the event count agree bit for bit.  Per event run_b reads
- * hold, pick, thin if the pick is an arrival candidate of a time-varying
- * rate, and round if enabled; run_a, which runs at the constant rate only,
- * reads hold and pick.  Both log each event's (t, kind, dy, dx) from the
- * branch it took.  Build with -ffp-contract=off and without fast-math: a
- * fused multiply-add or a reassociation would change the last bit.  log and
- * sin are libm's, the functions math.log and math.sin call.
+ * hold, pick, and thin if the pick is an arrival candidate of a time-varying
+ * rate; run_a, which runs at the constant rate only, reads hold and pick.
+ * Both log each event's (t, kind, dy, dx) from the branch it took.  Build
+ * with -ffp-contract=off and without fast-math: a fused multiply-add or a
+ * reassociation would change the last bit.  log and sin are libm's, the
+ * functions math.log and math.sin call.
  *
  * The squeeze skips a libm call whose result cannot change a branch, in
  * two places, each with a bound widened far beyond the rounding of either
@@ -34,8 +34,8 @@
  *   K_THIN_ERR  the arrival rate err_lam at time t exceeds the declared bound.
  * run_b with n_reps > 0 runs n_reps windows [0, horizon] from (y0, x0) at
  * the constant rate (ARR_NONE) and with no grid, each reading on from where
- * the last one stopped, and writes each window's (y - y0, x - x0) to out.  No global state: concurrent calls on separate
- * states are safe.
+ * the last one stopped, and writes each window's (y - y0, x - x0) to out.
+ * No global state: concurrent calls on separate states are safe.
  *
  * format_rows writes CSV rows of int64, float64 and fixed-width bytes
  * columns, each float as Python's format(v, '.10g') or format(v, '.12g')
@@ -57,8 +57,8 @@ enum { EV_ARRIVAL = 0, EV_ACCEPT = 1, EV_FEEDBACK_UP = 2, EV_FEEDBACK_DOWN = 3,
  * mirror in invitesim/_native.py lists the same fields in the same order. */
 typedef struct {
     /* model, fixed for a run */
-    double beta, eps, beta_t, gamma, bound_rate, bound, g_frac;
-    int64_t g_lo, gamma_int, rounding;
+    double beta, eps, beta_t, gamma, bound_rate, bound;
+    int64_t gamma_int;
     int64_t arrival;              /* ARR_*; ARR_NONE means no thinning */
     double a_base, a_amp, a_period;
     const double *bp, *bv;        /* piecewise: n_bp breakpoints, n_bp + 1 values */
@@ -268,7 +268,7 @@ int run_b(kstate *s)
     if (s->n_reps > 0 && skip_quiet(s, quiet))
         return K_DONE;
     for (;;) {
-        int64_t y = s->y, x = s->x, step, dx;
+        int64_t y = s->y, x = s->x, dx;
         int kind, dy;
         double tn, pick;
         double acc = s->beta * (double)x;
@@ -297,12 +297,11 @@ int run_b(kstate *s)
             }
             kind = EV_ARRIVAL;
             dy = -1;
-            dx = s->rounding ? s->g_lo + (draw(s) < s->g_frac ? 1 : 0) : s->gamma_int;
+            dx = s->gamma_int;
         } else if (pick < s->bound_rate + acc) {
-            step = s->rounding ? s->g_lo + (draw(s) < s->g_frac ? 1 : 0) : s->gamma_int;
             kind = EV_ACCEPT;
             dy = 1;
-            dx = -(x >= step ? step : x);
+            dx = -(x >= s->gamma_int ? s->gamma_int : x);
         } else {
             /* feedback: one more invitation when Y < 0, one fewer when
              * Y > 0, none at X = 0 with Y >= 0 (a null withdrawal) */

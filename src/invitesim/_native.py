@@ -43,9 +43,8 @@ class KernelState(ctypes.Structure):
     """Mirror of _kernel.c's kstate: model, grid, uniforms, log chunk, run state."""
 
     _fields_ = [
-        *((n, _d) for n in ("beta", "eps", "beta_t", "gamma", "bound_rate", "bound",
-                            "g_frac")),
-        *((n, _i) for n in ("g_lo", "gamma_int", "rounding", "arrival")),
+        *((n, _d) for n in ("beta", "eps", "beta_t", "gamma", "bound_rate", "bound")),
+        *((n, _i) for n in ("gamma_int", "arrival")),
         *((n, _d) for n in ("a_base", "a_amp", "a_period")),
         ("bp", _p), ("bv", _p), ("n_bp", _i),
         ("horizon", _d), ("dtg", _d), ("n_grid", _i),

@@ -94,25 +94,29 @@ GENERATOR_STATES = (
 )
 
 
+def _longhand_drift(y: int, x: int) -> tuple[float, float]:
+    """Expected (dY, dX) per unit time from (y, x) under P6, written out
+    longhand, independent of any rate table: arrivals Lam (dy -1, dx +gamma);
+    acceptances beta*x (dy +1, dx -min(gamma, x)); feedback eps*|y| nudging x
+    toward balance, with the x=0 case only able to push up (y<0) or idle (y>0)."""
+    lam_r = P6.raw_arrival_rate
+    if x >= 1:
+        fb = -P6.epsilon * y
+    else:
+        fb = P6.epsilon * abs(y) if y < 0 else 0.0
+    return -lam_r + P6.beta * x, lam_r * P6.gamma - P6.beta * x * min(P6.gamma, x) + fb
+
+
 def criterion_generator() -> CriterionResult:
     """Mean one-step drift over a short window vs the written-out rate sums."""
     t0 = time.perf_counter()
     dt, n = 1e-4, 100_000
     stream = RandomStream(seed=SEEDS["generator"])
-    lam_r = P6.raw_arrival_rate
     worst = 0.0
     worst_state = None
     for k, (y, x) in enumerate(GENERATOR_STATES):
-        # expectations written out longhand, independent of the rate table:
-        # arrivals Lam (dy -1, dx +gamma); acceptances beta*x (dy +1,
-        # dx -min(gamma, x)); feedback eps*|y| nudging x toward balance,
-        # with the x=0 case only able to push up (y<0) or idle (y>0)
-        exp_dy = (-lam_r + P6.beta * x) * dt
-        if x >= 1:
-            fb = -P6.epsilon * y
-        else:
-            fb = P6.epsilon * abs(y) if y < 0 else 0.0
-        exp_dx = (lam_r * P6.gamma - P6.beta * x * min(P6.gamma, x) + fb) * dt
+        drift_y, drift_x = _longhand_drift(y, x)
+        exp_dy, exp_dx = drift_y * dt, drift_x * dt
         deltas = drift_replicates_b(SystemState(y, x), P6, dt=dt, n_replicates=n,
                                     stream=stream.child(k))
         emp = deltas.mean(axis=0)

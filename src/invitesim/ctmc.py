@@ -13,9 +13,9 @@ Holding times use competing exponential clocks.  A scheme-B run under a
 time-varying arrival rate thins against the profile's declared bound;
 scheme A and the drift windows run at the constant rate lam.  Per event the
 uniform stream is consumed in a fixed order (scheme B: hold, pick,
-thin-if-candidate, round-if-enabled; scheme A: hold, pick), which keeps
-seeded runs reproducible bit for bit.  The simulators read it one value at
-a time from blocks of _BUF draws.
+thin-if-candidate; scheme A: hold, pick), which keeps seeded runs
+reproducible bit for bit.  The simulators read it one value at a time from
+blocks of _BUF draws.
 
 Each loop logs an event's (t, kind, dy, dx) from the branch it took, into
 arrays of the dtypes _LOG_DTYPES; dx is the whole move of X, scheme A's
@@ -206,32 +206,6 @@ class ScaledTrajectory:
         return out
 
 
-def transition_rates_b(state: SystemState, params: ModelParams) -> list[tuple[float, int, int]]:
-    """Enabled scheme-B events at the constant rate lam as (rate, dy, dx);
-    zero-rate entries omitted.
-
-    The feedback event keeps its positive rate even when it cannot move the
-    state (X = 0, Y > 0); it is then a null jump.
-    """
-    rate_arrival = params.raw_arrival_rate
-    gamma = int(params.gamma)
-    out = []
-    if rate_arrival > 0.0:
-        out.append((rate_arrival, -1, gamma))
-    rate_accept = params.beta * state.x
-    if rate_accept > 0.0:
-        out.append((rate_accept, 1, -min(gamma, state.x)))
-    rate_fb = params.epsilon * abs(state.y)
-    if rate_fb > 0.0:
-        if state.x >= 1:
-            out.append((rate_fb, 0, -1 if state.y > 0 else 1))
-        elif state.y < 0:
-            out.append((rate_fb, 0, 1))
-        else:
-            out.append((rate_fb, 0, 0))
-    return out
-
-
 def _uniform_feed(gen: np.random.Generator):
     """A function returning `gen`'s next uniform; draws _BUF more when a block runs out."""
     return chain.from_iterable(iter(lambda: gen.random(_BUF).tolist(), None)).__next__
@@ -308,8 +282,7 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
 
 def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream, *,
             beta: float, eps: float, bound_rate: float, bound: float, gamma_int: int,
-            horizon: float, y: int, x: int, g_frac: float = 0.0, g_lo: int = 0,
-            rounding: bool = False, dtg: float = 0.0, n_grid: int = 0,
+            horizon: float, y: int, x: int, dtg: float = 0.0, n_grid: int = 0,
             ys: np.ndarray | None = None, xs: np.ndarray | None = None, tg: float = 0.0,
             budget: int = 0, logging: bool = False, n_reps: int = 0,
             out: np.ndarray | None = None):
@@ -358,11 +331,9 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
                             f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
                     if not draw() * bound < lam_t:
                         continue
-                kind, dy = K_ARRIVAL, -1
-                dx = g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
+                kind, dy, dx = K_ARRIVAL, -1, gamma_int
             elif pick < bound_rate + acc:
-                step = g_lo + (1 if draw() < g_frac else 0) if rounding else gamma_int
-                kind, dy, dx = K_ACCEPT, 1, -(step if x >= step else x)
+                kind, dy, dx = K_ACCEPT, 1, -(gamma_int if x >= gamma_int else x)
             else:
                 # one more invitation when Y < 0, one fewer when Y > 0, none
                 # at X = 0 with Y >= 0 (a null withdrawal)
@@ -505,19 +476,15 @@ def _sample(scheme: str, params: ModelParams, arrival: ArrivalRateFn | None,
 def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
                horizon: float, stream: RandomStream,
                arrival: ArrivalRateFn | None = None,
-               sampling: GridSpec | None = None,
-               randomized_rounding: bool = False) -> Trajectory:
+               sampling: GridSpec | None = None) -> Trajectory:
     """Run scheme B exactly over [0, horizon], sampling on a uniform grid."""
     if horizon <= 0.0:
         raise HorizonZero(f"horizon must be > 0, got {horizon}")
-    validate_params(params, scheme="B", randomized_rounding=randomized_rounding)
+    validate_params(params, scheme="B")
     if isinstance(initial, tuple):
         initial = SystemState(y=initial[0], x=initial[1])
-    # with rounding on, the step is g_lo or g_lo + 1 and gamma_int is not read
-    g_lo = int(math.floor(params.gamma))
     return _sample("B", params, arrival, stream, horizon, sampling, int(initial.y),
-                   int(initial.x), gamma_int=g_lo, g_lo=g_lo, g_frac=params.gamma - g_lo,
-                   rounding=randomized_rounding and not float(params.gamma).is_integer())
+                   int(initial.x), gamma_int=int(params.gamma))
 
 
 def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelParams,

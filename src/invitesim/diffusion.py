@@ -65,9 +65,6 @@ class DiffusionState:
     y_hat: float
     x_hat: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.y_hat, self.x_hat])
-
 
 @dataclass(frozen=True)
 class MomentState:

@@ -122,11 +122,9 @@ class FluidTrajectory:
     def state(self, t: float) -> np.ndarray:
         return self.states(np.array([t]))[0]
 
-    def segment_kinds(self, ts) -> list[str]:
-        return self._kinds_at(ts).astype(str).tolist()
-
-    def _kinds_at(self, ts) -> np.ndarray:
-        """segment_kinds as a bytes array, which write_columns formats in C."""
+    def segment_kinds(self, ts) -> np.ndarray:
+        """The kind of the segment at each of `ts`, as a bytes array (b"interior"
+        or b"boundary"), which write_columns formats in C."""
         kinds = np.array([s.kind for s in self.segments], dtype="S")
         return kinds[self._segment_index(np.asarray(ts, dtype=float))]
 
@@ -138,7 +136,7 @@ class FluidTrajectory:
         vals = self.states(ts)
         # + 0.0 drops negative zeros
         write_columns(path, "t,y,x,segment_kind", "{:.10g},{:.12g},{:.12g},{}",
-                      [ts, vals[:, 0] + 0.0, vals[:, 1] + 0.0, self._kinds_at(ts)])
+                      [ts, vals[:, 0] + 0.0, vals[:, 1] + 0.0, self.segment_kinds(ts)])
 
 
 def interior_solution(initial, dt: float, spec: SpectralData) -> FluidState:

@@ -46,8 +46,7 @@ class ModelParams:
     lam        base arrival rate per unit of scale (lambda > 0)
     scale_r    system scale; raw arrival rate is lam * scale_r
     beta       acceptance rate per pending invitation
-    gamma      feedback gain on queue increments (integer for scheme B
-               unless randomized rounding is enabled)
+    gamma      feedback gain on queue increments (integer for scheme B)
     epsilon    feedback gain on queue imbalance; stability needs
                0 < epsilon < gamma^2 * beta / 4
     beta_tilde rejection rate per pending invitation (scheme A only, >= 0)
@@ -75,8 +74,7 @@ class ModelParams:
         return self.gamma * self.lam / self.epsilon
 
 
-def validate_params(params: ModelParams, scheme: str = "B",
-                    randomized_rounding: bool = False) -> ModelParams:
+def validate_params(params: ModelParams, scheme: str = "B") -> ModelParams:
     """Check positivity, stability, and scheme-B integrality of gamma.
 
     Returns the params unchanged on success so calls can be chained.
@@ -93,10 +91,8 @@ def validate_params(params: ModelParams, scheme: str = "B",
         raise StabilityViolation(
             f"need epsilon < gamma^2*beta/4 strictly: "
             f"epsilon={params.epsilon}, bound={params.gamma ** 2 * params.beta / 4.0}")
-    if scheme == "B" and not randomized_rounding and not float(params.gamma).is_integer():
-        raise NonIntegerGamma(
-            f"scheme B needs integer gamma unless randomized rounding is enabled, "
-            f"got {params.gamma}")
+    if scheme == "B" and not float(params.gamma).is_integer():
+        raise NonIntegerGamma(f"scheme B needs integer gamma, got {params.gamma}")
     return params
 
 
@@ -142,12 +138,6 @@ class SpectralData:
     v2: np.ndarray
     basis: np.ndarray
     basis_inv: np.ndarray
-
-    def norm_bounds(self) -> tuple[float, float]:
-        """(c1, c2) with c1*|u| <= |u|_* <= c2*|u| for all u (spectral norms)."""
-        c1 = 1.0 / float(np.linalg.norm(self.basis, 2))
-        c2 = float(np.linalg.norm(self.basis_inv, 2))
-        return c1, c2
 
 
 def spectral_decompose(params: ModelParams) -> SpectralData:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from _lattice import rate_table_b
 from conftest import over_backends
+from invitesim import acceptance
 from invitesim.acceptance import GENERATOR_STATES
 from invitesim.ctmc import (
     _BUF,
@@ -26,7 +28,6 @@ from invitesim.ctmc import (
     reflect_representation,
     simulate_a,
     simulate_b,
-    transition_rates_b,
 )
 from invitesim.params import (
     ModelParams,
@@ -41,28 +42,40 @@ BASE = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
 # rate table
 # ---------------------------------------------------------------------------
 
+def _enabled(y, x):
+    """The transitions out of (y, x) with a positive rate, as (rate, dy, dx)."""
+    rate, move = rate_table_b(y, x, BASE)
+    return [(r, int(dy), int(dx)) for r, (dy, dx) in zip(rate, move) if r > 0.0]
+
+
 def test_rates_only_arrival_from_origin():
-    rates = transition_rates_b(SystemState(y=0, x=0), BASE)
-    assert rates == [(1000.0, -1, 2)]
+    assert _enabled(0, 0) == [(1000.0, -1, 2)]
 
 
 def test_rates_interior_state():
-    rates = transition_rates_b(SystemState(y=2, x=5), BASE)
-    assert rates == [(1000.0, -1, 2), (5.0, 1, -2), (pytest.approx(0.4), 0, -1)]
+    assert _enabled(2, 5) == [(1000.0, -1, 2), (5.0, 1, -2), (pytest.approx(0.4), 0, -1)]
 
 
 def test_rates_empty_pool_negative_queue():
-    rates = transition_rates_b(SystemState(y=-3, x=0), BASE)
-    assert rates == [(1000.0, -1, 2), (pytest.approx(0.6), 0, 1)]
+    assert _enabled(-3, 0) == [(1000.0, -1, 2), (pytest.approx(0.6), 0, 1)]
 
 
 def test_rates_truncated_acceptance_and_null_feedback():
     # x=1 < gamma: acceptance empties the pool, does not overshoot
-    rates = transition_rates_b(SystemState(y=0, x=1), BASE)
-    assert (1.0, 1, -1) in rates
+    assert (1.0, 1, -1) in _enabled(0, 1)
     # x=0, y>0: feedback ticks but cannot withdraw anything
-    rates = transition_rates_b(SystemState(y=4, x=0), BASE)
-    assert (pytest.approx(0.8), 0, 0) in rates
+    assert (pytest.approx(0.8), 0, 0) in _enabled(4, 0)
+
+
+def test_rate_table_drift_matches_longhand_generator_drift():
+    # the generator suite's written-out drift and the table, summed as
+    # sum rate * (dy, dx), at every state the suite checks, in one call
+    y, x = np.array(GENERATOR_STATES).T
+    rate, move = rate_table_b(y, x, acceptance.P6)
+    drift = (rate[..., None] * move).sum(axis=-2)
+    longhand = np.array([acceptance._longhand_drift(*s) for s in GENERATOR_STATES])
+    assert drift.shape == (20, 2)
+    assert np.allclose(drift, longhand, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +284,6 @@ def test_thinning_bound_violation_detected():
 
     with pytest.raises(ThinningBoundViolated):
         simulate_b((0, 0), BASE, 10.0, RandomStream(3), arrival=LyingSinusoid(1.0, 0.2, 10.0))
-
-
-def test_randomized_rounding_keeps_integer_pool():
-    params = ModelParams(lam=1.0, scale_r=200.0, beta=1.0, gamma=1.5, epsilon=0.2)
-    traj = simulate_b((0, 0), params, 5.0, RandomStream(13),
-                      sampling=GridSpec(dt=0.01, record_events=True),
-                      randomized_rounding=True)
-    assert traj.x.dtype == np.int64
-    arr = traj.events.dx[traj.events.kind == K_ARRIVAL]
-    assert set(np.unique(arr)) <= {1, 2}
-    # mean arrival step approximates gamma
-    assert abs(arr.mean() - 1.5) <= 4 * arr.std(ddof=1) / math.sqrt(len(arr))
 
 
 # ---------------------------------------------------------------------------

@@ -548,7 +548,7 @@ def test_tv_segments_match_grid_solver():
         err = np.abs(traj.states(t) - np.column_stack([y, x])).max()
         assert err < 1e-12, (params, arrival, start, err)
         # the kinds differ at most at a grid point within rounding of a switch
-        kinds = np.array(traj.segment_kinds(t)) == "boundary"
+        kinds = traj.segment_kinds(t) == b"boundary"
         assert (kinds != on_floor).sum() <= 1, (params, arrival, start)
         slides = [s for s in traj.segments if s.kind == "boundary"]
         ends = np.array([s.t0 + s.duration for s in slides])
@@ -572,7 +572,7 @@ def test_tv_constant_rate_matches_closed_form():
     want = cf.states(ts)
     want[:, 1] += shift
     assert np.max(np.abs(got - want)) < 1e-12
-    assert tv.segment_kinds([0.0, 4.0, 12.0]) == ["interior", "boundary", "interior"]
+    assert tv.segment_kinds([0.0, 4.0, 12.0]).tolist() == [b"interior", b"boundary", b"interior"]
     assert tv.states([4.0])[0][1] == 0.0
 
 
@@ -655,7 +655,7 @@ def _row_loop_fluid_csv(path, traj, dt):
     with open(path, "w") as fh:
         fh.write("t,y,x,segment_kind\n")
         for i in range(n):
-            fh.write(f"{ts[i]:.10g},{vals[i, 0]:.12g},{vals[i, 1]:.12g},{kinds[i]}\n")
+            fh.write(f"{ts[i]:.10g},{vals[i, 0]:.12g},{vals[i, 1]:.12g},{kinds[i].decode()}\n")
 
 
 @pytest.mark.parametrize("case, backend", over_backends([
@@ -693,7 +693,7 @@ def test_tv_csv_bytes_match_row_loop(tmp_path, every, backend):
 def test_tv_sinusoid_slide_then_liftoff_matches_hybrid_reference():
     arr = SinusoidArrival(base=1.0, amplitude=0.5, period=7.0)
     tv = solve_fluid_tv((30.0, 0.0), arr, BASE, horizon=40.0)
-    assert tv.segment_kinds([0.0, 40.0]) == ["boundary", "interior"]
+    assert tv.segment_kinds([0.0, 40.0]).tolist() == [b"boundary", b"interior"]
     ts = np.linspace(0.0, 40.0, 801)
     ref, _ = _exact_fluid_path((30.0, 0.0), arr, BASE, 40.0, ts)
     assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10
@@ -774,7 +774,7 @@ def test_tv_tangential_sinusoid_contact():
     # the touch is no floor visit; the path meets the floor for real later
     assert abs(tv.state(2.0)[1]) < 1e-12
     assert not [s for s in tv.segments if 1.0 < s.t0 < 2.3]
-    assert tv.segment_kinds([1.9, 2.0, 2.1, 5.0]) == ["interior"] * 3 + ["boundary"]
+    assert tv.segment_kinds([1.9, 2.0, 2.1, 5.0]).tolist() == [b"interior"] * 3 + [b"boundary"]
     ts = np.linspace(0.0, 20.0, 801)
     ref, _ = _exact_fluid_path(start, arr, BASE, 20.0, ts)
     assert np.max(np.abs(tv.states(ts) - ref)) < 1e-10

@@ -1,12 +1,12 @@
 """Golden-stream pins: seeded kernel outputs fixed bit for bit.
 
 Each run below exercises one branch of the event kernels (plain, thinned
-scheme B, randomized rounding, event logging with budget truncation, scheme
-A's rejections and ceiling top-up, drift replicates).  Any change to the order
-in which a kernel consumes uniforms (hold, pick, thin, round) or to a
-transition changes a digest here.  Only integer arrays and `trajectory.csv`
-(integers plus `.10g` times and pure-Python targets) are hashed, so the pins
-do not depend on the numpy build.
+scheme B, event logging with budget truncation, scheme A's rejections and
+ceiling top-up, drift replicates).  Any change to the order in which a kernel
+consumes uniforms (hold, pick, thin) or to a transition changes a digest
+here.  Only integer arrays and `trajectory.csv` (integers plus `.10g` times
+and pure-Python targets) are hashed, so the pins do not depend on the numpy
+build.
 
 Every pin holds on both backends of simulate_b, drift_replicates_b and
 simulate_a: the compiled kernel (the default; ids without a suffix) and the
@@ -88,7 +88,6 @@ def test_preset_trajectory_pinned(name, backend, tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 P = ModelParams(lam=1.0, scale_r=100.0, beta=1.0, gamma=2.0, epsilon=0.2)
-P_ROUND = replace(P, scale_r=200.0, gamma=1.5)
 P_A = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=2.0, epsilon=0.2,
                   beta_tilde=5.0)
 SINE = SinusoidArrival(1.0, 0.4, 3.0)
@@ -102,8 +101,6 @@ def _logged(dt=0.01, **kw):
 KERNEL_RUNS = {
     "budget": lambda: simulate_b((0, 0), replace(P, scale_r=1000.0), 1.0,
                                  RandomStream(19), sampling=_logged(event_budget=500)),
-    "rounding": lambda: simulate_b((0, 0), P_ROUND, 5.0, RandomStream(13),
-                                   sampling=_logged(), randomized_rounding=True),
     "sinusoid": lambda: simulate_b((5, 50), P, 6.0, RandomStream(3, (1,)),
                                    arrival=SINE, sampling=_logged()),
     "piecewise": lambda: simulate_b((0, 100), P, 4.0, RandomStream(3, (2,)),
@@ -115,7 +112,6 @@ KERNEL_RUNS = {
 KERNEL_PINS = {  # n_events, logged, truncated, log digest, grid digest
     "budget": (1594, 500, True, "e48d4e89e36680d0", "ac22f287b2b5810f"),
     "piecewise": (799, 799, False, "e1e808ecac92ade8", "7f405ee1cc70f11a"),
-    "rounding": (1979, 1979, False, "a1c6e6d5c67572f4", "5e999ea7401f1a0c"),
     "scheme-a": (798, 798, False, "7220f07ef32bf075", "25a19b3ba809e96d"),
     "sinusoid": (1273, 1273, False, "3362d69da942ad56", "ba7d3fea46a44f8f"),
 }

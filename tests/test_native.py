@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import Shifted
+from conftest import Shifted, over_backends
 from invitesim import _native, ctmc
 from invitesim._csv import write_columns
 from invitesim.ctmc import (
@@ -30,8 +30,10 @@ from invitesim.ctmc import (
 )
 from invitesim.params import (
     ModelParams,
+    NonIntegerGamma,
     PiecewiseConstantArrival,
     SinusoidArrival,
+    validate_params,
 )
 from invitesim.stats import scale_sweep
 
@@ -50,11 +52,12 @@ def _random_case(k: int):
     """Seeded run description k: scheme, params, start, horizon, arrival, sampling.
 
     Scheme A runs at the constant rate lam: its cases get the arrival None.
+    Scheme B needs an integer gamma: its cases (odd k) get 2, 1 or 3.
     """
     rng = np.random.default_rng([2024, k])
     scheme = "AB"[k % 2]
     arrival = list(ARRIVALS)[(k // 2) % 4]
-    gamma = (1.0, 2.0, 0.5, 1.5, 2.25, 3.0)[k % 6]
+    gamma = (1.0, 2.0, 0.5, 1.0, 2.25, 3.0)[k % 6]
     beta = float(rng.uniform(0.5, 2.0))
     params = ModelParams(lam=1.3 if arrival == "constant" else 1.0,
                          scale_r=float(rng.choice([5.0, 40.0, 200.0])), beta=beta,
@@ -75,8 +78,7 @@ def _simulate(scheme, params, start, horizon, arrival, sampling, stream):
     if scheme == "A":
         assert arrival is None
         return simulate_a(start, params, horizon, stream, sampling=sampling)
-    return simulate_b(start, params, horizon, stream, arrival=arrival, sampling=sampling,
-                      randomized_rounding=not float(params.gamma).is_integer())
+    return simulate_b(start, params, horizon, stream, arrival=arrival, sampling=sampling)
 
 
 def _fingerprint(traj):
@@ -149,8 +151,8 @@ def test_compiled_log_crosses_chunks_and_blocks(budget, monkeypatch):
 @pytest.mark.parametrize("case", ["A", "B", "drift"])
 def test_compiled_resumes_at_every_draw(case, monkeypatch):
     # three-uniform blocks make the kernel refill its block inside nearly
-    # every event, between any two of its draws (scheme B: hold, pick, thin,
-    # round; scheme A and drift windows: hold, pick), and seven-entry log
+    # every event, between any two of its draws (scheme B: hold, pick, thin;
+    # scheme A and drift windows: hold, pick), and seven-entry log
     # chunks make it return K_LOG_FULL every seven events and be called
     # again; the stream, and so the run, must not change
     monkeypatch.setattr(ctmc, "_BUF", 3)
@@ -158,7 +160,8 @@ def test_compiled_resumes_at_every_draw(case, monkeypatch):
     params = ModelParams(lam=1.0, scale_r=30.0, beta=1.0, gamma=1.5, epsilon=0.2,
                          beta_tilde=1.0)
     if case in ("A", "B"):
-        sim = (case, params, SystemState(2, 30, x_target=30.5), 3.0,
+        sim = (case, params if case == "A" else replace(params, gamma=2.0),
+               SystemState(2, 30, x_target=30.5), 3.0,
                ARRIVALS["sinusoid"] if case == "B" else None,
                GridSpec(dt=0.1, record_events=True))
 
@@ -219,7 +222,7 @@ def test_compiled_piecewise_violation_same_message(monkeypatch):
 SQUEEZE_CASES = {  # arrival, r, horizon, gamma
     # the rate touches 0 once a period
     "touches-zero": (SinusoidArrival(1.0, 1.0, 2.0), 50.0, 10.0, 2.0),
-    "touches-zero-negative": (SinusoidArrival(1.0, -1.0, 2.0), 50.0, 10.0, 1.5),
+    "touches-zero-negative": (SinusoidArrival(1.0, -1.0, 2.0), 50.0, 10.0, 1.0),
     # sin changes faster than the candidates come: mostly evaluated exactly
     "short-period": (SinusoidArrival(1.0, 0.5, 1e-3), 50.0, 5.0, 2.0),
     # 2*pi*t/period reaches 1.3e5, where the argument's rounding is largest
@@ -316,12 +319,12 @@ def test_unlogged_compiled_run_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(ctmc, "_BUF", 3)
     calls = []
     _spy_library(monkeypatch, lambda name, ks: calls.append(name))
-    params = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=1.5, epsilon=0.2,
+    params = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=2.0, epsilon=0.2,
                          beta_tilde=1.0)
     b = simulate_b(SystemState(0, 50), params, 5.0, RandomStream(1),
-                   arrival=ARRIVALS["sinusoid"], randomized_rounding=True)
+                   arrival=ARRIVALS["sinusoid"])
     a = simulate_a(SystemState(0, 50, x_target=50.0), params, 5.0, RandomStream(2))
-    drift_replicates_b((0, 50), replace(params, gamma=2.0), 0.1, 200, RandomStream(3))
+    drift_replicates_b((0, 50), params, 0.1, 200, RandomStream(3))
     assert calls == ["run_b", "run_a", "run_b"]
     assert min(b.n_events, a.n_events) > 100
 
@@ -344,6 +347,30 @@ def test_kernel_state_fields_match_by_name():
     # every field is 8 bytes wide, so the size check at load time cannot see
     # two fields swapped in one of the two declarations
     assert _kstate_fields() == [name for name, _ in _native.KernelState._fields_]
+
+
+def test_every_kernel_state_field_is_used():
+    # a field that no kernel reads or writes as s->name is dead weight in
+    # both declarations, and neither the size check nor the name match sees it
+    source = re.sub(r"/\*.*?\*/", "", _native._SOURCE.read_text(), flags=re.S)
+    decl = re.search(r"typedef struct \{.*?\} kstate;", source, re.S)
+    used = set(re.findall(r"\bs->(\w+)", source[:decl.start()] + source[decl.end():]))
+    assert [name for name in _kstate_fields() if name not in used] == []
+
+
+@pytest.mark.parametrize("arrival, backend", over_backends(
+    [None, ARRIVALS["sinusoid"], ARRIVALS["piecewise"]], ids=["none", "sinusoid", "piecewise"]),
+    indirect=["backend"])
+def test_non_integer_gamma_rejected_before_any_kernel_call(arrival, backend, monkeypatch):
+    # scheme B moves X by whole invitations; a fractional gamma has no
+    # meaning there, while scheme A takes it
+    ran = _spy_compiled(monkeypatch)
+    params = ModelParams(lam=1.0, scale_r=50.0, beta=1.0, gamma=1.5, epsilon=0.2)
+    with pytest.raises(NonIntegerGamma) as info:
+        simulate_b(SystemState(0, 50), params, 5.0, RandomStream(1), arrival=arrival)
+    assert ran == []
+    assert "rounding" not in str(info.value) and "1.5" in str(info.value)
+    assert validate_params(params, scheme="A") is params
 
 
 @needs_cc
