@@ -22,16 +22,15 @@
  *   quiet windows a drift window whose first hold outlasts it is told by
  *                 comparing its first uniform with a threshold, without log
  *                 (quiet_threshold, skip_quiet).
- * A profile whose bound() may understate its rate keeps the exact bound
- * test on every candidate (thinning_at).
+ * Thinning trusts the bound: ctmc._run checks the profile's peak against it
+ * before the run, so a candidate's rate never exceeds it here.
  *
  * The uniforms are read from the block u[0 .. n_u), which refill fills from
  * the run's numpy bit generator, one next_double per slot in order, as
  * Generator.random fills an array.  A call runs until one of:
  *   K_DONE      the run has ended and the grid is filled;
  *   K_LOG_FULL  the log chunk holds log_cap entries; the event is complete,
- *               and the caller swaps the chunk and calls again;
- *   K_THIN_ERR  the arrival rate err_lam at time t exceeds the declared bound.
+ *               and the caller swaps the chunk and calls again.
  * run_b with n_reps > 0 runs n_reps windows [0, horizon] from (y0, x0) at
  * the constant rate (ARR_NONE) and with no grid, each reading on from where
  * the last one stopped, and writes each window's (y - y0, x - x0) to out.
@@ -47,7 +46,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { K_DONE = 0, K_LOG_FULL = 1, K_THIN_ERR = 2 };
+enum { K_DONE = 0, K_LOG_FULL = 1 };
 enum { ARR_NONE = 0, ARR_SINUSOID = 1, ARR_PIECEWISE = 2 };
 /* event kinds of the log, ctmc's K_ARRIVAL .. K_REJECT */
 enum { EV_ARRIVAL = 0, EV_ACCEPT = 1, EV_FEEDBACK_UP = 2, EV_FEEDBACK_DOWN = 3,
@@ -80,7 +79,7 @@ typedef struct {
     int32_t *log_dx;
     int64_t log_cap, log_n;
     /* run state */
-    double t, tg, target, last_change, err_lam;
+    double t, tg, target, last_change;
     int64_t y, x, gi, n_events;
     /* drift windows of run_b; n_reps = 0 is one plain run */
     int64_t n_reps, rep, y0, x0;
@@ -95,7 +94,6 @@ int64_t kstate_size(void)
 
 /* run_b's thinning state for one call */
 typedef struct {
-    int checked;        /* the profile may exceed the bound: test every candidate */
     double ta, la;      /* the last exactly evaluated rate: la at time ta */
     double slope;       /* |amp| * 2pi/period, widened: the rate's Lipschitz constant */
     double slack0, slack1;  /* rounding slack slack0 + slack1 * t */
@@ -112,19 +110,10 @@ static double rate_at(const kstate *s, double t)
     return s->bv[s->n_bp];
 }
 
-/* the thinning state at time t: a profile whose peak passes the per-candidate
- * bound test can never fail it, and then skips it */
+/* the thinning state at time t */
 static thinning thinning_at(const kstate *s, double t)
 {
     thinning th = {0};
-    double peak = s->a_base + fabs(s->a_amp);
-    if (s->arrival == ARR_PIECEWISE) {
-        peak = s->bv[0];
-        for (int64_t i = 1; i <= s->n_bp; i++)
-            if (s->bv[i] > peak)
-                peak = s->bv[i];
-    }
-    th.checked = !(peak <= s->bound * (1.0 + 1e-9));
     th.ta = t;
     th.la = rate_at(s, t);
     if (s->arrival == ARR_SINUSOID) {
@@ -152,25 +141,15 @@ static double draw(kstate *s)
     return s->u[s->ui++];
 }
 
-/* Thin the arrival candidate at s->t: 1 keep, 0 drop, -1 the rate exceeds
- * the bound (only when th->checked).  The candidate is kept when
- * v = u * bound < rate(t).  A sinusoid's computed rate differs from the
+/* Thin the arrival candidate at s->t: 1 keep, 0 drop.  The candidate is
+ * kept when v = u * bound < rate(t).  A sinusoid's computed rate differs from the
  * anchor la by at most slope * (t - ta) + slack(t): slack, 1e-12 of the
  * rate's scale and of its argument, covers the rounding of the argument,
  * of sin and of the sums at t and at ta, which is below 1e-15 of them.
  * Outside that bracket around la the answer is known without sin. */
 static int thin_keep(kstate *s, thinning *th)
 {
-    double t = s->t, v, lam_t;
-    if (th->checked) {
-        lam_t = rate_at(s, t);
-        if (lam_t > s->bound * (1.0 + 1e-9)) {
-            s->err_lam = lam_t;
-            return -1;
-        }
-        return draw(s) * s->bound < lam_t;
-    }
-    v = draw(s) * s->bound;
+    double t = s->t, v = draw(s) * s->bound, lam_t;
     if (s->arrival == ARR_SINUSOID) {
         double d = th->slope * (t - th->ta) + th->slack0 + th->slack1 * t;
         if (v < th->la - d)
@@ -288,13 +267,8 @@ int run_b(kstate *s)
         s->t = tn;
         pick = draw(s) * total;
         if (pick < s->bound_rate) {
-            if (s->arrival != ARR_NONE) {
-                int keep = thin_keep(s, &th);
-                if (keep < 0)
-                    return K_THIN_ERR;
-                if (!keep)
-                    continue;
-            }
+            if (s->arrival != ARR_NONE && !thin_keep(s, &th))
+                continue;
             kind = EV_ARRIVAL;
             dy = -1;
             dx = s->gamma_int;

@@ -33,7 +33,7 @@ _lib = _UNTRIED  # the loaded library, None when it cannot be built
 _lock = threading.Lock()
 
 # return codes and arrival kinds of _kernel.c
-K_DONE, K_LOG_FULL, K_THIN_ERR = range(3)
+K_DONE, K_LOG_FULL = range(2)
 ARR_NONE, ARR_SINUSOID, ARR_PIECEWISE = range(3)
 
 _d, _i, _p = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
@@ -54,7 +54,7 @@ class KernelState(ctypes.Structure):
         ("budget", _i), ("logging", _i), ("truncated", _i),
         ("log_t", _p), ("log_kind", _p), ("log_dy", _p), ("log_dx", _p),
         ("log_cap", _i), ("log_n", _i),
-        *((n, _d) for n in ("t", "tg", "target", "last_change", "err_lam")),
+        *((n, _d) for n in ("t", "tg", "target", "last_change")),
         *((n, _i) for n in ("y", "x", "gi", "n_events", "n_reps", "rep", "y0", "x0")),
         ("out", _p),
     ]

@@ -23,12 +23,12 @@ top-up included.
 
 Each scheme's transitions live in one loop: run_b in C and _loop_b in Python
 for scheme B, run_a and _loop_a for scheme A, whose rates, transitions and
-top-up all differ.  One dispatcher, _run, computes the arrival bound and
-sends a run to the C loop or to its Python twin.  simulate_b and simulate_a
-run their loop once over [0, horizon] on a grid, through the shared _sample;
-drift_replicates_b runs the scheme-B loop as n restarted windows [0, dt]
-from one state, with no grid, each window reading on from where the last
-one stopped.
+top-up all differ.  One dispatcher, _run, computes the arrival bound,
+checks it against a library profile's peak, and sends a run to the C loop
+or to its Python twin.  simulate_b and simulate_a run their loop once over
+[0, horizon] on a grid, through the shared _sample; drift_replicates_b runs
+the scheme-B loop as n restarted windows [0, dt] from one state, with no
+grid, each window reading on from where the last one stopped.
 
 Both loops run in C (_kernel.c, built on the first call and loaded through
 ctypes by _native) when the library builds, and in Python otherwise.  The C
@@ -217,8 +217,7 @@ def _log_arrays(entries: list) -> tuple:
     return tuple(np.array(c, dtype=d) for c, d in zip(cols, _LOG_DTYPES))
 
 
-def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
-                  stream: RandomStream, **fields):
+def _run_compiled(name: str, arrival: ArrivalRateFn | None, stream: RandomStream, **fields):
     """Run the compiled kernel `name`; (n_events, truncated, log (t, kind, dy, dx)).
 
     Returns None, to run the Python loop, when the library cannot be built or
@@ -236,7 +235,7 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
     ks = _native.new_state(**{k: v.ctypes.data if isinstance(v, np.ndarray) else v
                               for k, v in fields.items()})
     ks.y0, ks.x0 = ks.y, ks.x
-    if thinning:
+    if arrival is not None:
         kind = _closed_form(arrival)
         if kind is SinusoidArrival:
             ks.arrival = _native.ARR_SINUSOID
@@ -264,15 +263,8 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
 
     if ks.logging:
         new_chunk()
-    while True:
-        code = kernel(ks)
-        if code == _native.K_DONE:
-            break
-        if code == _native.K_LOG_FULL:
-            new_chunk()
-        else:
-            raise ThinningBoundViolated(
-                f"arrival rate {ks.err_lam} exceeds declared bound {ks.bound} at t={ks.t}")
+    while kernel(ks) != _native.K_DONE:  # K_LOG_FULL
+        new_chunk()
     logged = ()
     if chunks:
         logged = tuple(np.concatenate([c[k] for c in chunks[:-1]] + [chunks[-1][k][:ks.log_n]])
@@ -280,7 +272,7 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, thinning: bool,
     return ks.n_events, bool(ks.truncated), logged
 
 
-def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream, *,
+def _loop_b(arrival: ArrivalRateFn | None, stream: RandomStream, *,
             beta: float, eps: float, bound_rate: float, bound: float, gamma_int: int,
             horizon: float, y: int, x: int, dtg: float = 0.0, n_grid: int = 0,
             ys: np.ndarray | None = None, xs: np.ndarray | None = None, tg: float = 0.0,
@@ -292,7 +284,9 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
     to `budget` events.  With n_reps > 0 it runs n_reps such windows, each
     from (y, x) at t = 0 and reading on from where the last one stopped, and
     writes window i's (dY, dX) to out[i].  It evaluates every thinning
-    candidate's rate and every hold's log: the exact oracle of run_b.
+    candidate's rate and every hold's log: the exact oracle of run_b.  It
+    tests each candidate's rate against the bound: the only check a profile
+    that overrides __call__ gets, as _run checks a library profile's peak.
     """
     y0, x0 = y, x
     entries: list[tuple] = []
@@ -303,7 +297,6 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
     draw = _uniform_feed(stream.generator())
     log = math.log
     n_events = 0
-    lam_fn = arrival
 
     for rep in range(n_reps or 1):
         y, x, t = y0, x0, 0.0
@@ -324,8 +317,8 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
             t = tn
             pick = draw() * total
             if pick < bound_rate:
-                if thinning:
-                    lam_t = lam_fn(t)
+                if arrival is not None:
+                    lam_t = arrival(t)
                     if lam_t > bound * (1.0 + 1e-9):
                         raise ThinningBoundViolated(
                             f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
@@ -359,7 +352,7 @@ def _loop_b(arrival: ArrivalRateFn | None, thinning: bool, stream: RandomStream,
     return n_events, truncated, _log_arrays(entries)
 
 
-def _loop_a(arrival: None, thinning: bool, stream: RandomStream, *,
+def _loop_a(arrival: None, stream: RandomStream, *,
             beta: float, eps: float, beta_t: float, gamma: float, bound_rate: float,
             bound: float, horizon: float, y: int, x: int, target: float, dtg: float,
             n_grid: int, ys: np.ndarray, xs: np.ndarray, tgts: np.ndarray,
@@ -367,8 +360,7 @@ def _loop_a(arrival: None, thinning: bool, stream: RandomStream, *,
     """run_a of _kernel.c in Python: the scheme-A event loop, same arguments and result.
 
     Runs [0, horizon] from (y, x) and the target at the constant rate, so
-    `arrival` is None and `thinning` False, filling the grid and logging up
-    to `budget` events.
+    `arrival` is None, filling the grid and logging up to `budget` events.
     """
     entries: list[tuple] = []
     log_event = entries.append
@@ -436,15 +428,20 @@ def _run(kernel: str, loop, params: ModelParams, arrival: ArrivalRateFn | None,
     """A run of the compiled `kernel`, or of its Python twin `loop` where that cannot run.
 
     `fields` are the run's KernelState fields other than the rates both
-    schemes share, which come from `params` and `arrival`.
+    schemes share, which come from `params` and `arrival`.  A library
+    profile's peak must lie within the bound, up to 1e-9 of it, before the
+    first draw.
     """
     r = params.scale_r
-    thinning = arrival is not None
     bound_rate = (params.lam if arrival is None else arrival.bound()) * r
-    fields.update(beta=params.beta, eps=params.epsilon, bound_rate=bound_rate,
-                  bound=bound_rate / r)
-    result = _run_compiled(kernel, arrival, thinning, stream, **fields)
-    return loop(arrival, thinning, stream, **fields) if result is None else result
+    bound = bound_rate / r
+    kind = None if arrival is None else _closed_form(arrival)
+    peak = None if kind is None else kind.bound(arrival)  # the library's own peak
+    if peak is not None and not peak <= bound * (1.0 + 1e-9):
+        raise ThinningBoundViolated(f"arrival rate peak {peak} exceeds declared bound {bound}")
+    fields.update(beta=params.beta, eps=params.epsilon, bound_rate=bound_rate, bound=bound)
+    result = _run_compiled(kernel, arrival, stream, **fields)
+    return loop(arrival, stream, **fields) if result is None else result
 
 
 def _sample(scheme: str, params: ModelParams, arrival: ArrivalRateFn | None,

@@ -65,6 +65,11 @@ class ExperimentConfig:
         if self.scheme == "A" and self.arrival is not None:
             raise ConfigInvalid("scheme A runs at the constant rate lambda only; a time-varying "
                                 "arrival rate needs scheme B")
+        # scale_sweep runs scheme B at lambda against the constant-rate fluid path
+        if "sweep" in self.outputs and (self.scheme != "B" or self.arrival is not None):
+            raise ConfigInvalid("a sweep runs scheme B at the constant rate lambda only")
+        if "stationary" in self.outputs and self.arrival is not None:
+            raise ConfigInvalid("steady-state estimation needs a constant arrival rate")
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,11 +1,12 @@
 """The backend fixture: run a test on the compiled kernels or on the Python
-loops; a profile whose rate no closed form of the library computes."""
+loops; a profile whose rate no closed form of the library computes, and
+library profiles whose declared bound understates their peak."""
 import shutil
 
 import pytest
 
 from invitesim import _native
-from invitesim.params import SinusoidArrival
+from invitesim.params import PiecewiseConstantArrival, SinusoidArrival
 
 
 class Shifted(SinusoidArrival):
@@ -13,6 +14,16 @@ class Shifted(SinusoidArrival):
 
     def __call__(self, t):
         return super().__call__(t + 0.25)
+
+
+class LyingSinusoid(SinusoidArrival):
+    def bound(self):
+        return self.base  # declares less than the true peak
+
+
+class LyingSteps(PiecewiseConstantArrival):
+    def bound(self):
+        return self.values[0]  # declares less than the true peak
 
 
 def over_backends(values, ids=None):

@@ -145,6 +145,20 @@ def test_config_rejects_time_varying_scheme_a():
                      arrival=SinusoidArrival(1.0, 0.5, 10.0))
 
 
+@pytest.mark.parametrize("argv, message", [
+    # scale_sweep runs scheme B at lambda whatever the config's scheme and arrival
+    (["sweep", "--preset", "fig3"], "a sweep runs scheme B at the constant rate lambda only"),
+    (["sweep", "--preset", "fig4a"], "a sweep runs scheme B at the constant rate lambda only"),
+    # batch means need a constant rate; the check comes before the run, not after it
+    (["stationary", "--preset", "fig4a"], "steady-state estimation needs a constant arrival rate"),
+], ids=["sweep-scheme-a", "sweep-time-varying", "stationary-time-varying"])
+def test_outputs_the_config_cannot_give_leave_no_output_dir(argv, message, tmp_path, capsys):
+    out = tmp_path / "D"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_time_varying_scheme_a_leaves_no_output_dir(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_scheme_a_sinusoid_doc()))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _lattice import rate_table_b
-from conftest import over_backends
+from conftest import LyingSinusoid, over_backends
 from invitesim import acceptance
 from invitesim.acceptance import GENERATOR_STATES
 from invitesim.ctmc import (
@@ -278,10 +278,6 @@ def test_run_ends_where_no_event_is_enabled(backend):
 
 
 def test_thinning_bound_violation_detected():
-    class LyingSinusoid(SinusoidArrival):
-        def bound(self):
-            return self.base  # declares less than the true peak
-
     with pytest.raises(ThinningBoundViolated):
         simulate_b((0, 0), BASE, 10.0, RandomStream(3), arrival=LyingSinusoid(1.0, 0.2, 10.0))
 

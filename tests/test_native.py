@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import Shifted, over_backends
+from conftest import LyingSinusoid, LyingSteps, Shifted, over_backends
 from invitesim import _native, ctmc
 from invitesim._csv import write_columns
 from invitesim.ctmc import (
@@ -97,11 +97,7 @@ def _spy_compiled(monkeypatch) -> list:
     inner = ctmc._run_compiled
 
     def spy(*args, **kwargs):
-        try:
-            out = inner(*args, **kwargs)
-        except ThinningBoundViolated:  # raised by the compiled run
-            ran.append(True)
-            raise
+        out = inner(*args, **kwargs)
         ran.append(out is not None)
         return out
     monkeypatch.setattr(ctmc, "_run_compiled", spy)
@@ -176,47 +172,50 @@ def test_compiled_resumes_at_every_draw(case, monkeypatch):
     assert native == oracle == run()
 
 
-class LyingSinusoid(SinusoidArrival):
-    def bound(self):
-        return self.base  # declares less than the true peak
-
-
-class LyingSteps(PiecewiseConstantArrival):
-    def bound(self):
-        return self.values[0]  # declares less than the true peak
-
-
 class OverstatedSinusoid(SinusoidArrival):
     def bound(self):
         # 1e-10 above the peak, inside the kernel's 1e-9 tolerance: the squeeze is on
         return (self.base + abs(self.amplitude)) * (1.0 + 1e-10)
 
 
-def _violation_messages(monkeypatch, arrival):
-    """The ThinningBoundViolated message of one run, compiled and Python."""
-    case = ("B", LONG_B[0], SystemState(0, 0, x_target=0.0), 10.0, arrival, GridSpec())
+@pytest.mark.parametrize("case, backend", over_backends(
+    [(LyingSinusoid(1.0, 0.2, 10.0), 1.2), (LyingSteps((2.0,), (1.0, 1.5)), 1.5)],
+    ids=["sinusoid", "piecewise"]), indirect=["backend"])
+def test_understated_bound_fails_before_the_run(case, backend, monkeypatch):
+    # a library profile's peak is known before the first draw: a bound below
+    # it fails there, with one message on both backends, and no kernel call
+    # or uniform is spent on it
+    arrival, peak = case
+    ran = _spy_compiled(monkeypatch)
+    generators = []
+    make = RandomStream.generator
+    monkeypatch.setattr(RandomStream, "generator",
+                        lambda self: generators.append(self) or make(self))
+    with pytest.raises(ThinningBoundViolated) as info:
+        simulate_b((0, 0), LONG_B[0], 10.0, RandomStream(3), arrival=arrival)
+    assert str(info.value) == f"arrival rate peak {peak} exceeds declared bound 1.0"
+    assert ran == [] and generators == []
+    # a bound above the peak, inside the 1e-9 tolerance, runs
+    traj = simulate_b((0, 0), LONG_B[0], 10.0, RandomStream(3),
+                      arrival=OverstatedSinusoid(1.0, 0.2, 10.0))
+    assert ran == [backend == "c"] and traj.n_events > 0
 
-    def message():
-        with pytest.raises(ThinningBoundViolated) as info:
-            _simulate(*case, RandomStream(3))
-        return str(info.value)
 
-    return _both_backends(monkeypatch, message)
+@pytest.mark.parametrize("backend", ["c", "python"], indirect=True)
+def test_overridden_rate_above_its_bound_fails_in_the_python_loop(backend, monkeypatch):
+    # a profile that overrides __call__ has no closed form to check before
+    # the run; _loop_b tests each candidate's rate and fails at the first
+    # one above the bound
+    class LyingShifted(Shifted):
+        def bound(self):
+            return self.base
 
-
-@needs_cc
-@pytest.mark.parametrize("scheme", "B")
-def test_compiled_thinning_violation_same_message(scheme, monkeypatch):
-    # a profile whose peak exceeds its declared bound gets the bound test on
-    # every candidate, and fails at the same candidate on both backends
-    native, oracle = _violation_messages(monkeypatch, LyingSinusoid(1.0, 0.2, 10.0))
-    assert native == oracle and " at t=" in native
-
-
-@needs_cc
-def test_compiled_piecewise_violation_same_message(monkeypatch):
-    native, oracle = _violation_messages(monkeypatch, LyingSteps((2.0,), (1.0, 1.5)))
-    assert native == oracle and " at t=2." in native
+    ran = _spy_compiled(monkeypatch)
+    with pytest.raises(ThinningBoundViolated) as info:
+        simulate_b((0, 0), LONG_B[0], 10.0, RandomStream(3),
+                   arrival=LyingShifted(1.0, 0.2, 10.0))
+    assert ran == [False] and info.traceback[-1].name == "_loop_b"
+    assert str(info.value).startswith("arrival rate ") and " at t=" in str(info.value)
 
 
 SQUEEZE_CASES = {  # arrival, r, horizon, gamma
@@ -398,6 +397,18 @@ def test_kernel_log_pointers_match_event_log_dtypes(monkeypatch):
     assert {k: int(v) for k, v in codes.items()} == {
         k: getattr(ctmc, f"K_{k}") for k in
         ("ARRIVAL", "ACCEPT", "FEEDBACK_UP", "FEEDBACK_DOWN", "REJECT")}
+
+
+@pytest.mark.parametrize("prefix", ["K", "ARR"])
+def test_kernel_enums_match_native_constants(prefix):
+    # _native numbers the kernels' return codes (K_*) and arrival kinds
+    # (ARR_*) by hand; a member added, dropped or renumbered on one side
+    # would be misread, not fail
+    source = re.sub(r"/\*.*?\*/", "", _native._SOURCE.read_text(), flags=re.S)
+    body = re.search(rf"enum \{{([^}}]*\b{prefix}_\w+ = [^}}]*)\}};", source).group(1)
+    members = dict(re.findall(r"(\w+) = (\d+)", body))
+    assert {k: int(v) for k, v in members.items()} == {
+        k: v for k, v in vars(_native).items() if k.startswith(f"{prefix}_")}
 
 
 @needs_cc
