@@ -22,8 +22,9 @@
  *   quiet windows a drift window whose first hold outlasts it is told by
  *                 comparing its first uniform with a threshold, without log
  *                 (quiet_threshold, skip_quiet).
- * Thinning trusts the bound: ctmc._run checks the profile's peak against it
- * before the run, so a candidate's rate never exceeds it here.
+ * Thinning trusts the bound: it is the profile's bound(), its exact peak,
+ * and SinusoidArrival and PiecewiseConstantArrival, which cannot be
+ * subclassed, are the only profiles, so no candidate's rate exceeds it.
  *
  * The uniforms are read from the block u[0 .. n_u), which refill fills from
  * the run's numpy bit generator, one next_double per slot in order, as

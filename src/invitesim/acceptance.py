@@ -32,9 +32,9 @@ from .diffusion import (
     moment_ode,
     stationary_covariance,
 )
-from .fluid import FluidSolverError, drift_check, solve_fluid
-from .params import (ModelParams, PiecewiseConstantArrival, SinusoidArrival, _closed_form,
-                     _time_grid, spectral_decompose, star_norm, validate_params)
+from .fluid import drift_check, solve_fluid
+from .params import (ModelParams, SinusoidArrival, _time_grid, spectral_decompose, star_norm,
+                     validate_params)
 from .stats import (batch_means, fluid_reference, replicate, scale_sweep,
                     stationary_moments, sup_deviation)
 
@@ -185,15 +185,11 @@ def _fluid_fields(arrival, params: ModelParams, t: float):
     """(interior, slide, lift, w) on the arrival piece that holds t, linear in
     z = (y, x, 1, sin wt, cos wt) of the uncentred view: z' = interior @ z off
     the floor, z' = slide @ z on it, and lift @ z = gamma*lam(t) - epsilon*y.
-    None and piecewise pieces have amplitude 0.  A profile class that
-    overrides __call__ has no closed form here, as in solve_fluid_tv."""
-    kind = None if arrival is None else _closed_form(arrival)
-    if kind is SinusoidArrival:
+    None and piecewise pieces have amplitude 0."""
+    if isinstance(arrival, SinusoidArrival):
         base, amp, w = arrival.base, arrival.amplitude, 2.0 * math.pi / arrival.period
-    elif arrival is None or kind is PiecewiseConstantArrival:
-        base, amp, w = params.lam if arrival is None else arrival(t), 0.0, 0.0
     else:
-        raise FluidSolverError(f"no closed form for the arrival profile {arrival!r}")
+        base, amp, w = params.lam if arrival is None else arrival(t), 0.0, 0.0
     rate = np.array([0.0, 0.0, base, amp, 0.0])  # rate @ z = lam(t)
     lift = params.gamma * rate - [params.epsilon, 0.0, 0.0, 0.0, 0.0]
     slide = np.zeros((5, 5))
@@ -398,8 +394,8 @@ def _euler_ensemble(initial, params: ModelParams, horizon: float,
     ODE; used to test the integrator order separately from the noise).
     """
     validate_params(params, scheme="A")
-    if dt <= 0.0 or horizon <= 0.0 or n_paths <= 0:
-        raise DiffusionError("horizon, dt and n_paths must be > 0")
+    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf and n_paths > 0):
+        raise DiffusionError("horizon and dt must be finite and > 0, and n_paths > 0")
     record_steps, n = _record_steps(record_times, horizon, dt)
     y0, x0 = (initial.y_hat, initial.x_hat) if isinstance(initial, DiffusionState) \
         else (float(initial[0]), float(initial[1]))

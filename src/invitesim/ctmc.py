@@ -10,10 +10,10 @@ scheme A   a real-valued target is updated at queue changes and X is topped
            withdrawn.
 
 Holding times use competing exponential clocks.  A scheme-B run under a
-time-varying arrival rate thins against the profile's declared bound;
-scheme A and the drift windows run at the constant rate lam.  Per event the
-uniform stream is consumed in a fixed order (scheme B: hold, pick,
-thin-if-candidate; scheme A: hold, pick), which keeps seeded runs
+time-varying arrival rate thins against the profile's bound(), its exact
+peak; scheme A and the drift windows run at the constant rate lam.  Per
+event the uniform stream is consumed in a fixed order (scheme B: hold,
+pick, thin-if-candidate; scheme A: hold, pick), which keeps seeded runs
 reproducible bit for bit.  The simulators read it one value at a time from
 blocks of _BUF draws.
 
@@ -23,12 +23,12 @@ top-up included.
 
 Each scheme's transitions live in one loop: run_b in C and _loop_b in Python
 for scheme B, run_a and _loop_a for scheme A, whose rates, transitions and
-top-up all differ.  One dispatcher, _run, computes the arrival bound,
-checks it against a library profile's peak, and sends a run to the C loop
-or to its Python twin.  simulate_b and simulate_a run their loop once over
-[0, horizon] on a grid, through the shared _sample; drift_replicates_b runs
-the scheme-B loop as n restarted windows [0, dt] from one state, with no
-grid, each window reading on from where the last one stopped.
+top-up all differ.  One dispatcher, _run, computes the arrival bound and
+sends a run to the C loop when the library builds, and to its Python twin
+otherwise.  simulate_b and simulate_a run their loop once over [0, horizon]
+on a grid, through the shared _sample; drift_replicates_b runs the scheme-B
+loop as n restarted windows [0, dt] from one state, with no grid, each
+window reading on from where the last one stopped.
 
 Both loops run in C (_kernel.c, built on the first call and loaded through
 ctypes by _native) when the library builds, and in Python otherwise.  The C
@@ -40,8 +40,8 @@ a branch (the sin of a thinning candidate whose fate bounds on the rate
 already settle, and the log of a drift window whose first hold outlasts it),
 so it still takes the Python loop's branches; _loop_b is the exact oracle.
 The C code evaluates the rates of SinusoidArrival and
-PiecewiseConstantArrival itself; a profile class that overrides __call__
-runs the Python loop.  A compiled call releases the GIL.
+PiecewiseConstantArrival itself; these are the only profiles, as neither
+class can be subclassed.  A compiled call releases the GIL.
 """
 from __future__ import annotations
 
@@ -60,8 +60,8 @@ from .params import (
     ModelParams,
     PiecewiseConstantArrival,
     SinusoidArrival,
-    _closed_form,
     _time_grid,
+    _whole_number,
     validate_params,
 )
 
@@ -71,10 +71,6 @@ class SimulationError(InviteSimError):
 
 
 class HorizonZero(SimulationError):
-    pass
-
-
-class ThinningBoundViolated(SimulationError):
     pass
 
 
@@ -113,15 +109,20 @@ class RandomStream:
 
 @dataclass(frozen=True)
 class SystemState:
+    """Whole counts y and x, stored as ints; scheme A's target is real."""
+
     y: int
     x: int
     x_target: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("y", "x"):
+            object.__setattr__(self, name,
+                               _whole_number(getattr(self, name), name, SimulationError))
         if self.x < 0:
             raise SimulationError(f"pending count must be >= 0, got {self.x}")
-        if self.x_target is not None and self.x_target < 0.0:
-            raise SimulationError(f"x_target must be >= 0, got {self.x_target}")
+        if self.x_target is not None and not 0.0 <= self.x_target < math.inf:
+            raise SimulationError(f"x_target must be finite and >= 0, got {self.x_target}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,8 @@ class GridSpec:
     event_budget: int = 5_000_000
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise SimulationError(f"grid dt must be > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise SimulationError(f"grid dt must be finite and > 0, got {self.dt}")
         if self.event_budget <= 0:
             raise SimulationError("event budget must be > 0")
 
@@ -220,14 +221,13 @@ def _log_arrays(entries: list) -> tuple:
 def _run_compiled(name: str, arrival: ArrivalRateFn | None, stream: RandomStream, **fields):
     """Run the compiled kernel `name`; (n_events, truncated, log (t, kind, dy, dx)).
 
-    Returns None, to run the Python loop, when the library cannot be built or
-    when a thinned profile computes its rate by a method _kernel.c does not
-    mirror (a subclass overriding __call__).  `fields` are KernelState fields,
-    arrays among them passed by address; run_b's windows restart from (y, x).
-    The kernel reads its uniforms from a block of _BUF that it refills itself
-    from the stream's bit generator, so it reads the stream the Python loop
-    reads.  The log fills buffers of _LOG_CHUNK entries, and a full one is the
-    only return before the run ends.
+    Returns None, to run the Python loop, when the library cannot be built.
+    `fields` are KernelState fields, arrays among them passed by address;
+    run_b's windows restart from (y, x).  The kernel reads its uniforms from
+    a block of _BUF that it refills itself from the stream's bit generator,
+    so it reads the stream the Python loop reads.  The log fills buffers of
+    _LOG_CHUNK entries, and a full one is the only return before the run
+    ends.
     """
     lib = _native.library()
     if lib is None:
@@ -235,19 +235,15 @@ def _run_compiled(name: str, arrival: ArrivalRateFn | None, stream: RandomStream
     ks = _native.new_state(**{k: v.ctypes.data if isinstance(v, np.ndarray) else v
                               for k, v in fields.items()})
     ks.y0, ks.x0 = ks.y, ks.x
-    if arrival is not None:
-        kind = _closed_form(arrival)
-        if kind is SinusoidArrival:
-            ks.arrival = _native.ARR_SINUSOID
-            ks.a_base, ks.a_amp, ks.a_period = arrival.base, arrival.amplitude, arrival.period
-        elif kind is PiecewiseConstantArrival:
-            ks.arrival = _native.ARR_PIECEWISE
-            steps = (np.array(arrival.breakpoints, dtype=float),
-                     np.array(arrival.values, dtype=float))
-            ks.bp, ks.bv = (a.ctypes.data for a in steps)
-            ks.n_bp = len(arrival.breakpoints)
-        else:
-            return None
+    if isinstance(arrival, SinusoidArrival):
+        ks.arrival = _native.ARR_SINUSOID
+        ks.a_base, ks.a_amp, ks.a_period = arrival.base, arrival.amplitude, arrival.period
+    elif isinstance(arrival, PiecewiseConstantArrival):
+        ks.arrival = _native.ARR_PIECEWISE
+        steps = (np.array(arrival.breakpoints, dtype=float),
+                 np.array(arrival.values, dtype=float))
+        ks.bp, ks.bv = (a.ctypes.data for a in steps)
+        ks.n_bp = len(arrival.breakpoints)
     kernel = getattr(lib, name)
     bitgen = stream.generator().bit_generator  # alive while the kernel draws from it
     u = np.empty(_BUF)  # ui = n_u: the first draw fills it
@@ -284,9 +280,7 @@ def _loop_b(arrival: ArrivalRateFn | None, stream: RandomStream, *,
     to `budget` events.  With n_reps > 0 it runs n_reps such windows, each
     from (y, x) at t = 0 and reading on from where the last one stopped, and
     writes window i's (dY, dX) to out[i].  It evaluates every thinning
-    candidate's rate and every hold's log: the exact oracle of run_b.  It
-    tests each candidate's rate against the bound: the only check a profile
-    that overrides __call__ gets, as _run checks a library profile's peak.
+    candidate's rate and every hold's log: the exact oracle of run_b.
     """
     y0, x0 = y, x
     entries: list[tuple] = []
@@ -317,13 +311,8 @@ def _loop_b(arrival: ArrivalRateFn | None, stream: RandomStream, *,
             t = tn
             pick = draw() * total
             if pick < bound_rate:
-                if arrival is not None:
-                    lam_t = arrival(t)
-                    if lam_t > bound * (1.0 + 1e-9):
-                        raise ThinningBoundViolated(
-                            f"arrival rate {lam_t} exceeds declared bound {bound} at t={t}")
-                    if not draw() * bound < lam_t:
-                        continue
+                if arrival is not None and not draw() * bound < arrival(t):
+                    continue
                 kind, dy, dx = K_ARRIVAL, -1, gamma_int
             elif pick < bound_rate + acc:
                 kind, dy, dx = K_ACCEPT, 1, -(gamma_int if x >= gamma_int else x)
@@ -428,18 +417,13 @@ def _run(kernel: str, loop, params: ModelParams, arrival: ArrivalRateFn | None,
     """A run of the compiled `kernel`, or of its Python twin `loop` where that cannot run.
 
     `fields` are the run's KernelState fields other than the rates both
-    schemes share, which come from `params` and `arrival`.  A library
-    profile's peak must lie within the bound, up to 1e-9 of it, before the
-    first draw.
+    schemes share, which come from `params` and `arrival`.  A profile's
+    bound() is its peak, so no run checks a rate against it.
     """
     r = params.scale_r
     bound_rate = (params.lam if arrival is None else arrival.bound()) * r
-    bound = bound_rate / r
-    kind = None if arrival is None else _closed_form(arrival)
-    peak = None if kind is None else kind.bound(arrival)  # the library's own peak
-    if peak is not None and not peak <= bound * (1.0 + 1e-9):
-        raise ThinningBoundViolated(f"arrival rate peak {peak} exceeds declared bound {bound}")
-    fields.update(beta=params.beta, eps=params.epsilon, bound_rate=bound_rate, bound=bound)
+    fields.update(beta=params.beta, eps=params.epsilon, bound_rate=bound_rate,
+                  bound=bound_rate / r)
     result = _run_compiled(kernel, arrival, stream, **fields)
     return loop(arrival, stream, **fields) if result is None else result
 
@@ -475,13 +459,13 @@ def simulate_b(initial: SystemState | tuple[int, int], params: ModelParams,
                arrival: ArrivalRateFn | None = None,
                sampling: GridSpec | None = None) -> Trajectory:
     """Run scheme B exactly over [0, horizon], sampling on a uniform grid."""
-    if horizon <= 0.0:
-        raise HorizonZero(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise HorizonZero(f"horizon must be finite and > 0, got {horizon}")
     validate_params(params, scheme="B")
     if isinstance(initial, tuple):
         initial = SystemState(y=initial[0], x=initial[1])
-    return _sample("B", params, arrival, stream, horizon, sampling, int(initial.y),
-                   int(initial.x), gamma_int=int(params.gamma))
+    return _sample("B", params, arrival, stream, horizon, sampling, initial.y, initial.x,
+                   gamma_int=int(params.gamma))
 
 
 def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelParams,
@@ -495,14 +479,14 @@ def drift_replicates_b(initial: SystemState | tuple[int, int], params: ModelPara
     consumes that one uniform and leaves its row at (0, 0).  Used by the
     generator drift check.
     """
-    if dt <= 0.0:
-        raise HorizonZero(f"dt must be > 0, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise HorizonZero(f"dt must be finite and > 0, got {dt}")
     validate_params(params, scheme="B")
     if isinstance(initial, tuple):
         initial = SystemState(y=initial[0], x=initial[1])
     out = np.empty((n_replicates, 2), dtype=np.int64)  # both loops write every row
     _run("run_b", _loop_b, params, None, stream, gamma_int=int(params.gamma),
-         horizon=dt, tg=math.inf, y=int(initial.y), x=int(initial.x),
+         horizon=dt, tg=math.inf, y=initial.y, x=initial.x,
          n_reps=n_replicates, out=out)
     return out
 
@@ -518,13 +502,13 @@ def simulate_a(initial: SystemState, params: ModelParams, horizon: float,
     to ceil(target).  Rejections remove one pending invitation and do not
     touch the target or the elapsed-time clock.
     """
-    if horizon <= 0.0:
-        raise HorizonZero(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise HorizonZero(f"horizon must be finite and > 0, got {horizon}")
     validate_params(params, scheme="A")
     if initial.x_target is None:
         raise SimulationError("scheme A needs an initial x_target")
-    return _sample("A", params, None, stream, horizon, sampling, int(initial.y),
-                   int(initial.x), beta_t=params.beta_tilde, gamma=params.gamma,
+    return _sample("A", params, None, stream, horizon, sampling, initial.y, initial.x,
+                   beta_t=params.beta_tilde, gamma=params.gamma,
                    target=float(initial.x_target))
 
 
@@ -587,7 +571,7 @@ def reflect_representation(initial: SystemState | tuple[int, int], events: Event
         raise DriverMismatch("queue increments inconsistent with event kinds")
     # the free walk's step of each kind, indexed by K_*
     z = np.cumsum(np.array([gamma, -gamma, 1, -1], dtype=np.int64)[kinds])
-    z += int(initial.x)
+    z += initial.x
     # X0 >= 0, so the regulator max(0, -min(X0, running min of Z)) is
     # -min(0, running min of Z)
     low = np.minimum.accumulate(z)

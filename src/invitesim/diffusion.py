@@ -137,8 +137,8 @@ def simulate_sde_ensemble(initial, params: ModelParams, horizon: float,
     the horizon alone) must sit on.  Repeated record times get equal states.
     """
     validate_params(params, scheme="A")
-    if dt <= 0.0 or horizon <= 0.0 or n_paths <= 0:
-        raise DiffusionError("horizon, dt and n_paths must be > 0")
+    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf and n_paths > 0):
+        raise DiffusionError("horizon and dt must be finite and > 0, and n_paths > 0")
     record_steps, _ = _record_steps(record_times, horizon, dt)
     steps, order = np.unique(record_steps, return_inverse=True)
     y0, x0 = (initial.y_hat, initial.x_hat) if isinstance(initial, DiffusionState) \
@@ -225,8 +225,8 @@ def moment_ode(m0, V0, params: ModelParams, horizon: float,
     (see _moments_at); dt is the output grid spacing only.  The covariance
     is symmetric entry for entry.
     """
-    if dt <= 0.0 or horizon <= 0.0:
-        raise DiffusionError("horizon and dt must be > 0")
+    if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf):
+        raise DiffusionError("horizon and dt must be finite and > 0")
     init = MomentState(m=np.asarray(m0, dtype=float),
                        V=np.asarray(V0, dtype=float))  # validates shape/symmetry
     ts = _time_grid(horizon, dt)

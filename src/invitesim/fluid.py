@@ -31,10 +31,8 @@ from .params import (
     ArrivalRateFn,
     InviteSimError,
     ModelParams,
-    PiecewiseConstantArrival,
     SinusoidArrival,
     SpectralData,
-    _closed_form,
     _time_grid,
     drift_matrix,
     spectral_decompose,
@@ -242,16 +240,14 @@ class _PieceFlow:
 
     def __init__(self, params: ModelParams, spec: SpectralData,
                  arrival: ArrivalRateFn | None, t0: float, floor: float):
-        if arrival is None:
-            self.base, self.amp, self.omega = params.lam, 0.0, 0.0
-        elif _closed_form(arrival) is SinusoidArrival:
+        if isinstance(arrival, SinusoidArrival):
             self.base, self.amp = arrival.base, arrival.amplitude
             self.omega = 2.0 * math.pi / arrival.period
-        elif _closed_form(arrival) is PiecewiseConstantArrival:
-            # right-continuous, so the rate at t0 holds until the next jump
-            self.base, self.amp, self.omega = arrival(t0), 0.0, 0.0
         else:
-            raise FluidSolverError(f"no closed form for the arrival profile {arrival!r}")
+            # a piecewise profile is right-continuous, so the rate at t0
+            # holds until the next jump
+            self.base = params.lam if arrival is None else arrival(t0)
+            self.amp, self.omega = 0.0, 0.0
         self.params, self.spec, self.floor_x = params, spec, floor
         # exactly 0.0 in the centred view at rate lam, where a constant piece
         # then evaluates as the bare modes
@@ -355,8 +351,8 @@ def _solve(initial, arrival: ArrivalRateFn | None, params: ModelParams,
     the floor at x = -lam/beta, otherwise at x = 0.
     """
     validate_params(params, scheme="A")
-    if horizon <= 0.0:
-        raise FluidSolverError(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise FluidSolverError(f"horizon must be finite and > 0, got {horizon}")
     spec = spectral_decompose(params)
     y, x = (initial.y, initial.x) if isinstance(initial, FluidState) else (
         float(initial[0]), float(initial[1]))

@@ -102,6 +102,15 @@ def _time_grid(horizon: float, dt: float) -> np.ndarray:
     return np.arange(int(math.floor(horizon / dt * (1.0 + 1e-12))) + 1) * dt
 
 
+def _whole_number(value, what: str, error: type[InviteSimError]) -> int:
+    """`value` as an int; raises `error`, naming it `what`, unless it is a
+    whole number (an int, or a float with no fractional part)."""
+    # is_integer is False for nan and inf; __index__ marks the integer types
+    if not (value.is_integer() if isinstance(value, float) else hasattr(value, "__index__")):
+        raise error(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _grid_stride(dt: float, step: float, error: type[InviteSimError],
                  what: str = "output spacing") -> int:
     """k with dt = k*step to a relative 1e-9: every k-th sample of a grid `step`
@@ -185,15 +194,35 @@ class ArrivalProfileError(InviteSimError):
     pass
 
 
+def _refuse_subclass(cls, **kwargs):
+    # the compiled kernels and the fluid solver compute the library's own
+    # rates, and thinning is exact only while the rate stays within bound()
+    raise TypeError(f"{cls.__name__}: {cls.__mro__[1].__name__} cannot be subclassed")
+
+
+def _require_finite(what: str, values: tuple[float, ...]) -> None:
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ArrivalProfileError(f"{what} must be finite, got {bad[0]!r}")
+
+
 @dataclass(frozen=True)
 class SinusoidArrival:
-    """lam(t) = base + amplitude * sin(2*pi*t / period); must stay >= 0."""
+    """lam(t) = base + amplitude * sin(2*pi*t / period); must stay >= 0.
+
+    bound() = base + |amplitude| is the peak, so thinning against it is
+    exact.  The class cannot be subclassed.
+    """
 
     base: float
     amplitude: float
     period: float
 
+    __init_subclass__ = _refuse_subclass
+
     def __post_init__(self) -> None:
+        _require_finite("sinusoid base, amplitude and period",
+                        (self.base, self.amplitude, self.period))
         if self.period <= 0.0:
             raise ArrivalProfileError(f"period must be > 0, got {self.period!r}")
         if self.base - abs(self.amplitude) < 0.0:
@@ -215,16 +244,20 @@ class PiecewiseConstantArrival:
     """Right-continuous steps: values[i] on [breakpoints[i-1], breakpoints[i]).
 
     len(values) == len(breakpoints) + 1; the last value extends to infinity.
+    bound() = max(values) is the peak.  The class cannot be subclassed.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
+
+    __init_subclass__ = _refuse_subclass
 
     def __post_init__(self) -> None:
         bp = tuple(float(b) for b in self.breakpoints)
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        _require_finite("piecewise breakpoints and values", bp + vals)
         if len(vals) != len(bp) + 1:
             raise ArrivalProfileError(
                 f"need len(values) == len(breakpoints)+1, got {len(vals)} vs {len(bp)}")
@@ -246,16 +279,9 @@ class PiecewiseConstantArrival:
         return [b for b in self.breakpoints if t0 < b < t1]
 
 
-# every profile varies in time; a constant rate is arrival=None, at params.lam
+# the only two profiles, both varying in time; a constant rate is
+# arrival=None, at params.lam
 ArrivalRateFn = SinusoidArrival | PiecewiseConstantArrival
-
-
-def _closed_form(arrival: ArrivalRateFn) -> type | None:
-    """The profile class whose __call__ computes the rate of `arrival`, or
-    None for a subclass that overrides __call__: the compiled kernels and
-    the fluid solver evaluate only the library's own rate functions."""
-    return next((kind for kind in (SinusoidArrival, PiecewiseConstantArrival)
-                 if type(arrival).__call__ is kind.__call__), None)
 
 
 def arrival_from_spec(spec: dict | None, lam: float) -> ArrivalRateFn | None:

@@ -7,6 +7,7 @@ target; fig4* drives the system with a sinusoidal arrival rate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .params import (
@@ -14,6 +15,7 @@ from .params import (
     InviteSimError,
     ModelParams,
     SinusoidArrival,
+    _whole_number,
     params_from_json,
     params_to_json,
     validate_params,
@@ -55,11 +57,14 @@ class ExperimentConfig:
             raise ConfigInvalid(
                 f"scheme {self.scheme} initial needs {want} entries, "
                 f"got {self.initial!r}")
-        if self.horizon <= 0.0 or self.grid_dt <= 0.0:
-            raise ConfigInvalid("horizon and grid_dt must be > 0")
+        for name, count in zip(("y", "x"), self.initial):
+            _whole_number(count, f"initial {name}", ConfigInvalid)
+        if not (0.0 < self.horizon < math.inf and 0.0 < self.grid_dt < math.inf):
+            raise ConfigInvalid("horizon and grid_dt must be finite and > 0")
         unknown = set(self.outputs) - set(KNOWN_OUTPUTS)
         if unknown:
             raise ConfigInvalid(f"unknown outputs {sorted(unknown)}")
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed", ConfigInvalid))
         if self.seed < 0:
             raise ConfigInvalid("seed must be a nonnegative integer")
         if self.scheme == "A" and self.arrival is not None:
@@ -102,7 +107,7 @@ def config_from_json(doc: str | dict) -> ExperimentConfig:
             arrival=arrival,
             initial=tuple(data["initial"]),
             horizon=float(data["horizon"]),
-            seed=int(data["seed"]),
+            seed=data["seed"],
             grid_dt=float(data.get("grid_dt", 0.05)),
             outputs=tuple(data.get("outputs", ("trajectory",))),
             notes=str(data.get("notes", "")),

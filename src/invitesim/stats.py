@@ -184,7 +184,7 @@ def batch_means(series, burn_in: float, n_batches: int = 20,
     if len(t) < 2 * n_batches:
         raise InsufficientData(f"only {len(t)} samples for {n_batches} batches")
     t0, t1 = float(t[0]), float(t[-1])
-    if burn_in < t0 - 1e-12 or t1 - burn_in <= 0.0:
+    if not t0 - 1e-12 <= burn_in < t1:
         raise InsufficientData(
             f"burn-in {burn_in} leaves no window inside [{t0}, {t1}]")
     edges = np.linspace(burn_in, t1, n_batches + 1)

@@ -1,29 +1,10 @@
-"""The backend fixture: run a test on the compiled kernels or on the Python
-loops; a profile whose rate no closed form of the library computes, and
-library profiles whose declared bound understates their peak."""
+"""The backend fixture, which runs a test on the compiled kernels or on the
+Python loops, and the no_run fixture, which fails a test that starts a run."""
 import shutil
 
 import pytest
 
-from invitesim import _native
-from invitesim.params import PiecewiseConstantArrival, SinusoidArrival
-
-
-class Shifted(SinusoidArrival):
-    """A sinusoid whose __call__ reads the rate 0.25 time units ahead."""
-
-    def __call__(self, t):
-        return super().__call__(t + 0.25)
-
-
-class LyingSinusoid(SinusoidArrival):
-    def bound(self):
-        return self.base  # declares less than the true peak
-
-
-class LyingSteps(PiecewiseConstantArrival):
-    def bound(self):
-        return self.values[0]  # declares less than the true peak
+from invitesim import _native, ctmc
 
 
 def over_backends(values, ids=None):
@@ -47,3 +28,12 @@ def backend(request, monkeypatch):
     else:
         assert _native.library() is not None
     return request.param
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test at once if it reaches an event loop: a refused input
+    must raise before the run, where a missing check can hang."""
+    def refuse(kernel, *args, **kwargs):
+        pytest.fail(f"{kernel} started: the input should have been refused")
+    monkeypatch.setattr(ctmc, "_run", refuse)

@@ -1,6 +1,8 @@
 """Experiment runner: presets, config round-trips, manifests, exit codes."""
 import hashlib
 import json
+import math
+import re
 import shutil
 from dataclasses import replace
 from types import SimpleNamespace
@@ -126,6 +128,58 @@ def test_config_error_prints_its_message(tmp_path, capsys, edit, message):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _set_arrival(doc, **spec):
+    doc["model"]["arrival"] = spec
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(horizon=math.nan), "horizon and grid_dt must be finite and > 0"),
+    (lambda doc: doc.update(horizon=math.inf), "horizon and grid_dt must be finite and > 0"),
+    (lambda doc: doc.update(grid_dt=math.nan), "horizon and grid_dt must be finite and > 0"),
+    (lambda doc: _set_arrival(doc, kind="sinusoid", base=math.inf, amplitude=0.2, period=10.0),
+     "must be finite, got inf"),
+    (lambda doc: _set_arrival(doc, kind="sinusoid", base=1.0, amplitude=math.nan, period=10.0),
+     "must be finite, got nan"),
+    (lambda doc: _set_arrival(doc, kind="sinusoid", base=1.0, amplitude=0.2, period=math.inf),
+     "must be finite, got inf"),
+    (lambda doc: _set_arrival(doc, kind="piecewise", breakpoints=[1.0], values=[1.0, math.nan]),
+     "must be finite, got nan"),
+    (lambda doc: _set_arrival(doc, kind="piecewise", breakpoints=[1.0, math.inf],
+                              values=[1.0, 2.0, 1.0]), "must be finite, got inf"),
+    (lambda doc: doc.update(initial=[0.6, 100.9]), "initial y must be a whole number, got 0.6"),
+    (lambda doc: doc.update(initial=[0, 100.9]), "initial x must be a whole number, got 100.9"),
+    (lambda doc: doc.update(seed=1.5), "seed must be a whole number, got 1.5"),
+], ids=["horizon-nan", "horizon-inf", "grid-dt-nan", "sinusoid-base-inf", "sinusoid-amplitude-nan",
+        "sinusoid-period-inf", "piecewise-value-nan", "piecewise-breakpoint-inf", "initial-y",
+        "initial-x", "seed"])
+def test_nonfinite_or_fractional_config_leaves_no_output_dir(edit, message, tmp_path, capsys,
+                                                            no_run):
+    # an infinite base hung the run, a NaN value stopped its arrivals, a NaN
+    # horizon ended in a traceback, and fractional counts and seeds were
+    # truncated; each now fails when the config is built
+    doc = small_config().to_json_dict()
+    edit(doc)
+    with pytest.raises(ConfigInvalid, match=re.escape(message)):
+        config_from_json(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "D"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_whole_float_counts_and_seed_run_as_ints(tmp_path):
+    doc = small_config().to_json_dict()
+    doc.update(initial=[0.0, 50.0], seed=9.0)
+    config = config_from_json(doc)
+    assert type(config.seed) is int and config.seed == 9
+    run(config, tmp_path / "F")
+    run(small_config(), tmp_path / "I")
+    assert ((tmp_path / "F" / "trajectory.csv").read_bytes()
+            == (tmp_path / "I" / "trajectory.csv").read_bytes())
 
 
 def _scheme_a_sinusoid_doc():

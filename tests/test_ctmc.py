@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _lattice import rate_table_b
-from conftest import LyingSinusoid, over_backends
+from conftest import over_backends
 from invitesim import acceptance
 from invitesim.acceptance import GENERATOR_STATES
 from invitesim.ctmc import (
@@ -19,8 +19,8 @@ from invitesim.ctmc import (
     K_FEEDBACK_DOWN,
     K_FEEDBACK_UP,
     RandomStream,
+    SimulationError,
     SystemState,
-    ThinningBoundViolated,
     Trajectory,
     diffusion_scale,
     drift_replicates_b,
@@ -193,6 +193,37 @@ def test_horizon_validation():
         simulate_b((0, 0), BASE, 0.0, RandomStream(1))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_nonfinite_horizons_and_steps_are_refused(value, no_run):
+    # dt = nan or inf hung drift_replicates_b; a horizon of nan or inf
+    # raised a raw ValueError or OverflowError from the grid
+    start = SystemState(0, 10, x_target=10.0)
+    with pytest.raises(HorizonZero, match="finite"):
+        simulate_b(start, BASE, value, RandomStream(1))
+    with pytest.raises(HorizonZero, match="finite"):
+        simulate_a(start, BASE, value, RandomStream(1))
+    with pytest.raises(HorizonZero, match="finite"):
+        drift_replicates_b(start, BASE, value, 10, RandomStream(1))
+    with pytest.raises(SimulationError, match="finite"):
+        GridSpec(dt=value)
+
+
+@pytest.mark.parametrize("y, x", [(0.6, 100), (0, 100.9), (math.nan, 0), (0, math.inf), ("1", 0)])
+def test_fractional_counts_are_refused(y, x, no_run):
+    # simulate_b ran (0.6, 100.9) from (0, 100)
+    with pytest.raises(SimulationError, match="must be a whole number"):
+        simulate_b((y, x), BASE, 1.0, RandomStream(1))
+
+
+def test_whole_counts_become_ints_and_the_target_stays_real(no_run):
+    state = SystemState(np.int64(-3), 100.0, x_target=100.5)
+    assert (state.y, state.x, state.x_target) == (-3, 100, 100.5)
+    assert type(state.y) is int and type(state.x) is int
+    for target in (math.nan, math.inf, -0.5):
+        with pytest.raises(SimulationError, match="x_target"):
+            SystemState(0, 0, x_target=target)
+
+
 def test_drift_replicates_match_single_runs():
     # one replicate over [0, h] must reproduce simulate_b's endpoint deltas
     h = 0.25
@@ -275,11 +306,6 @@ def test_run_ends_where_no_event_is_enabled(backend):
     assert np.array_equal(traj.events.t, [s[0] for s in ref[1:]])
     assert np.array_equal(traj.events.kind, kinds)
     assert np.array_equal(np.stack([traj.y, traj.x], axis=1), _grid_from_path(ref, 5.0, 0.5))
-
-
-def test_thinning_bound_violation_detected():
-    with pytest.raises(ThinningBoundViolated):
-        simulate_b((0, 0), BASE, 10.0, RandomStream(3), arrival=LyingSinusoid(1.0, 0.2, 10.0))
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,19 @@ def test_sde_rejects_off_grid_horizon():
                                  dt=0.4).shape == (1, 4, 2)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_nonfinite_horizon_or_step_is_refused(value, no_run):
+    # a NaN passed every "<= 0" check and failed later in the grid code
+    start = DiffusionState(0.0, 0.0)
+    for horizon, dt in ((value, 1e-3), (1.0, value)):
+        with pytest.raises(DiffusionError, match="finite"):
+            moment_ode(np.zeros(2), np.zeros((2, 2)), BASE, horizon, dt)
+        with pytest.raises(DiffusionError, match="finite"):
+            simulate_sde_ensemble(start, BASE, horizon, RandomStream(1), 4, dt)
+        with pytest.raises(DiffusionError, match="finite"):
+            _euler_ensemble(start, BASE, horizon, RandomStream(1), 4, dt)
+
+
 def _rel(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from conftest import Shifted, over_backends
+from conftest import over_backends
 from invitesim import fluid
 from invitesim.acceptance import _exact_fluid_path, _fluid_fields
 from invitesim.fluid import (
@@ -618,20 +618,13 @@ def test_tv_rejects_bad_inputs():
         solve_fluid_tv((0.0, 1.0), None, BASE, horizon=0.0)
 
 
-def test_tv_rejects_a_rate_without_closed_form():
-    # a sinusoid subclass with its own __call__ is not the sinusoid the
-    # closed form solves for; it must not get the unshifted path
-    with pytest.raises(FluidSolverError):
-        solve_fluid_tv((0.0, 1.0), Shifted(1.0, 0.5, 30.0), BASE, horizon=5.0)
-
-
-def test_exact_reference_rejects_a_rate_without_closed_form():
-    # the reference picks its closed form by the rule solve_fluid_tv uses:
-    # it gave Shifted the unshifted sinusoid's path when it went by isinstance
-    with pytest.raises(FluidSolverError, match="no closed form"):
-        _exact_fluid_path((0.0, 1.0), Shifted(1.0, 0.5, 30.0), BASE, 5.0,
-                          np.linspace(0.0, 5.0, 11))
-    assert _fluid_fields(SinusoidArrival(1.0, 0.5, 30.0), BASE, 0.0)[3] > 0.0
+@pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["nan", "inf"])
+def test_nonfinite_horizon_is_refused(horizon, no_run):
+    # solve_fluid(horizon=nan) returned a path with no segments
+    with pytest.raises(FluidSolverError, match="finite"):
+        solve_fluid((0.0, 0.0), BASE, horizon)
+    with pytest.raises(FluidSolverError, match="finite"):
+        solve_fluid_tv((0.0, 1.0), SinusoidArrival(1.0, 0.5, 30.0), BASE, horizon)
 
 
 def test_tv_csv(tmp_path):

@@ -16,14 +16,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import LyingSinusoid, LyingSteps, Shifted, over_backends
+from conftest import over_backends
 from invitesim import _native, ctmc
 from invitesim._csv import write_columns
 from invitesim.ctmc import (
     GridSpec,
     RandomStream,
     SystemState,
-    ThinningBoundViolated,
     drift_replicates_b,
     simulate_a,
     simulate_b,
@@ -172,52 +171,6 @@ def test_compiled_resumes_at_every_draw(case, monkeypatch):
     assert native == oracle == run()
 
 
-class OverstatedSinusoid(SinusoidArrival):
-    def bound(self):
-        # 1e-10 above the peak, inside the kernel's 1e-9 tolerance: the squeeze is on
-        return (self.base + abs(self.amplitude)) * (1.0 + 1e-10)
-
-
-@pytest.mark.parametrize("case, backend", over_backends(
-    [(LyingSinusoid(1.0, 0.2, 10.0), 1.2), (LyingSteps((2.0,), (1.0, 1.5)), 1.5)],
-    ids=["sinusoid", "piecewise"]), indirect=["backend"])
-def test_understated_bound_fails_before_the_run(case, backend, monkeypatch):
-    # a library profile's peak is known before the first draw: a bound below
-    # it fails there, with one message on both backends, and no kernel call
-    # or uniform is spent on it
-    arrival, peak = case
-    ran = _spy_compiled(monkeypatch)
-    generators = []
-    make = RandomStream.generator
-    monkeypatch.setattr(RandomStream, "generator",
-                        lambda self: generators.append(self) or make(self))
-    with pytest.raises(ThinningBoundViolated) as info:
-        simulate_b((0, 0), LONG_B[0], 10.0, RandomStream(3), arrival=arrival)
-    assert str(info.value) == f"arrival rate peak {peak} exceeds declared bound 1.0"
-    assert ran == [] and generators == []
-    # a bound above the peak, inside the 1e-9 tolerance, runs
-    traj = simulate_b((0, 0), LONG_B[0], 10.0, RandomStream(3),
-                      arrival=OverstatedSinusoid(1.0, 0.2, 10.0))
-    assert ran == [backend == "c"] and traj.n_events > 0
-
-
-@pytest.mark.parametrize("backend", ["c", "python"], indirect=True)
-def test_overridden_rate_above_its_bound_fails_in_the_python_loop(backend, monkeypatch):
-    # a profile that overrides __call__ has no closed form to check before
-    # the run; _loop_b tests each candidate's rate and fails at the first
-    # one above the bound
-    class LyingShifted(Shifted):
-        def bound(self):
-            return self.base
-
-    ran = _spy_compiled(monkeypatch)
-    with pytest.raises(ThinningBoundViolated) as info:
-        simulate_b((0, 0), LONG_B[0], 10.0, RandomStream(3),
-                   arrival=LyingShifted(1.0, 0.2, 10.0))
-    assert ran == [False] and info.traceback[-1].name == "_loop_b"
-    assert str(info.value).startswith("arrival rate ") and " at t=" in str(info.value)
-
-
 SQUEEZE_CASES = {  # arrival, r, horizon, gamma
     # the rate touches 0 once a period
     "touches-zero": (SinusoidArrival(1.0, 1.0, 2.0), 50.0, 10.0, 2.0),
@@ -226,10 +179,21 @@ SQUEEZE_CASES = {  # arrival, r, horizon, gamma
     "short-period": (SinusoidArrival(1.0, 0.5, 1e-3), 50.0, 5.0, 2.0),
     # 2*pi*t/period reaches 1.3e5, where the argument's rounding is largest
     "large-argument": (SinusoidArrival(1.0, 0.3, 1e-3), 50.0, 20.0, 2.0),
-    "overstated-bound": (OverstatedSinusoid(1.0, 0.2, 3.0), 200.0, 5.0, 2.0),
+    # bound_rate / r, the bound the run thins against, rounds one ulp away
+    # from bound(): above it (0.8 against 0.7999999999999999) and below it
+    # (1.4 against 1.4000000000000001), so a rate near the peak can exceed it
+    "bound-rounds-up": (SinusoidArrival(0.7, 0.1, 3.0), 50.0, 20.0, 2.0),
+    "bound-rounds-down": (SinusoidArrival(1.1, 0.3, 3.0), 50.0, 20.0, 2.0),
     # fig4's profile: the squeeze settles nearly every candidate
     "slow": (SinusoidArrival(1.0, 0.2, 120.0), 1000.0, 10.0, 2.0),
 }
+
+
+@pytest.mark.parametrize("name, side", [("bound-rounds-up", 1), ("bound-rounds-down", -1)])
+def test_squeeze_cases_round_the_bound(name, side):
+    arrival, r = SQUEEZE_CASES[name][:2]
+    peak = arrival.bound()
+    assert peak * r / r == peak + side * math.ulp(peak)
 
 
 @needs_cc
@@ -283,18 +247,6 @@ def test_quiet_windows_match_python_loop(product, monkeypatch):
     assert native == oracle
     if product == 0.1:
         assert 0.85 * n < native.count([0, 0]) < 0.95 * n
-
-
-@pytest.mark.parametrize("scheme", "B")
-def test_overridden_rate_runs_the_python_loop(scheme, monkeypatch):
-    # _kernel.c mirrors only the library's own rate functions
-    case = (scheme, replace(LONG_B[0], scale_r=10.0), SystemState(0, 10, x_target=10.0), 2.0,
-            Shifted(1.0, 0.5, 1.0), GridSpec(record_events=True))
-    ran = _spy_compiled(monkeypatch)
-    traj = _simulate(*case, RandomStream(1))
-    assert ran == [False] and traj.n_events > 0
-    monkeypatch.setattr(_native, "_lib", None)
-    assert _fingerprint(traj) == _fingerprint(_simulate(*case, RandomStream(1)))
 
 
 def _spy_library(monkeypatch, on_call):

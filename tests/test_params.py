@@ -179,6 +179,31 @@ def test_arrival_profiles_validate_nonnegativity():
         PiecewiseConstantArrival(breakpoints=(2.0, 1.0), values=(1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("profile", [SinusoidArrival, PiecewiseConstantArrival])
+def test_arrival_profiles_refuse_subclasses(profile, no_run):
+    # the kernels and the fluid solver compute the library's own rates, and
+    # thinning trusts bound(): a subclass could change either
+    with pytest.raises(TypeError, match=f"{profile.__name__} cannot be subclassed"):
+        type("Sub", (profile,), {})
+
+
+NONFINITE = {
+    "base": lambda v: SinusoidArrival(base=v, amplitude=0.2, period=10.0),
+    "amplitude": lambda v: SinusoidArrival(base=1.0, amplitude=v, period=10.0),
+    "period": lambda v: SinusoidArrival(base=1.0, amplitude=0.2, period=v),
+    "breakpoint": lambda v: PiecewiseConstantArrival(breakpoints=(1.0, v), values=(1.0, 2.0, 0.5)),
+    "value": lambda v: PiecewiseConstantArrival(breakpoints=(1.0,), values=(1.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(NONFINITE))
+def test_arrival_profiles_refuse_nonfinite_parameters(name, value, no_run):
+    # an infinite base hung the run; a NaN value stopped arrivals silently
+    with pytest.raises(ArrivalProfileError, match="must be finite"):
+        NONFINITE[name](value)
+
+
 def test_arrival_profile_evaluation_and_bounds():
     sin = SinusoidArrival(base=1.0, amplitude=0.2, period=120.0)
     assert sin.bound() == pytest.approx(1.2)

@@ -106,6 +106,8 @@ def test_batch_means_validation():
         batch_means((t, v), burn_in=100.0, n_batches=20)
     with pytest.raises(InsufficientData):
         batch_means((t[:30], v[:30]), burn_in=0.0, n_batches=20)
+    with pytest.raises(InsufficientData):
+        batch_means((t, v), burn_in=math.nan, n_batches=20)
 
 
 def test_batch_means_ci_coverage_on_synthetic_noise():
