@@ -467,9 +467,9 @@ def criterion_scheme_a() -> CriterionResult:
     r = p.scale_r
     win = traj.t >= 1.0
     gap_avg = float(np.mean(np.abs(traj.x[win] - traj.x_target[win])) / r)
-    # every fifth sample from t = 1: the run read at its own samples, 0.05 apart
-    sup = sup_deviation(fluid_scale(traj), fluid_reference(init, p, 50.0),
-                        traj.t[win][::5]).sup
+    # every fifth sample from t = 1, 0.05 apart
+    sup = sup_deviation(fluid_scale(traj), fluid_reference(init, p, 50.0).states(traj.t),
+                        np.flatnonzero(win)[::5]).sup
     ok = gap_avg <= 0.02 and sup <= 0.05
     return _finish(
         "scheme-a", ok,
@@ -488,12 +488,13 @@ def criterion_time_varying(replications: int = 20) -> CriterionResult:
     t0 = time.perf_counter()
     stream = RandomStream(seed=SEEDS["time-varying"])
     inits = ((0, 0), (-1000, 2000))
-    refs = [fluid_reference(SystemState(*init), P6, 500.0, SINE) for init in inits]
+    ts = _time_grid(500.0, 0.05)  # every run's sample times
+    refs = [fluid_reference(SystemState(*init), P6, 500.0, SINE).states(ts) for init in inits]
 
     def one_run(i, j, sub):
         traj = simulate_b(SystemState(*inits[i]), P6, horizon=500.0, stream=sub,
                           arrival=SINE, sampling=GridSpec(dt=0.05))
-        return (sup_deviation(fluid_scale(traj), refs[i], traj.t[traj.t >= 5.0]).sup,
+        return (sup_deviation(fluid_scale(traj), refs[i], ts >= 5.0).sup,
                 int(np.abs(traj.y[traj.t >= 50.0]).max()))
 
     cells = {}

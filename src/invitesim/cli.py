@@ -28,7 +28,7 @@ from .ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_a, 
 from .diffusion import moment_ode
 from .params import InviteSimError
 from .presets import ConfigInvalid, ExperimentConfig, config_from_json, get_preset, presets
-from .stats import (GridOutsideHorizon, fluid_reference, scale_sweep, stationary_moments,
+from .stats import (_at_samples, fluid_reference, scale_sweep, stationary_moments,
                     sup_deviation, gaussian_check)
 
 SWEEP_SCALES = (100, 300, 1000)
@@ -83,22 +83,18 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def emit_plot_data(path, sim, fluid=None) -> None:
+def emit_plot_data(path, sim, ref=None) -> None:
     """Write overlay-ready columns at the run's samples.
 
-    Columns are t,sim_y,sim_x plus fluid_y,fluid_x when a fluid trajectory
-    is supplied, evaluated at the same times; a fluid path that ends before
-    the run raises GridOutsideHorizon.
+    Columns are t,sim_y,sim_x plus fluid_y,fluid_x when ref, the fluid
+    reference's (n, 2) values at the run's n sample times, is supplied.
     """
     cols = [sim.t, sim.y, sim.x]
     header = "t,sim_y,sim_x"
-    if fluid is not None:
-        if sim.t.max() > fluid.horizon * (1 + 1e-12):
-            raise GridOutsideHorizon(f"samples up to {sim.t.max()} run past the "
-                                     f"fluid horizon {fluid.horizon}")
-        vals = fluid.eval_on(sim.t)
+    if ref is not None:
+        ref = _at_samples(sim, ref)
         header += ",fluid_y,fluid_x"
-        cols += [vals[:, 0], vals[:, 1]]
+        cols += [ref[:, 0], ref[:, 1]]
     # + 0.0 drops negative zeros
     write_columns(path, header, ",".join(["{:.10g}"] * len(cols)),
                   [c + 0.0 for c in cols])
@@ -180,11 +176,11 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
         written.append(target)
     if "deviation" in config.outputs:
         scaled = fluid_scale(traj)
+        ref = fluid.states(scaled.t)
         target = out / "overlay.csv"
-        emit_plot_data(target, scaled, fluid)
+        emit_plot_data(target, scaled, ref)
         written.append(target)
-        rep = sup_deviation(scaled, fluid, scaled.t,
-                            context={"name": config.name, "seed": config.seed})
+        rep = sup_deviation(scaled, ref, context={"name": config.name, "seed": config.seed})
         target = out / "deviation.json"
         _write_json(target, rep.to_json_dict())
         written.append(target)

@@ -185,7 +185,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ScaledTrajectory:
-    """A trajectory mapped onto one of the asymptotic scales."""
+    """A trajectory mapped onto one of the asymptotic scales, at the run's
+    own sample times t; stats.sup_deviation compares it with a reference
+    evaluated at those times."""
 
     t: np.ndarray
     y: np.ndarray
@@ -193,18 +195,6 @@ class ScaledTrajectory:
     scale: str  # "fluid-centered" | "fluid-uncentered" | "diffusion"
     scale_r: float
     x_target: np.ndarray | None = None
-
-    def eval_on(self, grid: np.ndarray) -> np.ndarray:
-        grid = np.asarray(grid, dtype=float)
-        if len(self.t) == 0 or grid.min() < self.t[0] - 1e-9 or grid.max() > self.t[-1] + 1e-9:
-            from .stats import GridOutsideHorizon
-            raise GridOutsideHorizon(
-                f"grid [{grid.min()}, {grid.max()}] outside samples "
-                f"[{self.t[0] if len(self.t) else '-'}, {self.t[-1] if len(self.t) else '-'}]")
-        out = np.empty((len(grid), 2))
-        out[:, 0] = np.interp(grid, self.t, self.y)
-        out[:, 1] = np.interp(grid, self.t, self.x)
-        return out
 
 
 def _uniform_feed(gen: np.random.Generator):
@@ -418,10 +408,14 @@ def _run(kernel: str, loop, params: ModelParams, arrival: ArrivalRateFn | None,
 
     `fields` are the run's KernelState fields other than the rates both
     schemes share, which come from `params` and `arrival`.  A profile's
-    bound() is its peak, so no run checks a rate against it.
+    bound() is its peak, so no run checks a rate against it; a peak that
+    overflows at scale r is refused, as the loop would never leave t = 0.
     """
     r = params.scale_r
-    bound_rate = (params.lam if arrival is None else arrival.bound()) * r
+    peak = params.lam if arrival is None else arrival.bound()
+    bound_rate = peak * r
+    if bound_rate == math.inf:
+        raise SimulationError(f"peak arrival rate bound()*r overflows: {peak!r} * {r!r}")
     fields.update(beta=params.beta, eps=params.epsilon, bound_rate=bound_rate,
                   bound=bound_rate / r)
     result = _run_compiled(kernel, arrival, stream, **fields)

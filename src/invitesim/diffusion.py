@@ -140,14 +140,14 @@ def simulate_sde_ensemble(initial, params: ModelParams, horizon: float,
     if not (0.0 < dt < math.inf and 0.0 < horizon < math.inf and n_paths > 0):
         raise DiffusionError("horizon and dt must be finite and > 0, and n_paths > 0")
     record_steps, _ = _record_steps(record_times, horizon, dt)
-    steps, order = np.unique(record_steps, return_inverse=True)
     y0, x0 = (initial.y_hat, initial.x_hat) if isinstance(initial, DiffusionState) \
         else (float(initial[0]), float(initial[1]))
     gen = stream.generator()
     state = np.full((n_paths, 2), (y0, x0))
     out = np.empty((len(record_steps), n_paths, 2))
     prev = 0
-    for i, k in enumerate(steps):
+    for i in np.argsort(record_steps):  # in time order
+        k = record_steps[i]
         if k > prev:
             E, sigma = _transition(params, (k - prev) * dt)
             ev, q = np.linalg.eigh(sigma)
@@ -155,7 +155,7 @@ def simulate_sde_ensemble(initial, params: ModelParams, horizon: float,
             state = state @ E
             state += gen.standard_normal((n_paths, 2)) @ root.T
             prev = k
-        out[order == i] = state
+        out[i] = state
     return out
 
 

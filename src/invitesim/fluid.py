@@ -101,33 +101,33 @@ class FluidTrajectory:
     def boundary_segments(self) -> int:
         return sum(1 for s in self.segments if isinstance(s, BoundarySegment))
 
-    def _segment_index(self, ts: np.ndarray) -> np.ndarray:
-        """Index of the segment that holds each time of ts."""
-        return np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.segments) - 1)
+    def _split(self, ts):
+        """ts as an array and cuts, with ts[cuts[i]:cuts[i + 1]] the times in
+        segment i; a segment start belongs to the segment it starts."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and not (-1e-12 <= ts[0] and ts[-1] <= self.horizon * (1 + 1e-12) + 1e-12):
+            raise FluidSolverError(f"evaluation times outside [0, {self.horizon}]")
+        if not np.all(np.diff(ts) >= 0.0):
+            raise FluidSolverError("evaluation times must be nondecreasing")
+        return ts, [0, *np.searchsorted(ts, self.t[1:-1]), ts.size]
 
     def states(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < -1e-12 or ts.max() > self.horizon * (1 + 1e-12) + 1e-12):
-            raise FluidSolverError(
-                f"evaluation times outside [0, {self.horizon}]")
-        idx = self._segment_index(ts)
+        """(y, x) at each of the nondecreasing times ts, as an (n, 2) array."""
+        ts, cuts = self._split(ts)
         out = np.empty((ts.size, 2))
-        for i in np.unique(idx):
-            mask = idx == i
-            out[mask, 0], out[mask, 1] = self.segments[i].states(ts[mask])
+        for seg, lo, hi in zip(self.segments, cuts, cuts[1:]):
+            if hi > lo:
+                out[lo:hi, 0], out[lo:hi, 1] = seg.states(ts[lo:hi])
         return out
 
     def state(self, t: float) -> np.ndarray:
-        return self.states(np.array([t]))[0]
+        return self.states([t])[0]
 
     def segment_kinds(self, ts) -> np.ndarray:
         """The kind of the segment at each of `ts`, as a bytes array (b"interior"
         or b"boundary"), which write_columns formats in C."""
-        kinds = np.array([s.kind for s in self.segments], dtype="S")
-        return kinds[self._segment_index(np.asarray(ts, dtype=float))]
-
-    def eval_on(self, grid: np.ndarray) -> np.ndarray:
-        return self.states(grid)
+        ts, cuts = self._split(ts)
+        return np.repeat(np.array([s.kind for s in self.segments], dtype="S"), np.diff(cuts))
 
     def to_csv(self, path, dt: float = 0.05) -> None:
         ts = _time_grid(self.horizon, dt)

@@ -83,8 +83,9 @@ def validate_params(params: ModelParams, scheme: str = "B") -> ModelParams:
         value = getattr(params, name)
         if not (value > 0.0) or not math.isfinite(value):
             raise NonPositiveRate(f"{name} must be positive and finite, got {value!r}")
-    if not params.lam * params.scale_r > 0.0:  # the event loops' arrival rate
-        raise NonPositiveRate(f"lam*r underflows to 0: lam={params.lam!r}, r={params.scale_r!r}")
+    if not 0.0 < params.lam * params.scale_r < math.inf:  # the event loops' arrival rate
+        raise NonPositiveRate(f"lam*r must be positive and finite: "
+                              f"lam={params.lam!r}, r={params.scale_r!r}")
     if params.beta_tilde < 0.0 or not math.isfinite(params.beta_tilde):
         raise NonPositiveRate(f"beta_tilde must be >= 0, got {params.beta_tilde!r}")
     if not (params.epsilon < params.gamma ** 2 * params.beta / 4.0):
@@ -221,8 +222,8 @@ class SinusoidArrival:
     __init_subclass__ = _refuse_subclass
 
     def __post_init__(self) -> None:
-        _require_finite("sinusoid base, amplitude and period",
-                        (self.base, self.amplitude, self.period))
+        _require_finite("sinusoid base, amplitude, period and peak",
+                        (self.base, self.amplitude, self.period, self.bound()))
         if self.period <= 0.0:
             raise ArrivalProfileError(f"period must be > 0, got {self.period!r}")
         if self.base - abs(self.amplitude) < 0.0:

@@ -1,7 +1,7 @@
-"""Comparison harness: the fluid reference of a run, sup-norm deviation
-between scaled paths and their deterministic limits, steady-state estimation
-by batch means, Gaussian moment checks, the replication runner and the
-deviation-vs-scale sweep.
+"""Comparison harness: the fluid reference of a run, the sup-norm deviation
+of a scaled run from its reference's values at the run's own samples (no
+path is interpolated), steady-state estimation by batch means, Gaussian
+moment checks, the replication runner and the deviation-vs-scale sweep.
 
 Steady-state averages are time-weighted (a sampled CTMC state holds its value
 until the next sample), never event-weighted.  Every report carries enough
@@ -21,7 +21,7 @@ import numpy as np
 from ._csv import write_columns
 from .ctmc import RandomStream, SystemState, fluid_scale, diffusion_scale, simulate_b, GridSpec
 from .fluid import FluidTrajectory, solve_fluid, solve_fluid_tv
-from .params import ArrivalRateFn, InviteSimError, ModelParams
+from .params import ArrivalRateFn, InviteSimError, ModelParams, _time_grid
 
 
 class StatsError(InviteSimError):
@@ -82,37 +82,38 @@ class DeviationReport:
         }
 
 
-def _horizon_of(traj) -> float:
-    h = getattr(traj, "horizon", None)
-    if h is not None:
-        return float(h)
-    return float(traj.t[-1])
+def _at_samples(run, ref) -> np.ndarray:
+    """ref as an array, checked to hold one (y, x) row per sample of run."""
+    ref = np.asarray(ref, dtype=float)
+    if ref.shape != (len(run.t), 2):
+        raise GridOutsideHorizon(f"reference of shape {ref.shape} for a run of "
+                                 f"{len(run.t)} samples")
+    return ref
 
 
-def sup_deviation(scaled_sim, reference, grid, context: dict | None = None) -> DeviationReport:
-    """Max over the grid of the max-norm difference between two paths.
+def sup_deviation(scaled, ref, rows=slice(None), context: dict | None = None) -> DeviationReport:
+    """Max over the run's samples of the max-norm distance from a scaled
+    run to its reference.
 
-    Symmetric in its two arguments; both must expose eval_on(grid) -> (n, 2).
+    ref holds the reference's (y, x) at each of the run's sample times, an
+    (n, 2) array for a run of n samples, such as
+    fluid_reference(...).states(scaled.t); rows picks the samples compared,
+    all of them by default.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise GridOutsideHorizon("empty evaluation grid")
-    for traj in (scaled_sim, reference):
-        if grid.min() < -1e-9 or grid.max() > _horizon_of(traj) * (1 + 1e-9) + 1e-9:
-            raise GridOutsideHorizon(
-                f"grid [{grid.min()}, {grid.max()}] exceeds a horizon of "
-                f"{_horizon_of(traj)}")
-    diff = np.abs(np.asarray(scaled_sim.eval_on(grid))
-                  - np.asarray(reference.eval_on(grid)))
+    ref = _at_samples(scaled, ref)
+    t = scaled.t[rows]
+    if t.size == 0:
+        raise GridOutsideHorizon("no samples to compare")
+    diff = np.abs(np.column_stack([scaled.y, scaled.x])[rows] - ref[rows])
     per_point = diff.max(axis=1)
     k = int(per_point.argmax())
     return DeviationReport(
         sup=float(per_point[k]),
-        t_at_sup=float(grid[k]),
+        t_at_sup=float(t[k]),
         component_max=(float(diff[:, 0].max()), float(diff[:, 1].max())),
-        grid_start=float(grid[0]),
-        grid_end=float(grid[-1]),
-        grid_points=int(grid.size),
+        grid_start=float(t[0]),
+        grid_end=float(t[-1]),
+        grid_points=int(t.size),
         context=context or {},
     )
 
@@ -392,30 +393,32 @@ def scale_sweep(r_list, initial_family, params: ModelParams, horizon: float,
     """Mean/std of the fluid-scale sup deviation at each scale in r_list.
 
     initial_family maps a scale r to the unscaled integer initial state;
-    the replications at one scale share its fluid_reference.  Replication j
-    at scale index i uses stream.child(i).child(j); all scales' replications
-    run through one replicate call on `workers` threads, so the table is the
-    same for every number of workers.
+    the replications at one scale share its fluid_reference, evaluated once
+    at their common sample times.  Replication j at scale index i uses
+    stream.child(i).child(j); all scales' replications run through one
+    replicate call on `workers` threads, so the table is the same for every
+    number of workers.
     """
     r_list = list(r_list)
     if any(b <= a for a, b in zip(r_list, r_list[1:])):
         raise StatsError("r_list must be strictly increasing")
     if replications < 1:
         raise StatsError("need at least one replication")
+    sampling = GridSpec(dt=grid_dt)
     cases = []
     for r in r_list:
         p = replace(params, scale_r=float(r))
         init = initial_family(r)
         if not isinstance(init, SystemState):
             init = SystemState(y=int(init[0]), x=int(init[1]))
-        cases.append((p, init, fluid_reference(init, p, horizon)))
+        # the reference at the sample times of every run
+        ref = fluid_reference(init, p, horizon).states(_time_grid(horizon, grid_dt))
+        cases.append((p, init, ref))
 
     def one_replicate(i, j, sub):
-        p, init, reference = cases[i]
-        traj = simulate_b(init, p, horizon=horizon, stream=sub,
-                          sampling=GridSpec(dt=grid_dt))
-        scaled = fluid_scale(traj)
-        return sup_deviation(scaled, reference, scaled.t).sup
+        p, init, ref = cases[i]
+        traj = simulate_b(init, p, horizon=horizon, stream=sub, sampling=sampling)
+        return sup_deviation(fluid_scale(traj), ref).sup
 
     rows = []
     for r, devs in zip(r_list, replicate(one_replicate, stream,

@@ -20,7 +20,7 @@ from invitesim.cli import (
 )
 from invitesim.ctmc import (GridSpec, RandomStream, SystemState, fluid_scale, simulate_a,
                             simulate_b)
-from invitesim.fluid import solve_fluid, solve_fluid_tv
+from invitesim.fluid import FluidSolverError, solve_fluid, solve_fluid_tv
 from invitesim.params import ModelParams, SinusoidArrival
 from invitesim.presets import (
     ConfigInvalid,
@@ -354,7 +354,7 @@ def test_emit_plot_data_aligned(tmp_path):
     scaled = fluid_scale(traj)
     fluid = solve_fluid((0.0, 0.0), SMALL, horizon=8.0)
     target = tmp_path / "overlay.csv"
-    emit_plot_data(target, scaled, fluid)
+    emit_plot_data(target, scaled, fluid.states(scaled.t))
     rows = target.read_text().splitlines()
     assert rows[0] == "t,sim_y,sim_x,fluid_y,fluid_x"
     assert len(rows) == len(scaled.t) + 1
@@ -368,21 +368,26 @@ def test_emit_plot_data_trajectory_only(tmp_path):
 
 
 def test_emit_plot_data_rejects_a_fluid_path_shorter_than_the_run(tmp_path):
-    traj = _short_run(horizon=8.0)
+    scaled = fluid_scale(_short_run(horizon=8.0))
     fluid = solve_fluid((0.0, 0.0), SMALL, horizon=5.0)
-    with pytest.raises(GridOutsideHorizon, match="fluid horizon 5.0"):
-        emit_plot_data(tmp_path / "clip.csv", fluid_scale(traj), fluid)
+    # the path cannot be read at the run's later samples
+    with pytest.raises(FluidSolverError, match=r"outside \[0, 5.0\]"):
+        fluid.states(scaled.t)
+    # and its values at the samples it covers are too few for the run
+    with pytest.raises(GridOutsideHorizon, match="for a run of 161 samples"):
+        emit_plot_data(tmp_path / "clip.csv", scaled, fluid.states(scaled.t[scaled.t <= 5.0]))
+    assert not (tmp_path / "clip.csv").exists()
 
 
-def _row_loop_overlay(path, sim, fluid=None):
+def _row_loop_overlay(path, sim, ref=None):
     """The row-at-a-time overlay writer, kept as the byte reference."""
     t = np.asarray(sim.t, dtype=float)
     sim_vals = np.column_stack([sim.y, sim.x])
-    if fluid is None:
+    if ref is None:
         header = "t,sim_y,sim_x"
         cols = [t, sim_vals[:, 0], sim_vals[:, 1]]
     else:
-        fluid_vals = fluid.eval_on(t)
+        fluid_vals = np.asarray(ref)
         header = "t,sim_y,sim_x,fluid_y,fluid_x"
         cols = [t, sim_vals[:, 0], sim_vals[:, 1], fluid_vals[:, 0], fluid_vals[:, 1]]
     with open(path, "w") as out:
@@ -400,27 +405,25 @@ def _overlay_cases():
     t = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1e-11])
     odd = SimpleNamespace(t=t, y=np.array([-0.0, 1.0, -2.5, 123456789012.5, 1 / 3]),
                           x=np.array([3, -0, 12345678901, -7, 0]))
-    odd_fluid = SimpleNamespace(horizon=0.5, eval_on=lambda g: np.column_stack(
-        [-0.0 * g, np.pi * g - 0.0]))
+    long = fluid_scale(_short_run(horizon=120.0))  # 2 401 rows
     return {
         "raw-int": (traj, None),
         "scaled": (scaled, None),
-        "aligned": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0)),
-        "off-grid-tv": (fluid_scale(tv_traj),
-                        solve_fluid_tv((0.0, 1.0), arrival, SMALL, horizon=6.0)),
-        "long": (fluid_scale(_short_run(horizon=120.0)),  # 2 401 rows
-                 solve_fluid((0.0, 0.0), SMALL, horizon=120.0)),
+        "aligned": (scaled, solve_fluid((0.0, 0.0), SMALL, horizon=8.0).states(scaled.t)),
+        "off-grid-tv": (fluid_scale(tv_traj), solve_fluid_tv(
+            (0.0, 1.0), arrival, SMALL, horizon=6.0).states(tv_traj.t)),
+        "long": (long, solve_fluid((0.0, 0.0), SMALL, horizon=120.0).states(long.t)),
         "odd": (odd, None),
-        "odd-fluid": (odd, odd_fluid),
+        "odd-fluid": (odd, np.column_stack([-0.0 * t, np.pi * t - 0.0])),
     }
 
 
 @pytest.mark.parametrize("case, backend", over_backends(list(_overlay_cases())),
                          indirect=["backend"])
 def test_emit_plot_data_bytes_match_row_loop(tmp_path, case, backend):
-    sim, fluid = _overlay_cases()[case]
-    emit_plot_data(tmp_path / "new.csv", sim, fluid)
-    _row_loop_overlay(tmp_path / "old.csv", sim, fluid)
+    sim, ref = _overlay_cases()[case]
+    emit_plot_data(tmp_path / "new.csv", sim, ref)
+    _row_loop_overlay(tmp_path / "old.csv", sim, ref)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert b"-0," not in new and not new.endswith(b"-0\n")

@@ -143,12 +143,29 @@ def test_bad_horizon():
 
 def test_states_match_scalar_eval():
     traj = solve_fluid((18.0, -0.9), BASE, horizon=50.0)
-    ts = np.array([0.0, 0.03, HIT_T + 1.0, 7.9, 8.5, 25.0, 50.0])
+    starts = traj.t[1:-1]  # the floor contact and the lift-off
+    # repeated times, and times equal to segment starts
+    ts = np.sort(np.r_[0.0, 0.03, HIT_T + 1.0, 7.9, 8.5, 25.0, 50.0, starts, starts])
     block = traj.states(ts)
+    assert block.shape == (len(ts), 2)
     for i, t in enumerate(ts):
         assert np.array_equal(block[i], traj.state(t))
+    # a time equal to a segment start belongs to the later segment
+    assert traj.segment_kinds(starts).tolist() == [b"boundary", b"interior"]
+    for seg, t in zip(traj.segments[1:], starts):
+        y, x = np.broadcast_arrays(*seg.states(np.array([t])))
+        assert np.array_equal(traj.state(t), [y[0], x[0]])
+    assert traj.state(starts[0])[1] == -1.0  # on the floor, not the interior's x
+    # an empty grid and a one-point grid
+    assert traj.states([]).shape == (0, 2) and traj.segment_kinds([]).shape == (0,)
+    assert np.array_equal(traj.states([25.0]), block[ts == 25.0])
     with pytest.raises(FluidSolverError):
         traj.states([60.0])
+    for bad in ([1.0, 0.5], [0.0, 2.0, 2.0, 1.0], [0.0, math.nan, 1.0]):
+        with pytest.raises(FluidSolverError, match="nondecreasing"):
+            traj.states(bad)
+        with pytest.raises(FluidSolverError, match="nondecreasing"):
+            traj.segment_kinds(bad)
 
 
 def test_segment_summary_and_csv(tmp_path):

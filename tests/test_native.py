@@ -22,14 +22,17 @@ from invitesim._csv import write_columns
 from invitesim.ctmc import (
     GridSpec,
     RandomStream,
+    SimulationError,
     SystemState,
     drift_replicates_b,
     simulate_a,
     simulate_b,
 )
 from invitesim.params import (
+    ArrivalProfileError,
     ModelParams,
     NonIntegerGamma,
+    NonPositiveRate,
     PiecewiseConstantArrival,
     SinusoidArrival,
     validate_params,
@@ -322,6 +325,45 @@ def test_non_integer_gamma_rejected_before_any_kernel_call(arrival, backend, mon
     assert ran == []
     assert "rounding" not in str(info.value) and "1.5" in str(info.value)
     assert validate_params(params, scheme="A") is params
+
+
+def _refuse_event_loops(monkeypatch):
+    """Fail the test if a run reaches a compiled kernel or a Python loop,
+    where an infinite rate never lets the clock leave t = 0."""
+    def refuse(*args, **kwargs):
+        pytest.fail("an event loop started: the input should have been refused")
+    for name in ("_run_compiled", "_loop_b", "_loop_a"):
+        monkeypatch.setattr(ctmc, name, refuse)
+
+
+# lam*r overflows; each profile's bound() is finite but bound()*r is not
+INFINITE_RATES = {
+    "lam-r": (1e200, 1e200, None, NonPositiveRate, "lam*r must be positive and finite"),
+    "sinusoid": (1.0, 1e10, SinusoidArrival(base=1e300, amplitude=1e299, period=10.0),
+                 SimulationError, "bound()*r overflows"),
+    "piecewise": (1.0, 1e10, PiecewiseConstantArrival(breakpoints=(1.0,), values=(1.0, 1e300)),
+                  SimulationError, "bound()*r overflows"),
+}
+
+
+@pytest.mark.parametrize("case, backend", over_backends(list(INFINITE_RATES)),
+                         indirect=["backend"])
+def test_infinite_rates_rejected_before_any_kernel_call(case, backend, monkeypatch):
+    # lam = r = 1e200 and a sinusoid of base = amplitude = 1e308 both ran
+    # scheme B forever
+    _refuse_event_loops(monkeypatch)
+    lam, r, arrival, error, message = INFINITE_RATES[case]
+    params = ModelParams(lam=lam, scale_r=r, beta=1.0, gamma=2.0, epsilon=0.2)
+    with pytest.raises(error, match=re.escape(message)):
+        simulate_b(SystemState(0, 50), params, 5.0, RandomStream(1), arrival=arrival)
+    if arrival is None:
+        with pytest.raises(error, match=re.escape(message)):
+            drift_replicates_b((0, 50), params, 0.01, 10, RandomStream(1))
+        with pytest.raises(error, match=re.escape(message)):
+            simulate_a(SystemState(0, 50, x_target=50.0), params, 5.0, RandomStream(1))
+    if case == "sinusoid":  # a peak that is itself infinite is refused when built
+        with pytest.raises(ArrivalProfileError, match="must be finite, got inf"):
+            SinusoidArrival(base=1e308, amplitude=1e308, period=10.0)
 
 
 @needs_cc

@@ -1,12 +1,12 @@
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import over_backends
 from invitesim.ctmc import GridSpec, RandomStream, SystemState, fluid_scale, simulate_b
-from invitesim.fluid import solve_fluid
+from invitesim.fluid import FluidSolverError, solve_fluid
 from invitesim.params import ModelParams, SinusoidArrival
 from invitesim.stats import (
     GridOutsideHorizon,
@@ -27,60 +27,62 @@ BASE = ModelParams(lam=1.0, scale_r=1000.0, beta=1.0, gamma=2.0, epsilon=0.2)
 V_INF = np.array([[0.5, -1.0], [-1.0, 2.1]])
 
 
-@dataclass
-class _AnalyticPath:
-    horizon: float
-    fy: callable
-    fx: callable
-
-    def eval_on(self, grid):
-        grid = np.asarray(grid, dtype=float)
-        return np.column_stack([self.fy(grid), self.fx(grid)])
+def _sampled(fy, fx, t):
+    """A scaled run at samples t, and its (y, x) there as a reference array."""
+    return SimpleNamespace(t=t, y=fy(t), x=fx(t)), np.column_stack([fy(t), fx(t)])
 
 
 def test_sup_deviation_identical_is_zero():
-    a = _AnalyticPath(10.0, np.sin, np.cos)
-    grid = np.linspace(0, 10, 201)
-    rep = sup_deviation(a, a, grid)
+    run, ref = _sampled(np.sin, np.cos, np.linspace(0, 10, 201))
+    rep = sup_deviation(run, ref)
     assert rep.sup == 0.0
     assert rep.component_max == (0.0, 0.0)
     assert rep.grid_points == 201
 
 
 def test_sup_deviation_known_difference():
-    a = _AnalyticPath(10.0, np.sin, np.cos)
-    b = _AnalyticPath(10.0, np.sin, lambda g: np.cos(g) + 0.25 * (g == 4.0))
-    grid = np.linspace(0, 10, 201)
-    rep = sup_deviation(a, b, grid)
+    t = np.linspace(0, 10, 201)
+    run, _ = _sampled(np.sin, np.cos, t)
+    _, ref = _sampled(np.sin, lambda g: np.cos(g) + 0.25 * (g == 4.0), t)
+    rep = sup_deviation(run, ref)
     assert rep.sup == pytest.approx(0.25)
     assert rep.t_at_sup == pytest.approx(4.0)
     assert rep.component_max[0] == 0.0
     assert rep.sup == max(rep.component_max)
-    # symmetric in the two paths
-    rep2 = sup_deviation(b, a, grid)
-    assert rep2.sup == rep.sup and rep2.t_at_sup == rep.t_at_sup
+    # rows picks the samples compared, and the grid fields follow them
+    rest = sup_deviation(run, ref, t > 5.0)
+    assert rest.sup == 0.0 and rest.grid_start == t[101] and rest.grid_points == 100
+    assert sup_deviation(run, ref, slice(0, None, 20)).grid_points == 11
 
 
 def test_sup_deviation_grid_checks():
-    a = _AnalyticPath(10.0, np.sin, np.cos)
-    short = _AnalyticPath(5.0, np.sin, np.cos)
+    run, ref = _sampled(np.sin, np.cos, np.linspace(0, 10, 11))
+    # a reference of another length, such as one cut at an earlier horizon
+    with pytest.raises(GridOutsideHorizon, match=r"shape \(6, 2\) for a run of 11"):
+        sup_deviation(run, ref[:6])
     with pytest.raises(GridOutsideHorizon):
-        sup_deviation(a, short, np.linspace(0, 10, 11))
-    with pytest.raises(GridOutsideHorizon):
-        sup_deviation(a, a, np.array([]))
+        sup_deviation(run, ref[:, 0])
+    with pytest.raises(GridOutsideHorizon, match="no samples"):
+        sup_deviation(run, ref, run.t > 10.0)
+    # a fluid path that ends before the run cannot be evaluated at its samples
+    with pytest.raises(FluidSolverError, match="outside"):
+        solve_fluid((0.0, -1.0), BASE, horizon=5.0).states(run.t)
 
 
 def test_sup_deviation_against_simulated_path():
     # a short fluid-scaled run should stay within a loose band of its limit,
-    # and the report's sup must match a direct recomputation
+    # and the report's sup must equal a longhand recomputation on a grid of
+    # its own, which reads the run by interpolation
     traj = simulate_b(SystemState(0, 0), BASE, horizon=10.0,
                       stream=RandomStream(seed=12), sampling=GridSpec(dt=0.05))
     scaled = fluid_scale(traj)
-    ref = solve_fluid((0.0, -1.0), BASE, horizon=10.0)
+    path = solve_fluid((0.0, -1.0), BASE, horizon=10.0)
+    rep = sup_deviation(scaled, path.states(scaled.t))
     grid = np.arange(0.0, 10.0001, 0.05)
-    rep = sup_deviation(scaled, ref, grid)
-    direct = np.abs(scaled.eval_on(grid) - ref.eval_on(grid)).max()
-    assert rep.sup == pytest.approx(direct, abs=0.0)
+    run = np.column_stack([np.interp(grid, scaled.t, scaled.y),
+                           np.interp(grid, scaled.t, scaled.x)])
+    direct = np.abs(run - path.states(grid)).max()
+    assert rep.sup == direct
     assert 0.0 < rep.sup < 1.0
 
 
@@ -268,15 +270,16 @@ def test_scale_sweep_devs_match_independent_runs():
     grid = np.arange(0.0, 5.0 * (1 + 1e-12), 0.05)
     for i, (r, row) in enumerate(zip((20, 50), table.rows)):
         p = ModelParams(lam=1.0, scale_r=float(r), beta=1.0, gamma=2.0, epsilon=0.2)
-        ref = solve_fluid((0.0, 1.0), p, horizon=5.0)
-        devs = [
-            sup_deviation(
-                fluid_scale(simulate_b(SystemState(0, 2 * r), p, horizon=5.0,
-                                       stream=stream.child(i).child(j),
-                                       sampling=GridSpec(dt=0.05))),
-                ref, grid).sup
-            for j in range(3)
-        ]
+        ref = solve_fluid((0.0, 1.0), p, horizon=5.0).states(grid)
+        devs = []
+        for j in range(3):
+            # longhand: the run read by interpolation on a grid of its own
+            run = fluid_scale(simulate_b(SystemState(0, 2 * r), p, horizon=5.0,
+                                         stream=stream.child(i).child(j),
+                                         sampling=GridSpec(dt=0.05)))
+            vals = np.column_stack([np.interp(grid, run.t, run.y),
+                                    np.interp(grid, run.t, run.x)])
+            devs.append(float(np.abs(vals - ref).max()))
         assert row.devs == tuple(devs)
         assert row.n == len(row.devs) == 3
         assert row.mean_dev == float(np.mean(devs))
